@@ -167,7 +167,6 @@ def run_comparison(
     repetitions: int = 5,
     *,
     compare_full: bool = True,
-    parallel: bool = False,
 ) -> BenchRecord:
     """Time the partitioned solver, optionally against the unpartitioned one.
 
@@ -182,11 +181,9 @@ def run_comparison(
     census = class_census(p.n, m)
 
     stats = SolveStats()
-    base = solve_dirichlet(p, quadric, parallel=parallel, stats=stats)
+    base = solve_dirichlet(p, quadric, stats=stats)
 
-    part_ms = _median_time_ms(
-        lambda: solve_dirichlet(p, quadric, parallel=parallel), repetitions
-    )
+    part_ms = _median_time_ms(lambda: solve_dirichlet(p, quadric), repetitions)
 
     full_ms = None
     if compare_full:

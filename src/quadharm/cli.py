@@ -14,15 +14,6 @@ import os
 import sys
 import time
 
-from .bench import (
-    census_record,
-    dense_boundary,
-    monomial_boundary,
-    record_to_csv_row,
-    record_to_text,
-    records_to_csv,
-    run_comparison,
-)
 from .parsing import (
     ParseError,
     format_polynomial,
@@ -88,7 +79,7 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
     p_solved = p.to_float() if args.mode == "float" else p
     t0 = time.perf_counter()
     try:
-        dec = solve_dirichlet(p_solved, surface, parallel=args.parallel)
+        dec = solve_dirichlet(p_solved, surface)
     except IllConditionedSystemError as exc:
         print(f"error: ill-conditioned system in float mode: {exc}", file=sys.stderr)
         return EXIT_ILL_CONDITIONED
@@ -120,11 +111,25 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
                 print(f"note: {note}")
 
     if report is not None and not report.ok():
+        if report.ill_conditioned:
+            print("error: float result too large against the boundary to verify; "
+                  "solve in exact mode", file=sys.stderr)
+            return EXIT_ILL_CONDITIONED
         return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here so that solve, decompose and verify do not load it.
+    from .bench import (
+        census_record,
+        dense_boundary,
+        monomial_boundary,
+        record_to_text,
+        records_to_csv,
+        run_comparison,
+    )
+
     n, m = args.dim, args.degree
     if n < 2:
         print("error: --dim must be at least 2", file=sys.stderr)
@@ -154,9 +159,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 surface,
                 repetitions=args.reps,
                 compare_full=args.compare_full,
-                parallel=args.parallel,
             )
-            solve_dirichlet(p, surface, parallel=args.parallel, stats=stats)
+            solve_dirichlet(p, surface, stats=stats)
         else:
             record = census_record(n, m, args.boundary_kind)
             stats = None
@@ -204,9 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also compare with the operator-matrix oracle (exact mode)",
     )
-    common.add_argument(
-        "--parallel", action="store_true", help="solve parity classes in threads"
-    )
 
     sub.add_parser("solve", parents=[common], help="print the harmonic solution h")
     sub.add_parser("decompose", parents=[common], help="print both h and f")
@@ -235,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--format", choices=("text", "csv"), default="text")
-    bench.add_argument("--parallel", action="store_true")
     return parser
 
 

@@ -17,15 +17,20 @@ unknowns are the constants D^alpha f over all alpha of order m.  Every
 multi-index reachable from alpha differs from it by an even amount in each
 coordinate, so the system splits into independent blocks indexed by the
 coordinatewise parity of alpha; blocks whose right-hand side is zero
-contribute only zeros and are skipped.  The solved constants determine f
-through its Taylor expansion, and lower degrees follow by a descending
-cascade that feeds q1/q0 cross terms back in as new right-hand sides.
+contribute only zeros and are skipped.  The right-hand side D^alpha(lap p)
+is a constant, alpha! times the x^alpha coefficient of lap p, so it is read
+off directly.  The solved constants determine f through its Taylor
+expansion.
+
+Lower degrees follow by one descending pass over the whole of p: the
+degree-k equation of p = h + q*f reads p_k = h_k + q2*f_(k-2) + q1*f_(k-1)
++ q0*f_k, so once f_(k-1) and f_k are known the carry p_k - q1*f_(k-1) -
+q0*f_k is split by one level solve, from the top degree down to 2.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -35,6 +40,7 @@ from .polynomial import (
     Poly,
     Scalar,
     canonical_key,
+    multi_factorial,
     multi_indices,
     taylor_reconstruct,
 )
@@ -114,6 +120,43 @@ def _axis_squares(q2: Poly, zero: Scalar) -> list[Scalar]:
     return a
 
 
+def level_rows(
+    rhs_source: Poly, q2: Poly, members: Sequence[tuple[int, ...]]
+) -> tuple[list[list[Scalar]], list[Scalar]]:
+    """Matrix rows and right-hand sides of the level equations for ``members``.
+
+    Rows and columns follow ``members``, which must hold every multi-index
+    alpha - 2e_j + 2e_k that a member's equation reaches: one parity class,
+    or all multi-indices of one order.  The right-hand side of row alpha is
+    D^alpha(rhs_source) at the origin, alpha! times the x^alpha coefficient.
+    """
+    n = q2.n
+    zero: Scalar = 0.0 if q2.is_float() else Fraction(0)
+    a = _axis_squares(q2, zero)
+    two_s = 2 * sum(a, zero)
+    col = {alpha: i for i, alpha in enumerate(members)}
+    size = len(members)
+    matrix = [[zero] * size for _ in range(size)]
+    rhs = []
+    for i, alpha in enumerate(members):
+        row = matrix[i]
+        diag = two_s
+        for j, aj in enumerate(alpha):
+            diag = diag + 4 * aj * a[j]
+        row[i] = row[i] + diag
+        for j, aj in enumerate(alpha):
+            w = aj * (aj - 1) * a[j]
+            if w == 0:
+                continue
+            for k in range(n):
+                beta = list(alpha)
+                beta[j] -= 2
+                beta[k] += 2
+                row[col[tuple(beta)]] += w
+        rhs.append(rhs_source.coefficient(alpha) * multi_factorial(alpha) + zero)
+    return matrix, rhs
+
+
 def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[ClassSystem]:
     """Build every parity block of the order-m system.
 
@@ -126,39 +169,14 @@ def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[Class
         raise DimensionMismatchError(
             f"operands have dimensions {rhs_source.n} and {q2.n}"
         )
-    n = q2.n
-    zero: Scalar = 0.0 if q2.is_float() else Fraction(0)
-    a = _axis_squares(q2, zero)
-    two_s = 2 * sum(a, zero)
-
     groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for alpha in multi_indices(n, order):
+    for alpha in multi_indices(q2.n, order):
         groups.setdefault(parity_class(alpha), []).append(alpha)
 
     systems = []
     for key in sorted(groups, key=canonical_key, reverse=True):
         members = groups[key]
-        col = {alpha: i for i, alpha in enumerate(members)}
-        size = len(members)
-        matrix = [[zero] * size for _ in range(size)]
-        rhs = []
-        for i, alpha in enumerate(members):
-            row = matrix[i]
-            diag = two_s
-            for j, aj in enumerate(alpha):
-                diag = diag + 4 * aj * a[j]
-            row[i] = row[i] + diag
-            for j, aj in enumerate(alpha):
-                w = aj * (aj - 1) * a[j]
-                if w == 0:
-                    continue
-                for k in range(n):
-                    beta = list(alpha)
-                    beta[j] -= 2
-                    beta[k] += 2
-                    row[col[tuple(beta)]] += w
-            deriv = rhs_source.d_alpha(alpha)
-            rhs.append(deriv.coefficient((0,) * n) + zero)
+        matrix, rhs = level_rows(rhs_source, q2, members)
         systems.append(
             ClassSystem(
                 parity=key,
@@ -276,7 +294,6 @@ def solve_homogeneous(
     ph: Poly,
     q2: Poly,
     *,
-    parallel: bool = False,
     stats: SolveStats | None = None,
 ) -> Poly:
     """Find homogeneous f of degree deg(ph) - 2 with lap(q2*f) = lap(ph).
@@ -296,12 +313,7 @@ def solve_homogeneous(
     rhs_source = ph.laplacian()
     systems = assemble_class_systems(rhs_source, q2, order)
     t1 = time.perf_counter()
-
-    if parallel and len(systems) > 1:
-        with ThreadPoolExecutor() as pool:
-            solutions = list(pool.map(solve_class, systems))
-    else:
-        solutions = [solve_class(s) for s in systems]
+    solutions = [solve_class(s) for s in systems]
     t2 = time.perf_counter()
 
     values: dict[tuple[int, ...], Scalar] = {}
@@ -327,26 +339,66 @@ def solve_homogeneous(
 HomogeneousSolver = Callable[[Poly, Poly], Poly]
 
 
+def solve_dirichlet(
+    p: Poly,
+    quadric: NonhyperbolicQuadratic,
+    *,
+    homogeneous_solver: HomogeneousSolver | None = None,
+    stats: SolveStats | None = None,
+) -> HarmonicDecomposition:
+    """Full decomposition p = h + q*f with h harmonic.
+
+    The restriction of h to the zero set of q equals that of p, so h solves
+    the Dirichlet problem there.  One pass runs from the top degree of p
+    down to 0.  Writing q = q2 + q1 + q0 and p_k, h_k, f_k for the
+    degree-k parts, the degree-k part of p = h + q*f reads
+
+        carry_k = p_k - q1 * f_(k-1) - q0 * f_k = h_k + q2 * f_(k-2)
+
+    f_(k-1) and f_k come from the two levels above, so each carry of degree
+    k >= 2 is split by one level solve for f_(k-2).  Below degree 2 there
+    is nothing left to solve and h_k = carry_k.
+    """
+    if p.n != quadric.n:
+        raise DimensionMismatchError(
+            f"operands have dimensions {p.n} and {quadric.n}"
+        )
+    zero = Poly.zero(p.n)
+    parts = dict(p.homogeneous_components())
+    q2, q1, q0 = quadric.parts()
+    if p.is_float():
+        q2, q1, q0 = q2.to_float(), q1.to_float(), q0.to_float()
+
+    if homogeneous_solver is None:
+        def homogeneous_solver(s: Poly, q2_: Poly) -> Poly:
+            return solve_homogeneous(s, q2_, stats=stats)
+
+    f_parts: dict[int, Poly] = {}
+    h = zero
+    f = zero
+    for k in range(max(parts, default=0), -1, -1):
+        carry = parts.get(k, zero) - q1 * f_parts.get(k - 1, zero) - q0 * f_parts.get(k, zero)
+        # The carry is homogeneous of degree k or identically zero; zero
+        # carries occur whenever p skips a degree and q has no linear part,
+        # so skip the solver rather than make every solver handle them.
+        if k >= 2 and not carry.is_zero():
+            f_k2 = f_parts[k - 2] = homogeneous_solver(carry, q2)
+            f = f + f_k2
+            carry = carry - q2 * f_k2
+        h = h + carry
+    return HarmonicDecomposition(h=h, f=f, p=p, q=quadric)
+
+
 def cascade(
     ph: Poly,
     quadric: NonhyperbolicQuadratic,
     *,
     homogeneous_solver: HomogeneousSolver | None = None,
-    parallel: bool = False,
     stats: SolveStats | None = None,
 ) -> tuple[Poly, Poly]:
-    """Decompose one homogeneous boundary component.
+    """Decompose one homogeneous boundary component; returns (h, f).
 
-    Writing M = deg(ph) and q = q2 + q1 + q0, the harmonic parts h_k and the
-    multiplier parts f_k satisfy, level by level,
-
-        carry_M     = ph
-        carry_k     = h_k + q2 * f_(k-2)                   (k = M .. 2)
-        carry_(k-1) = -q1 * f_(k-2) - q0 * f_(k-1)
-        h_1         = carry_1,   h_0 = -q0 * f_0
-
-    Summing the levels gives ph = sum h_k + q * sum f_k with every h_k
-    harmonic.  Returns (h, f).
+    ``solve_dirichlet`` restricted to homogeneous input.
     """
     if ph.n != quadric.n:
         raise DimensionMismatchError(
@@ -354,69 +406,5 @@ def cascade(
         )
     if not ph.is_homogeneous():
         raise ValueError("cascade input must be homogeneous")
-    n = ph.n
-    zero = Poly.zero(n)
-    deg = ph.degree()
-    if deg is None or deg < 2:
-        return ph, zero
-
-    q2, q1, q0 = quadric.parts()
-    if ph.is_float():
-        q2, q1, q0 = q2.to_float(), q1.to_float(), q0.to_float()
-
-    if homogeneous_solver is None:
-        def homogeneous_solver(s: Poly, q2_: Poly) -> Poly:
-            return solve_homogeneous(s, q2_, parallel=parallel, stats=stats)
-
-    f_levels: dict[int, Poly] = {}
-    h_total = zero
-    f_total = zero
-    carry = ph
-    for k in range(deg, 1, -1):
-        # The carry is homogeneous of degree k or identically zero; zero
-        # carries occur whenever q has no linear part, so skip the solver
-        # rather than make every solver handle the degenerate input.
-        if carry.is_zero():
-            f_k2 = zero
-        else:
-            f_k2 = homogeneous_solver(carry, q2)
-        f_levels[k - 2] = f_k2
-        h_total = h_total + (carry - q2 * f_k2)
-        f_total = f_total + f_k2
-        carry = -(q1 * f_k2) - q0 * f_levels.get(k - 1, zero)
-    h_total = h_total + carry  # h_1, degree <= 1, harmonic by construction
-    h_total = h_total - q0 * f_levels.get(0, zero)  # h_0
-    return h_total, f_total
-
-
-def solve_dirichlet(
-    p: Poly,
-    quadric: NonhyperbolicQuadratic,
-    *,
-    homogeneous_solver: HomogeneousSolver | None = None,
-    parallel: bool = False,
-    stats: SolveStats | None = None,
-) -> HarmonicDecomposition:
-    """Full decomposition p = h + q*f with h harmonic.
-
-    The restriction of h to the zero set of q equals that of p, so h solves
-    the Dirichlet problem there.  Each homogeneous component of p cascades
-    independently; the pieces sum because the decomposition is linear in p.
-    """
-    if p.n != quadric.n:
-        raise DimensionMismatchError(
-            f"operands have dimensions {p.n} and {quadric.n}"
-        )
-    h_total = Poly.zero(p.n)
-    f_total = Poly.zero(p.n)
-    for _, component in p.homogeneous_components():
-        h, f = cascade(
-            component,
-            quadric,
-            homogeneous_solver=homogeneous_solver,
-            parallel=parallel,
-            stats=stats,
-        )
-        h_total = h_total + h
-        f_total = f_total + f
-    return HarmonicDecomposition(h=h_total, f=f_total, p=p, q=quadric)
+    dec = solve_dirichlet(ph, quadric, homogeneous_solver=homogeneous_solver, stats=stats)
+    return dec.h, dec.f

@@ -17,6 +17,7 @@ rather than the solver's tuned routine.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,9 +30,15 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import HarmonicDecomposition, SingularSystemError, _axis_squares
+from .solver import HarmonicDecomposition, SingularSystemError, level_rows
 
-FLOAT_RESIDUAL_TOL = 1e-9
+# Float checks allow this many units of rounding per coefficient, times
+# (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a
+# degree-d coefficient by up to d(d - 1), and the level systems grow with
+# the degree.  On correct solves of degree 10 to 40 the error measured 0.2
+# to 0.4 units per unit of max(|h|, |q*f|) / |p|, so answers up to about
+# 150 times the size of p pass and larger ones are reported ill-conditioned.
+FLOAT_TOL_ULPS = 64
 
 
 @dataclass
@@ -42,6 +49,7 @@ class VerificationReport:
     surface_nondegenerate: bool
     oracle_match: bool | None = None
     notes: list[str] = field(default_factory=list)
+    ill_conditioned: bool = False
 
     def ok(self) -> bool:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False
@@ -96,32 +104,8 @@ def assemble_full_system(
     Shared by the full-system oracle and by the benchmark's unpartitioned
     reference path, which differ only in how they eliminate.
     """
-    n = rhs_source.n
-    zero: Scalar = 0.0 if q2.is_float() else Fraction(0)
-    a = _axis_squares(q2, zero)
-    two_s = 2 * sum(a, zero)
-    members = list(multi_indices(n, order))
-    col = {alpha: i for i, alpha in enumerate(members)}
-    size = len(members)
-    matrix: list[list[Scalar]] = [[zero] * size for _ in range(size)]
-    rhs: list[Scalar] = []
-    for i, alpha in enumerate(members):
-        row = matrix[i]
-        diag = two_s
-        for j, aj in enumerate(alpha):
-            diag = diag + 4 * aj * a[j]
-        row[i] = row[i] + diag
-        for j, aj in enumerate(alpha):
-            w = aj * (aj - 1) * a[j]
-            if w == 0:
-                continue
-            for k in range(n):
-                beta = list(alpha)
-                beta[j] -= 2
-                beta[k] += 2
-                row[col[tuple(beta)]] += w
-        deriv = rhs_source.d_alpha(alpha)
-        rhs.append(deriv.coefficient((0,) * n) + zero)
+    members = list(multi_indices(rhs_source.n, order))
+    matrix, rhs = level_rows(rhs_source, q2, members)
     return members, matrix, rhs
 
 
@@ -236,6 +220,12 @@ def operator_is_bijective(q: NonhyperbolicQuadratic | Poly, order: int) -> bool:
     return not operator_kernel(q, order)
 
 
+def float_tolerance(degree: int, scale: float) -> float:
+    """Rounding error allowed in a coefficient of a float check of degree
+    ``degree`` whose terms are at most ``scale`` in size."""
+    return FLOAT_TOL_ULPS * sys.float_info.epsilon * (degree + 1) ** 2 * scale
+
+
 def verify_solution(
     p: Poly,
     quadric: NonhyperbolicQuadratic,
@@ -246,23 +236,42 @@ def verify_solution(
     """Check a decomposition against its defining equations.
 
     Exact mode demands exact zeros.  Float mode compares the largest
-    absolute coefficient of laplacian(h) and of the residual against
-    FLOAT_RESIDUAL_TOL and records the measured values in the notes.
+    absolute coefficient of laplacian(h) and of the residual p - h - q*f
+    with ``float_tolerance`` at the size of p, and records the measured
+    values and the tolerance in the notes.  A float h or q*f far larger
+    than p carries rounding of its own size, which that tolerance does not
+    allow; when a failed check is within rounding at that size, the report
+    is marked ill-conditioned: float mode cannot tell such an answer from
+    a wrong one.
     """
     q_poly = quadric.to_polynomial()
     float_mode = p.is_float() or dec.h.is_float() or dec.f.is_float()
     if float_mode:
         q_poly = q_poly.to_float()
-    residual = p - dec.h - q_poly * dec.f
+    qf = q_poly * dec.f
+    residual = p - dec.h - qf
     lap_h = dec.h.laplacian()
     notes: list[str] = []
+    ill_conditioned = False
     if float_mode:
+        degree = p.degree() or 0
+        p_max = float(p.max_abs_coefficient())
+        tol = float_tolerance(degree, p_max)
         lap_max = float(lap_h.max_abs_coefficient())
         res_max = float(residual.max_abs_coefficient())
-        harmonic_ok = lap_max <= FLOAT_RESIDUAL_TOL
-        residual_ok = res_max <= FLOAT_RESIDUAL_TOL
+        harmonic_ok = lap_max <= tol
+        residual_ok = res_max <= tol
         notes.append(f"float mode: max |laplacian(h)| coefficient = {lap_max:.3e}")
         notes.append(f"float mode: max |residual| coefficient = {res_max:.3e}")
+        notes.append(f"float mode: tolerance = {tol:.3e}")
+        solution_max = max(float(dec.h.max_abs_coefficient()), float(qf.max_abs_coefficient()))
+        if (not (harmonic_ok and residual_ok)
+                and max(lap_max, res_max) <= float_tolerance(degree, solution_max)):
+            ill_conditioned = True
+            notes.append(
+                f"ill-conditioned: h and q*f reach {solution_max:.3e} against "
+                f"{p_max:.3e} in p, so float rounding alone can exceed the "
+                "tolerance; solve in exact mode")
     else:
         harmonic_ok = lap_h.is_zero()
         residual_ok = residual.is_zero()
@@ -287,4 +296,5 @@ def verify_solution(
         surface_nondegenerate=nondeg,
         oracle_match=oracle_match,
         notes=notes,
+        ill_conditioned=ill_conditioned,
     )

@@ -70,6 +70,14 @@ class TestSolve:
         coeffs = {tuple(t["e"]): float(t["c"]) for t in doc["h"]}
         assert coeffs[(2, 0)] == pytest.approx(0.5)
 
+    def test_float_verify_too_large_a_solution_is_ill_conditioned(self, capsys):
+        # On this paraboloid h reaches about 3e6 times the boundary.
+        code, out, err = run(
+            capsys, "verify", "--boundary", "x3^10", "--surface",
+            "x1^2+x2^2+x3", "--mode", "float")
+        assert code == EXIT_ILL_CONDITIONED
+        assert "note: ill-conditioned" in out and "exact mode" in err
+
     def test_surface_file_argument(self, capsys, tmp_path):
         path = tmp_path / "surface.json"
         path.write_text('{"a": [1, 1], "c": [0, 0], "d": -1}')

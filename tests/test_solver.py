@@ -14,16 +14,28 @@ from quadharm import (
     SolveStats,
     assemble_class_systems,
     cascade,
+    multi_indices,
+    multi_indices_upto,
     parity_class,
     solve_class,
     solve_dirichlet,
     solve_homogeneous,
 )
-from conftest import random_poly, random_quadric
+from conftest import random_fraction, random_poly, random_quadric
 
 
 def sphere(n: int = 3) -> NonhyperbolicQuadratic:
     return NonhyperbolicQuadratic((1,) * n, (0,) * n, -1)
+
+
+def all_degree(rng, n: int, top: int) -> Poly:
+    """Every monomial of degree 0..top, with random rational coefficients."""
+    return Poly(n, {alpha: random_fraction(rng) for alpha in multi_indices_upto(n, top)})
+
+
+PARABOLOID = NonhyperbolicQuadratic(
+    (Fraction(2, 3), Fraction(5, 2), 0), (Fraction(1, 2), -3, -3), Fraction(-307, 54))
+SHIFTED_ELLIPSOID = NonhyperbolicQuadratic((1, 2, 3), (1, -1, Fraction(1, 2)), -2)
 
 
 class TestParityClass:
@@ -76,6 +88,16 @@ class TestAssembly:
         systems = assemble_class_systems(Poly.constant(2, 2).to_float(), q2, 0)
         assert isinstance(systems[0].matrix[0][0], float)
         assert isinstance(systems[0].rhs[0], float)
+
+    def test_rhs_is_the_derivative_constant(self, rng):
+        q2 = Poly(3, {(2, 0, 0): 2, (0, 2, 0): 3, (0, 0, 2): 4})
+        for order in (0, 3, 6):
+            rhs_source = Poly(3, {
+                alpha: random_fraction(rng) for alpha in multi_indices(3, order)
+                if rng.random() < 0.7})
+            for system in assemble_class_systems(rhs_source, q2, order):
+                for alpha, value in zip(system.members, system.rhs):
+                    assert value == rhs_source.d_alpha(alpha).coefficient((0, 0, 0))
 
     def test_cross_term_in_quadratic_part_rejected(self):
         bad = Poly(2, {(1, 1): 1, (2, 0): 1})
@@ -168,12 +190,23 @@ class TestSolveDirichlet:
         for alpha in dec.f.terms:
             assert parity_class(alpha) == (0, 1, 0)
 
-    def test_parallel_matches_serial_bit_exact(self, rng):
-        q = random_quadric(rng, 3, "ellipsoid")
-        p = random_poly(rng, 3, 6, terms=6)
-        serial = solve_dirichlet(p, q)
-        parallel = solve_dirichlet(p, q, parallel=True)
-        assert serial.h == parallel.h and serial.f == parallel.f
+    @pytest.mark.parametrize("q", [PARABOLOID, SHIFTED_ELLIPSOID], ids=["paraboloid", "shifted"])
+    def test_one_pass_equals_sum_of_component_cascades(self, rng, q):
+        p = all_degree(rng, 3, 8)
+        dec = solve_dirichlet(p, q)
+        h_sum, f_sum = Poly.zero(3), Poly.zero(3)
+        for _, component in p.homogeneous_components():
+            h, f = cascade(component, q)
+            h_sum, f_sum = h_sum + h, f_sum + f
+        assert dec.h == h_sum and dec.f == f_sum
+        assert all(isinstance(c, Fraction) for c in (*dec.h.terms.values(), *dec.f.terms.values()))
+
+    @pytest.mark.parametrize("q", [PARABOLOID, SHIFTED_ELLIPSOID], ids=["paraboloid", "shifted"])
+    def test_one_level_solve_per_degree(self, rng, q):
+        top = 8
+        stats = SolveStats()
+        solve_dirichlet(all_degree(rng, 3, top), q, stats=stats)
+        assert [lv.carry_degree for lv in stats.levels] == list(range(top, 1, -1))
 
     def test_stats_for_monomial_on_sphere(self):
         stats = SolveStats()

@@ -16,6 +16,7 @@ from quadharm import (
     solve_homogeneous,
     verify_solution,
 )
+from quadharm.bench import dense_boundary
 from conftest import random_poly, random_quadric
 
 
@@ -144,6 +145,39 @@ class TestVerifySolution:
         drifted = HarmonicDecomposition(
             h=dec.h + Poly.constant(2, 1e-6).to_float(), f=dec.f, p=p, q=q)
         assert not verify_solution(p, q, drifted).residual_ok
+
+    def test_float_tolerance_scales_with_the_input(self):
+        # A dense degree-12 boundary scaled by 10^6: its correct float solve
+        # has |laplacian(h)| around 1e-7, far above any absolute cutoff.
+        q = NonhyperbolicQuadratic((2, 3, 4), (0, 0, 0), -1)
+        p = (10**6 * dense_boundary(3, 12)).to_float()
+        dec = solve_dirichlet(p, q)
+        report = verify_solution(p, q, dec)
+        assert report.ok()
+        assert any("tolerance" in note for note in report.notes)
+        size = float(p.max_abs_coefficient())
+        for drift in (Poly.constant(3, 1), Poly.monomial(3, (2, 0, 0))):
+            drifted = HarmonicDecomposition(
+                h=dec.h + (1e-6 * size) * drift.to_float(), f=dec.f, p=p, q=q)
+            report = verify_solution(p, q, drifted)
+            assert not report.ok() and not report.ill_conditioned
+
+    def test_float_solution_far_above_the_input_is_ill_conditioned(self):
+        # On this paraboloid h is about 3e6 times larger than p: its rounding
+        # exceeds a tolerance at the size of p, so the correct answer is not
+        # verified but marked ill-conditioned, and a drift of 1e-6 * max|p|
+        # is rejected as well.
+        q = NonhyperbolicQuadratic((1, 1, 0), (0, 0, 1), 0)
+        p = dense_boundary(3, 10).to_float()
+        dec = solve_dirichlet(p, q)
+        size = float(p.max_abs_coefficient())
+        assert float(dec.h.max_abs_coefficient()) > 1e6 * size
+        report = verify_solution(p, q, dec)
+        assert not report.ok() and report.ill_conditioned
+        assert any("ill-conditioned" in note for note in report.notes)
+        drifted = HarmonicDecomposition(
+            h=dec.h + Poly.constant(3, 1e-6 * size).to_float(), f=dec.f, p=p, q=q)
+        assert not verify_solution(p, q, drifted).ok()
 
     def test_float_oracle_combination_rejected(self):
         p = Poly.monomial(2, (2, 0)).to_float()
