@@ -1,6 +1,7 @@
 """Command-line behaviour, exit codes, and output schemas."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -173,3 +174,19 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "1/2*x1^2" in proc.stdout
+
+
+def test_cli_import_loads_no_tooling_modules():
+    # Every `quadharm` command pays for what `import quadharm.cli` loads;
+    # these modules cost start-up time and memory that only `bench`, or
+    # nothing at all, needs.
+    import quadharm
+
+    unwanted = ["quadharm.bench", "logging", "concurrent.futures", "numpy"]
+    src = os.path.dirname(os.path.dirname(quadharm.__file__))
+    code = f"import sys, quadharm.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,141 @@
+"""The band-limited elimination kernels against dense reference loops."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given
+import hypothesis.strategies as st
+
+from quadharm import IllConditionedSystemError, SingularSystemError
+from quadharm.solver import FLOAT_PIVOT_RTOL, _solve_exact, _solve_float
+from quadharm.verify import _dense_solve_exact
+from conftest import fractions_st
+
+
+def dense_partial_pivoting(matrix, rhs):
+    """The float kernel before it was confined to the band: every row below
+    the pivot, every column right of it.  Kept here as the reference."""
+    matrix = [list(row) for row in matrix]
+    rhs = list(rhs)
+    size = len(rhs)
+    for col in range(size):
+        best_row = max(range(col, size), key=lambda r: abs(matrix[r][col]))
+        pivot = matrix[best_row][col]
+        row_max = max(abs(v) for v in matrix[best_row][col:])
+        if pivot == 0.0 or abs(pivot) < FLOAT_PIVOT_RTOL * row_max:
+            raise IllConditionedSystemError(
+                f"pivot {pivot!r} at column {col} is below {FLOAT_PIVOT_RTOL} of row max {row_max!r}"
+            )
+        if best_row != col:
+            matrix[col], matrix[best_row] = matrix[best_row], matrix[col]
+            rhs[col], rhs[best_row] = rhs[best_row], rhs[col]
+        prow = matrix[col]
+        for r in range(col + 1, size):
+            v = matrix[r][col]
+            if v == 0.0:
+                continue
+            factor = v / pivot
+            row = matrix[r]
+            row[col] = 0.0
+            for cc in range(col + 1, size):
+                row[cc] -= factor * prow[cc]
+            rhs[r] -= factor * rhs[col]
+    out = [0.0] * size
+    for r in range(size - 1, -1, -1):
+        acc = rhs[r]
+        row = matrix[r]
+        for cc in range(r + 1, size):
+            acc -= row[cc] * out[cc]
+        out[r] = acc / row[r]
+    return out
+
+
+@st.composite
+def systems(draw, entries, zero=0):
+    """A square system whose nonzeros lie in a random band; the band may be
+    the whole matrix, and the diagonal may be zero to force row swaps."""
+    size = draw(st.integers(1, 7))
+    lower = draw(st.integers(0, size - 1))
+    upper = draw(st.integers(0, size - 1))
+    zero_diagonal = draw(st.booleans())
+    matrix = [
+        [draw(entries) if -lower <= j - i <= upper and not (zero_diagonal and i == j) else zero
+         for j in range(size)]
+        for i in range(size)
+    ]
+    rhs = [draw(entries) for _ in range(size)]
+    return matrix, rhs
+
+
+def as_fractions(matrix, rhs):
+    return [[Fraction(v) for v in row] for row in matrix], [Fraction(v) for v in rhs]
+
+
+def reference_exact(matrix, rhs):
+    """verify's textbook solve, or None when the system is singular."""
+    try:
+        return _dense_solve_exact(*as_fractions(matrix, rhs))
+    except SingularSystemError:
+        return None
+
+
+EXACT_ENTRIES = {
+    "int": st.integers(-9, 9),
+    "fraction": fractions_st(),
+}
+# Small dyadic and decimal floats, never -0.0 (as in the assembled systems).
+FLOAT_ENTRIES = st.one_of(
+    st.integers(-40, 40).map(lambda k: k / 4),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_exact_kernel_matches_dense_oracle(kind, data):
+    matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
+    expected = reference_exact(matrix, rhs)
+    assume(expected is not None)
+    got = _solve_exact(matrix, rhs)
+    assert got == expected
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_exact_kernel_raises_on_singular_systems(kind, data):
+    matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
+    size = len(rhs)
+    assume(size >= 2)
+    # Overwrite one row with a combination of two others (or a multiple of one).
+    target = data.draw(st.integers(0, size - 1))
+    i, j = data.draw(st.lists(st.integers(0, size - 1).filter(lambda k: k != target),
+                              min_size=2, max_size=2))
+    ci, cj = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    matrix[target] = [ci * x + cj * y for x, y in zip(matrix[i], matrix[j])]
+    with pytest.raises(SingularSystemError) as info:
+        _solve_exact(matrix, rhs)
+    assert 0 <= info.value.column < size
+
+
+@given(systems(FLOAT_ENTRIES, 0.0))
+def test_float_kernel_is_bit_identical_to_dense_loop(system):
+    matrix, rhs = system
+    try:
+        expected = dense_partial_pivoting(matrix, rhs)
+    except IllConditionedSystemError as dense_error:
+        with pytest.raises(IllConditionedSystemError) as info:
+            _solve_float(matrix, rhs)
+        assert str(info.value) == str(dense_error)
+        return
+    got = _solve_float(matrix, rhs)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def test_zero_leading_entry_forces_a_swap():
+    matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
+    rhs = (Fraction(1, 2), 1, Fraction(-3))
+    assert _solve_exact(matrix, rhs) == reference_exact(matrix, rhs)
+    float_matrix = tuple(tuple(float(v) for v in row) for row in matrix)
+    float_rhs = tuple(float(v) for v in rhs)
+    assert _solve_float(float_matrix, float_rhs) == dense_partial_pivoting(float_matrix, float_rhs)

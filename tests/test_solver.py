@@ -16,11 +16,14 @@ from quadharm import (
     cascade,
     multi_indices,
     multi_indices_upto,
+    oracle_full_system,
+    oracle_operator_matrix,
     parity_class,
     solve_class,
     solve_dirichlet,
     solve_homogeneous,
 )
+from quadharm.verify import assemble_full_system
 from conftest import random_fraction, random_poly, random_quadric
 
 
@@ -36,6 +39,9 @@ def all_degree(rng, n: int, top: int) -> Poly:
 PARABOLOID = NonhyperbolicQuadratic(
     (Fraction(2, 3), Fraction(5, 2), 0), (Fraction(1, 2), -3, -3), Fraction(-307, 54))
 SHIFTED_ELLIPSOID = NonhyperbolicQuadratic((1, 2, 3), (1, -1, Fraction(1, 2)), -2)
+# Axis squares with denominators 2, 3 and 4: exact rows are scaled by L = 12.
+NON_INTEGER_AXES = NonhyperbolicQuadratic(
+    (Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)), (1, 0, Fraction(-1, 3)), -1)
 
 
 class TestParityClass:
@@ -105,6 +111,34 @@ class TestAssembly:
             assemble_class_systems(Poly.constant(2, 1), bad, 0)
 
 
+class TestNonIntegerAxisSquares:
+    def test_solution_matches_both_oracles(self, rng):
+        q = NON_INTEGER_AXES
+        p = all_degree(rng, 3, 6)
+        dec = solve_dirichlet(p, q)
+        reference = oracle_operator_matrix(p, q)
+        assert dec.h == reference.h and dec.f == reference.f
+        unpartitioned = solve_dirichlet(
+            p, q, homogeneous_solver=lambda s, q2: oracle_full_system(s, q2, s.degree() - 2))
+        assert unpartitioned.h == dec.h and unpartitioned.f == dec.f
+
+    def test_exact_rows_are_ints_and_rhs_is_scaled(self, rng):
+        q2 = NON_INTEGER_AXES.parts()[0]
+        rhs_source = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 4)})
+        for system in assemble_class_systems(rhs_source, q2, 4):
+            assert all(type(v) is int for row in system.matrix for v in row)
+            for alpha, value in zip(system.members, system.rhs):
+                assert value == 12 * rhs_source.d_alpha(alpha).coefficient((0, 0, 0))
+
+    def test_full_system_is_returned_in_fractions(self, rng):
+        # The oracles divide entries; ints would divide into floats.
+        q2 = NON_INTEGER_AXES.parts()[0]
+        rhs_source = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 4)})
+        _, matrix, rhs = assemble_full_system(rhs_source, q2, 4)
+        assert all(type(v) is Fraction for row in matrix for v in row)
+        assert all(type(v) is Fraction for v in rhs)
+
+
 class TestSolveClass:
     def test_zero_rhs_short_circuits_to_typed_zeros(self):
         q2 = Poly(2, {(2, 0): 1, (0, 2): 1})
@@ -122,8 +156,10 @@ class TestSolveClass:
             matrix=((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
             rhs=(Fraction(1), Fraction(2)),
         )
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError) as info:
             solve_class(system)
+        assert info.value.column == 1
+        assert str(info.value) == "singular system at column 1; the operator should be bijective"
 
     def test_float_tiny_pivot_raises(self):
         system = ClassSystem(
@@ -136,8 +172,11 @@ class TestSolveClass:
             ),
             rhs=(1.0, 1.0, 1.0),
         )
-        with pytest.raises(IllConditionedSystemError):
+        with pytest.raises(IllConditionedSystemError) as info:
             solve_class(system)
+        err = info.value
+        assert (err.column, err.pivot, err.row_max, err.ratio) == (1, 1e-16, 1.0, 1e-16)
+        assert str(err) == "pivot 1e-16 at column 1 is below 1e-12 of row max 1.0"
 
 
 class TestCascade:
