@@ -289,10 +289,13 @@ def record_to_text(record: BenchRecord, stats: SolveStats | None = None) -> str:
     lines.append(f"nonzero-rhs classes per level (max): {record.nonzero_rhs_classes}")
     if stats is not None:
         for lv in stats.levels:
-            lines.append(
+            line = (
                 f"  level deg {lv.carry_degree}: order {lv.system_order}, "
                 f"{lv.class_count} classes {lv.class_sizes}, "
                 f"{lv.nonzero_rhs_classes} with nonzero rhs, "
                 f"assemble {lv.assemble_ms:.3f} ms, solve {lv.solve_ms:.3f} ms"
             )
+            if lv.carry_den_bits is not None:
+                line += f", carry bits {lv.carry_num_bits} over {lv.carry_den_bits}"
+            lines.append(line)
     return "\n".join(lines)

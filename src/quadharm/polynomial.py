@@ -183,10 +183,16 @@ class Poly:
             return NotImplemented
         self._check_dim(other)
         out = dict(self._terms)
+        # A key new to ``out`` takes c as it is: c is nonzero, and 0 + c
+        # would cost a Fraction operation.
         for a, c in other._terms.items():
-            s = out.get(a, 0) + c
+            s = out.get(a)
+            if s is None:
+                out[a] = c
+                continue
+            s = s + c
             if s == 0:
-                out.pop(a, None)
+                del out[a]
             else:
                 out[a] = s
         return Poly._raw(self._n, out)
@@ -197,9 +203,13 @@ class Poly:
         self._check_dim(other)
         out = dict(self._terms)
         for a, c in other._terms.items():
-            s = out.get(a, 0) - c
+            s = out.get(a)
+            if s is None:
+                out[a] = -c
+                continue
+            s = s - c
             if s == 0:
-                out.pop(a, None)
+                del out[a]
             else:
                 out[a] = s
         return Poly._raw(self._n, out)
@@ -214,11 +224,16 @@ class Poly:
             for a, ca in self._terms.items():
                 for b, cb in other._terms.items():
                     key = tuple(x + y for x, y in zip(a, b))
-                    s = out.get(key, 0) + ca * cb
-                    if s == 0:
+                    c = ca * cb
+                    s = out.get(key)
+                    if s is not None:
+                        c = s + c
+                    # Zero after a cancelling sum, or a float product that
+                    # underflowed: never stored.
+                    if c == 0:
                         out.pop(key, None)
                     else:
-                        out[key] = s
+                        out[key] = c
             return Poly._raw(self._n, out)
         if isinstance(other, (int, Fraction, float)):
             other = _coerce(other)
@@ -274,11 +289,14 @@ class Poly:
             for j, e in enumerate(a):
                 if e >= 2:
                     na = a[:j] + (e - 2,) + a[j + 1 :]
-                    s = out.get(na, 0) + c * (e * (e - 1))
-                    if s == 0:
+                    v = c * (e * (e - 1))
+                    s = out.get(na)
+                    if s is not None:
+                        v = s + v
+                    if v == 0:
                         out.pop(na, None)
                     else:
-                        out[na] = s
+                        out[na] = v
         return Poly._raw(self._n, out)
 
     def evaluate(self, point: Iterable[Scalar]) -> Scalar:

@@ -26,6 +26,13 @@ Lower degrees follow by one descending pass over the whole of p: the
 degree-k equation of p = h + q*f reads p_k = h_k + q2*f_(k-2) + q1*f_(k-1)
 + q0*f_k, so once f_(k-1) and f_k are known the carry p_k - q1*f_(k-1) -
 q0*f_k is split by one level solve, from the top degree down to 2.
+
+The pass only differentiates and multiplies, never integrates, so exact
+mode works on integer numerators over one denominator per homogeneous
+part: the carry, its Laplacian, the right-hand sides, the elimination and
+the q2*f product are integer arithmetic, and ``Fraction``s are formed only
+for the coefficients of h and f (and by the kernel's back-substitution and
+the Taylor rebuild).  Float mode runs the same pass with denominator 1.
 """
 
 from __future__ import annotations
@@ -97,8 +104,9 @@ class ClassSystem:
     Rows and columns follow ``members`` (canonical order, highest first).
     In exact mode every equation is multiplied by L, the lcm of the
     denominators of the axis squares a_j: ``matrix`` holds Python ints and
-    ``rhs`` holds L * D^alpha(rhs source), so the solution is unchanged.
-    Float mode is unscaled.
+    ``rhs`` holds L * D^alpha(rhs source), so the solution is unchanged;
+    the solver's own rhs sources have int coefficients, which makes ``rhs``
+    ints too.  Float mode is unscaled.
     """
 
     parity: tuple[int, ...]
@@ -122,7 +130,12 @@ class HarmonicDecomposition:
 
 @dataclass
 class LevelStats:
-    """Instrumentation for one cascade level (carry of one degree)."""
+    """Instrumentation for one cascade level (carry of one degree).
+
+    In exact mode ``carry_den_bits`` and ``carry_num_bits`` are the bit
+    lengths of the denominator the carry is held over and of its largest
+    integer numerator; they stay None in float mode.
+    """
 
     carry_degree: int
     system_order: int
@@ -132,6 +145,8 @@ class LevelStats:
     rhs_is_zero: bool
     assemble_ms: float
     solve_ms: float
+    carry_den_bits: int | None = None
+    carry_num_bits: int | None = None
 
 
 @dataclass
@@ -163,14 +178,15 @@ def level_rows(
     D^alpha(rhs_source) at the origin, alpha! times the x^alpha coefficient.
     In exact mode each row is scaled by L, the lcm of the denominators of
     the a_j, which makes every matrix entry an int; the right-hand sides
-    are scaled by L too (see ``ClassSystem``).
+    are scaled by L too (see ``ClassSystem``), and are ints when
+    ``rhs_source`` has int coefficients.
     """
     n = q2.n
     if q2.is_float():
-        zero, rhs_zero, scale = 0.0, 0.0, 1
+        zero, scale = 0.0, 1
         a = _axis_squares(q2, zero)
     else:
-        zero, rhs_zero = 0, Fraction(0)
+        zero = 0
         a = _axis_squares(q2, Fraction(0))
         scale = math.lcm(*[aj.denominator for aj in a])
         a = [aj.numerator * (scale // aj.denominator) for aj in a]
@@ -194,7 +210,7 @@ def level_rows(
                 beta[j] -= 2
                 beta[k] += 2
                 row[col[tuple(beta)]] += w
-        rhs.append(rhs_source.coefficient(alpha) * (multi_factorial(alpha) * scale) + rhs_zero)
+        rhs.append(rhs_source.coefficient(alpha) * (multi_factorial(alpha) * scale) + zero)
     return matrix, rhs
 
 
@@ -443,6 +459,32 @@ def solve_homogeneous(
 HomogeneousSolver = Callable[[Poly, Poly], Poly]
 
 
+def _numerators(poly: Poly, den: int = 1) -> tuple[Poly, int]:
+    """Integer numerators of the exact polynomial poly/den, over the lcm of
+    the denominators of its coefficients."""
+    coefficients = poly.terms.values()
+    lcm = math.lcm(*[c.denominator for c in coefficients])
+    nums = [c.numerator * (lcm // c.denominator) for c in coefficients]
+    den *= lcm
+    g = math.gcd(*nums, den)
+    if g > 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return Poly._raw(poly.n, dict(zip(poly.terms, nums))), den
+
+
+def _times(poly: Poly, m: int) -> Poly:
+    """poly * m for an int m; int coefficients stay ints."""
+    if m == 1:
+        return poly
+    return Poly._raw(poly.n, {a: c * m for a, c in poly.terms.items()})
+
+
+def _fractions(num: Poly, den: int) -> dict[tuple[int, ...], Fraction]:
+    """The coefficients of num/den, one ``Fraction`` each."""
+    return {a: Fraction(c, den) for a, c in num.terms.items()}
+
+
 def solve_dirichlet(
     p: Poly,
     quadric: NonhyperbolicQuadratic,
@@ -462,35 +504,72 @@ def solve_dirichlet(
     f_(k-1) and f_k come from the two levels above, so each carry of degree
     k >= 2 is split by one level solve for f_(k-2).  Below degree 2 there
     is nothing left to solve and h_k = carry_k.
+
+    Exact mode keeps every part as integer numerators over one denominator:
+    q over qden, p_k and f_k over the lcm of their own denominators, and
+    carry_k over lcm(den p_k, qden * den f_(k-1), qden * den f_k).  The
+    numerators of the carry go to the level solve as they are; its answer
+    over the carry's denominator is f_(k-2).  Only h and f are turned into
+    ``Fraction``s.  Float mode runs the same loop with every denominator 1.
+    A ``homogeneous_solver`` receives the carry as a ``Fraction`` (or
+    float) polynomial and returns f_(k-2) itself.
     """
     if p.n != quadric.n:
         raise DimensionMismatchError(
             f"operands have dimensions {p.n} and {quadric.n}"
         )
-    zero = Poly.zero(p.n)
-    parts = dict(p.homogeneous_components())
-    q2, q1, q0 = quadric.parts()
-    if p.is_float():
-        q2, q1, q0 = q2.to_float(), q1.to_float(), q0.to_float()
+    n = p.n
+    zero = Poly.zero(n)
+    exact = not p.is_float()
+    q2 = quadric.parts()[0]
+    q_poly = quadric.to_polynomial()
+    if exact:
+        q_poly, qden = _numerators(q_poly)
+    else:
+        q2, q_poly, qden = q2.to_float(), q_poly.to_float(), 1
+    q_parts = dict(q_poly.homogeneous_components())
+    q2n, q1n, q0n = (q_parts.get(d, zero) for d in (2, 1, 0))
 
-    if homogeneous_solver is None:
-        def homogeneous_solver(s: Poly, q2_: Poly) -> Poly:
-            return solve_homogeneous(s, q2_, stats=stats)
+    def split(poly: Poly, den: int = 1) -> tuple[Poly, int]:
+        return _numerators(poly, den) if exact else (poly, den)
 
-    f_parts: dict[int, Poly] = {}
-    h = zero
-    f = zero
+    def level(carry: Poly, den: int) -> tuple[Poly, int]:
+        """f_(k-2), as numerators and denominator, for the carry carry/den."""
+        if homogeneous_solver is not None:
+            if exact:
+                carry = Poly._raw(n, _fractions(carry, den))
+            return split(homogeneous_solver(carry, q2))
+        f = solve_homogeneous(carry, q2, stats=stats)
+        if stats is not None and exact:
+            lv = stats.levels[-1]
+            lv.carry_den_bits = den.bit_length()
+            lv.carry_num_bits = max(abs(c) for c in carry.terms.values()).bit_length()
+        return split(f, den)
+
+    zero_part = (zero, 1)
+    parts = {k: split(part) for k, part in p.homogeneous_components()}
+    f_parts: dict[int, tuple[Poly, int]] = {}
+    h_terms: dict = {}
+    f_terms: dict = {}
     for k in range(max(parts, default=0), -1, -1):
-        carry = parts.get(k, zero) - q1 * f_parts.get(k - 1, zero) - q0 * f_parts.get(k, zero)
+        p_k, p_den = parts.get(k, zero_part)
+        f1, d1 = f_parts.get(k - 1, zero_part)
+        f0, d0 = f_parts.get(k, zero_part)
+        den = math.lcm(p_den, qden * d1, qden * d0)
+        carry = (_times(p_k, den // p_den) - _times(q1n * f1, den // (qden * d1))
+                 - _times(q0n * f0, den // (qden * d0)))
         # The carry is homogeneous of degree k or identically zero; zero
         # carries occur whenever p skips a degree and q has no linear part,
         # so skip the solver rather than make every solver handle them.
         if k >= 2 and not carry.is_zero():
-            f_k2 = f_parts[k - 2] = homogeneous_solver(carry, q2)
-            f = f + f_k2
-            carry = carry - q2 * f_k2
-        h = h + carry
-    return HarmonicDecomposition(h=h, f=f, p=p, q=quadric)
+            f_k2, f_den = f_parts[k - 2] = level(carry, den)
+            f_terms.update(_fractions(f_k2, f_den) if exact else f_k2.terms)
+            h_den = math.lcm(den, qden * f_den)
+            carry = _times(carry, h_den // den) - _times(q2n * f_k2, h_den // (qden * f_den))
+            den = h_den
+        # Degrees are disjoint, so h and f are gathered without arithmetic.
+        h_terms.update(_fractions(carry, den) if exact else carry.terms)
+    return HarmonicDecomposition(h=Poly._raw(n, h_terms), f=Poly._raw(n, f_terms), p=p, q=quadric)
 
 
 def cascade(

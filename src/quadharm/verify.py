@@ -103,13 +103,14 @@ def assemble_full_system(
     Returns (members, matrix, rhs) with rows in canonical member order.
     Shared by the full-system oracle and by the benchmark's unpartitioned
     reference path, which differ only in how they eliminate.  Exact rows
-    come back as ``Fraction`` (``level_rows`` gives ints), so both
-    eliminations divide exactly.
+    and right-hand sides come back as ``Fraction`` (``level_rows`` may give
+    ints), so both eliminations divide exactly.
     """
     members = list(multi_indices(rhs_source.n, order))
     matrix, rhs = level_rows(rhs_source, q2, members)
     if not q2.is_float():
         matrix = [[Fraction(v) for v in row] for row in matrix]
+        rhs = [Fraction(v) for v in rhs]
     return members, matrix, rhs
 
 

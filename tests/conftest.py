@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 import hypothesis.strategies as st
 
-from quadharm import NonhyperbolicQuadratic, Poly
+from quadharm import NonhyperbolicQuadratic, Poly, multi_indices_upto
 
 SEED = 20260815
 
@@ -52,6 +52,11 @@ def random_poly(
     for _ in range(terms):
         built[random_exponent(rng, n, max_degree)] = random_fraction(rng)
     return Poly(n, built)
+
+
+def all_degree(rng: random.Random, n: int, top: int) -> Poly:
+    """Every monomial of degree 0..top, with random rational coefficients."""
+    return Poly(n, {alpha: random_fraction(rng) for alpha in multi_indices_upto(n, top)})
 
 
 def random_quadric(rng: random.Random, n: int, kind: str | None = None) -> NonhyperbolicQuadratic:

@@ -80,6 +80,28 @@ class TestArithmetic:
         assert (p - p).is_zero()
         assert p - p == Poly.zero(3)
 
+    def test_disjoint_keys_are_stored_as_they_are(self):
+        p = Poly(2, {(1, 0): Fraction(3, 2), (0, 0): Fraction(1, 3)})
+        q = Poly(2, {(0, 1): Fraction(-5, 7), (0, 0): Fraction(1, 3)})
+        assert (p - q).terms == {(1, 0): Fraction(3, 2), (0, 1): Fraction(5, 7)}
+        assert (q - p).terms == {(1, 0): Fraction(-3, 2), (0, 1): Fraction(-5, 7)}
+        assert (p + q).terms == {
+            (1, 0): Fraction(3, 2), (0, 1): Fraction(-5, 7), (0, 0): Fraction(2, 3)}
+        assert (p.to_float() - q.to_float()).terms == {(1, 0): 1.5, (0, 1): 5 / 7}
+
+    def test_underflowing_float_product_is_not_stored(self):
+        tiny = Poly(2, {(1, 0): 1e-200, (0, 1): -1e-200})
+        square = tiny * tiny  # every product underflows to +0.0 or -0.0
+        assert square.is_zero() and square == Poly.zero(2)
+        mixed = Poly(2, {(1, 0): 1e-200, (0, 0): 1.0}) * Poly(2, {(1, 0): 1e-200, (0, 0): 2.0})
+        assert mixed.terms == {(1, 0): 3e-200, (0, 0): 2.0}
+
+    def test_int_coefficients_stay_ints(self):
+        p = Poly._raw(2, {(2, 1): 3, (0, 2): -4})
+        q = Poly._raw(2, {(1, 0): 5, (0, 2): 4})
+        for result in (p + q, p - q, p * q, p.laplacian()):
+            assert result.terms and all(type(c) is int for c in result.terms.values())
+
     def test_scalar_multiplication(self):
         assert Fraction(1, 2) * (2 * x1) == x1
         assert (x1 * 0).is_zero()

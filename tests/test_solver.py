@@ -1,8 +1,11 @@
 """Partitioned level systems and the degree-descending cascade."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from quadharm import (
     ClassSystem,
@@ -24,16 +27,11 @@ from quadharm import (
     solve_homogeneous,
 )
 from quadharm.verify import assemble_full_system
-from conftest import random_fraction, random_poly, random_quadric
+from conftest import all_degree, random_fraction, random_poly, random_quadric
 
 
 def sphere(n: int = 3) -> NonhyperbolicQuadratic:
     return NonhyperbolicQuadratic((1,) * n, (0,) * n, -1)
-
-
-def all_degree(rng, n: int, top: int) -> Poly:
-    """Every monomial of degree 0..top, with random rational coefficients."""
-    return Poly(n, {alpha: random_fraction(rng) for alpha in multi_indices_upto(n, top)})
 
 
 PARABOLOID = NonhyperbolicQuadratic(
@@ -130,13 +128,26 @@ class TestNonIntegerAxisSquares:
             for alpha, value in zip(system.members, system.rhs):
                 assert value == 12 * rhs_source.d_alpha(alpha).coefficient((0, 0, 0))
 
+    def test_int_rhs_source_gives_int_rhs(self, rng):
+        q2 = NON_INTEGER_AXES.parts()[0]
+        rhs_source = Poly._raw(3, {alpha: rng.randint(-9, 9) or 1
+                                   for alpha in multi_indices(3, 4) if rng.random() < 0.6})
+        for system in assemble_class_systems(rhs_source, q2, 4):
+            assert all(type(v) is int for v in system.rhs)
+            for alpha, value in zip(system.members, system.rhs):
+                assert value == 12 * rhs_source.d_alpha(alpha).coefficient((0, 0, 0))
+
     def test_full_system_is_returned_in_fractions(self, rng):
         # The oracles divide entries; ints would divide into floats.
         q2 = NON_INTEGER_AXES.parts()[0]
         rhs_source = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 4)})
-        _, matrix, rhs = assemble_full_system(rhs_source, q2, 4)
-        assert all(type(v) is Fraction for row in matrix for v in row)
-        assert all(type(v) is Fraction for v in rhs)
+        # A missing coefficient must come back as Fraction(0), not 0.
+        sparse = Poly(3, {alpha: c for alpha, c in rhs_source.terms.items() if sum(alpha[:2]) != 2})
+        for source in (rhs_source, sparse):
+            _, matrix, rhs = assemble_full_system(source, q2, 4)
+            assert all(type(v) is Fraction for row in matrix for v in row)
+            assert all(type(v) is Fraction for v in rhs)
+        assert 0 in rhs
 
 
 class TestSolveClass:
@@ -271,3 +282,83 @@ class TestSolveDirichlet:
         h, f = cascade(p, q)
         assert f == f_top
         assert h == p - q.parts()[0] * f_top
+
+
+def _lcm_den(poly: Poly) -> int:
+    return math.lcm(*[c.denominator for c in poly.terms.values()])
+
+
+class TestLevelStats:
+    def test_exact_carry_bit_lengths_match_a_recomputation(self, rng):
+        q = SHIFTED_ELLIPSOID
+        p = all_degree(rng, 3, 8)
+        stats = SolveStats()
+        dec = solve_dirichlet(p, q, stats=stats)
+        _, q1, q0 = q.parts()
+        qden = _lcm_den(q.to_polynomial())
+        assert qden == 2
+        zero = Poly.zero(3)
+        p_parts = dict(p.homogeneous_components())
+        f_parts = dict(dec.f.homogeneous_components())
+        assert len(stats.levels) == 7
+        for lv in stats.levels:
+            k = lv.carry_degree
+            p_k = p_parts.get(k, zero)
+            f_above, f_same = f_parts.get(k - 1, zero), f_parts.get(k, zero)
+            carry = p_k - q1 * f_above - q0 * f_same
+            den = math.lcm(_lcm_den(p_k), qden * _lcm_den(f_above), qden * _lcm_den(f_same))
+            numerators = [c * den for c in carry.terms.values()]
+            assert all(v.denominator == 1 for v in numerators)
+            assert lv.carry_den_bits == den.bit_length()
+            assert lv.carry_num_bits == max(abs(v) for v in numerators).numerator.bit_length()
+            assert lv.carry_den_bits > 1 and lv.carry_num_bits > lv.carry_den_bits
+
+    def test_float_mode_leaves_bit_lengths_unset(self, rng):
+        stats = SolveStats()
+        solve_dirichlet(all_degree(rng, 3, 6).to_float(), SHIFTED_ELLIPSOID, stats=stats)
+        assert stats.levels
+        assert all(lv.carry_den_bits is None and lv.carry_num_bits is None
+                   for lv in stats.levels)
+
+
+def _non_integer(num: int) -> st.SearchStrategy:
+    """Rationals n/d, 1 <= |n| <= num, 2 <= d <= 6, whose reduced denominator is not 1."""
+    return st.builds(Fraction, st.integers(-num, num).filter(bool), st.integers(2, 6)).filter(
+        lambda v: v.denominator != 1)
+
+
+@st.composite
+def descent_problems(draw, kind: str):
+    n = draw(st.integers(2, 3))
+    a = [abs(draw(_non_integer(9))) for _ in range(n)]
+    c = [draw(_non_integer(9)) for _ in range(n)]
+    d = draw(_non_integer(9))
+    if kind == "paraboloid":
+        j = draw(st.integers(0, n - 1))
+        a[j] = Fraction(0)
+    elif kind == "no linear part":
+        c = [0] * n
+    elif kind == "no constant":
+        d = 0
+    top = draw(st.integers(2, 7 if n == 2 else 5))
+    coefficients = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 6))
+    p = Poly(n, {alpha: draw(coefficients) for alpha in multi_indices_upto(n, top)})
+    return p, NonhyperbolicQuadratic(tuple(a), tuple(c), d)
+
+
+class TestIntegerDescent:
+    """The descent runs on integer numerators; its answer must equal the
+    hook route, which hands the unpartitioned oracle a ``Fraction`` carry."""
+
+    @pytest.mark.parametrize("kind", ["ellipsoid", "paraboloid", "no linear part", "no constant"])
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_equals_the_full_system_route(self, kind, data):
+        p, q = data.draw(descent_problems(kind))
+        dec = solve_dirichlet(p, q)
+        reference = solve_dirichlet(
+            p, q, homogeneous_solver=lambda s, q2: oracle_full_system(s, q2, s.degree() - 2))
+        assert dec.h == reference.h and dec.f == reference.f
+        for c in (*dec.h.terms.values(), *dec.f.terms.values()):
+            assert type(c) is Fraction and c != 0
+        assert (p - dec.h - q.to_polynomial() * dec.f).is_zero()
