@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .polynomial import Poly, Scalar, canonical_key, multi_indices, taylor_reconstruct
+from .polynomial import Poly, Scalar, multi_indices, taylor_reconstruct
 from .quadric import NonhyperbolicQuadratic
 from .solver import (
     IllConditionedSystemError,
     SingularSystemError,
     SolveStats,
-    parity_class,
+    _parity_groups,
     solve_dirichlet,
 )
 from .verify import assemble_full_system
@@ -69,14 +69,7 @@ def monomial_combined_factor(n: int) -> int:
 
 def class_census(n: int, order: int) -> dict[tuple[int, ...], int]:
     """Sizes of the inhabited parity classes at one order, canonical order."""
-    counts: dict[tuple[int, ...], int] = {}
-    for alpha in multi_indices(n, order):
-        key = parity_class(alpha)
-        counts[key] = counts.get(key, 0) + 1
-    return {
-        key: counts[key]
-        for key in sorted(counts, key=canonical_key, reverse=True)
-    }
+    return {key: len(members) for key, members in _parity_groups(n, order).items()}
 
 
 def monomial_boundary(n: int, degree: int) -> Poly:

@@ -20,6 +20,7 @@ deterministic regardless of how a polynomial was built up.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -223,7 +224,7 @@ class Poly:
             out: dict = {}
             for a, ca in self._terms.items():
                 for b, cb in other._terms.items():
-                    key = tuple(x + y for x, y in zip(a, b))
+                    key = tuple(map(operator.add, a, b))
                     c = ca * cb
                     s = out.get(key)
                     if s is not None:
@@ -398,20 +399,15 @@ def laplacian_product(q: Poly, p: Poly) -> Poly:
 def product_diff_linear(g: Poly, f: Poly, alpha: Iterable[int]) -> Poly:
     """D^alpha(g*f) for g of degree at most 1, without forming the product.
 
-    Closed form: g*D^alpha(f) + sum_j alpha_j * (D_j g) * D^(alpha - e_j)(f).
+    Closed form: g*D^alpha(f) + sum_j alpha_j * (D_j g) * D^(alpha - e_j)(f),
+    which is ``product_diff_quadratic`` with every D_j^2 g zero.
     """
     if g.n != f.n:
         raise DimensionMismatchError(f"operands have dimensions {g.n} and {f.n}")
     deg = g.degree()
     if deg is not None and deg > 1:
         raise ValueError(f"first factor must have degree <= 1, got degree {deg}")
-    alpha = tuple(alpha)
-    out = g * f.d_alpha(alpha)
-    for j, aj in enumerate(alpha):
-        if aj:
-            shifted = alpha[:j] + (aj - 1,) + alpha[j + 1 :]
-            out = out + aj * (g.partial(j) * f.d_alpha(shifted))
-    return out
+    return product_diff_quadratic(g, f, alpha)
 
 
 def product_diff_quadratic(q: Poly, f: Poly, alpha: Iterable[int]) -> Poly:

@@ -97,6 +97,15 @@ def parity_class(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(e & 1 for e in alpha)
 
 
+def _parity_groups(n: int, order: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The order-m multi-indices in n variables by parity class, classes in
+    canonical order (highest first); empty classes are absent."""
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for alpha in multi_indices(n, order):
+        groups.setdefault(parity_class(alpha), []).append(alpha)
+    return {key: groups[key] for key in sorted(groups, key=canonical_key, reverse=True)}
+
+
 @dataclass(frozen=True)
 class ClassSystem:
     """One parity block of the level-m linear system.
@@ -226,13 +235,8 @@ def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[Class
         raise DimensionMismatchError(
             f"operands have dimensions {rhs_source.n} and {q2.n}"
         )
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for alpha in multi_indices(q2.n, order):
-        groups.setdefault(parity_class(alpha), []).append(alpha)
-
     systems = []
-    for key in sorted(groups, key=canonical_key, reverse=True):
-        members = groups[key]
+    for key, members in _parity_groups(q2.n, order).items():
         matrix, rhs = level_rows(rhs_source, q2, members)
         systems.append(
             ClassSystem(

@@ -11,8 +11,9 @@ Two cross-check routes exist beside the production solver:
   products, and solves that.  Agreement with the production path is strong
   evidence against a shared derivation bug.
 
-Both oracles use their own textbook elimination (first nonzero pivot)
-rather than the solver's tuned routine.
+Both oracles and the kernel probe ``operator_kernel`` share one textbook
+elimination (first nonzero pivot, free columns kept free, then
+back-substitution) rather than the solver's tuned routine.
 """
 
 from __future__ import annotations
@@ -55,26 +56,24 @@ class VerificationReport:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False
 
 
-def _dense_solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Plain textbook elimination, first nonzero pivot; independent of the
-    # production solver's pivot strategy on purpose.
-    size = len(rhs)
+def _forward_eliminate(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[int]:
+    """Plain textbook elimination in place, first nonzero pivot; independent
+    of the production solver's pivot strategy on purpose.  A column with no
+    nonzero left at or below the next pivot row stays free.  Returns the
+    pivot columns: row i holds its pivot in column pivots[i]."""
+    size = len(matrix)
+    pivots: list[int] = []
     for col in range(size):
-        pivot_row = -1
-        for r in range(col, size):
-            if matrix[r][col] != 0:
-                pivot_row = r
-                break
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, size) if matrix[r][col] != 0), -1)
         if pivot_row < 0:
-            raise SingularSystemError(
-                f"oracle system singular at column {col}; the operator should be bijective"
-            )
-        if pivot_row != col:
-            matrix[col], matrix[pivot_row] = matrix[pivot_row], matrix[col]
-            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
-        prow = matrix[col]
+            continue
+        if pivot_row != top:
+            matrix[top], matrix[pivot_row] = matrix[pivot_row], matrix[top]
+            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
+        prow = matrix[top]
         pivot = prow[col]
-        for r in range(col + 1, size):
+        for r in range(top + 1, size):
             v = matrix[r][col]
             if v == 0:
                 continue
@@ -84,15 +83,47 @@ def _dense_solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> lis
             for cc in range(col + 1, size):
                 if prow[cc]:
                     row[cc] -= factor * prow[cc]
-            rhs[r] -= factor * rhs[col]
-    out = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
+            rhs[r] -= factor * rhs[top]
+        pivots.append(col)
+    return pivots
+
+
+def _back_substitute(
+    matrix: list[list[Fraction]], rhs: list[Fraction], pivots: list[int], out: list[Fraction]
+) -> list[Fraction]:
+    """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value."""
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
         acc = rhs[r]
-        for cc in range(r + 1, size):
+        for cc in range(col + 1, len(out)):
             if matrix[r][cc] and out[cc]:
                 acc -= matrix[r][cc] * out[cc]
-        out[r] = acc / matrix[r][r]
+        out[col] = acc / matrix[r][col]
     return out
+
+
+def _dense_solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    pivots = _forward_eliminate(matrix, rhs)
+    if len(pivots) < len(rhs):
+        col = min(set(range(len(rhs))).difference(pivots))
+        raise SingularSystemError(
+            f"oracle system singular at column {col}; the operator should be bijective",
+            column=col,
+        )
+    return _back_substitute(matrix, rhs, pivots, [Fraction(0)] * len(rhs))
+
+
+def _kernel_basis(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Null space basis: per free column, in order, that unknown set to 1,
+    the other free unknowns to 0, and the pivot unknowns back-substituted."""
+    size = len(matrix)
+    zeros = [Fraction(0)] * size
+    pivots = _forward_eliminate(matrix, zeros)
+    basis = []
+    for col in sorted(set(range(size)).difference(pivots)):
+        unit = [Fraction(c == col) for c in range(size)]
+        basis.append(_back_substitute(matrix, zeros, pivots, unit))
+    return basis
 
 
 def assemble_full_system(
@@ -186,38 +217,10 @@ def operator_kernel(q: NonhyperbolicQuadratic | Poly, order: int) -> list[Poly]:
     """
     q_poly = q.to_polynomial() if isinstance(q, NonhyperbolicQuadratic) else q
     matrix, basis = _operator_matrix(q_poly, order)
-    size = len(basis)
-    # Reduced row echelon form.
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(size):
-        pivot = -1
-        for r in range(row, size):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        pv = matrix[row][col]
-        matrix[row] = [v / pv for v in matrix[row]]
-        for r in range(size):
-            if r != row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == size:
-            break
-    free_cols = [c for c in range(size) if c not in pivot_cols]
-    kernel = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * size
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = -matrix[r][fc]
-        kernel.append(Poly(q_poly.n, {basis[i]: v for i, v in enumerate(vec) if v != 0}))
-    return kernel
+    return [
+        Poly(q_poly.n, {alpha: v for alpha, v in zip(basis, vec) if v != 0})
+        for vec in _kernel_basis(matrix)
+    ]
 
 
 def operator_is_bijective(q: NonhyperbolicQuadratic | Poly, order: int) -> bool:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
 
-from quadharm import IllConditionedSystemError, SingularSystemError
+from quadharm import IllConditionedSystemError, Poly, SingularSystemError, operator_kernel
 from quadharm.solver import FLOAT_PIVOT_RTOL, _solve_exact, _solve_float
-from quadharm.verify import _dense_solve_exact
+from quadharm.verify import _dense_solve_exact, _kernel_basis, _operator_matrix
 from conftest import fractions_st
 
 
@@ -50,6 +50,44 @@ def dense_partial_pivoting(matrix, rhs):
     return out
 
 
+def rref_kernel(matrix):
+    """The kernel probe before it shared the oracle's textbook elimination:
+    reduced row echelon form, then per free column that unknown set to 1
+    and each pivot unknown to minus its row's entry there.  Kept here as the
+    reference."""
+    matrix = [list(row) for row in matrix]
+    size = len(matrix)
+    pivot_cols = []
+    row = 0
+    for col in range(size):
+        pivot = -1
+        for r in range(row, size):
+            if matrix[r][col] != 0:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
+        pv = matrix[row][col]
+        matrix[row] = [v / pv for v in matrix[row]]
+        for r in range(size):
+            if r != row and matrix[r][col] != 0:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
+        pivot_cols.append(col)
+        row += 1
+        if row == size:
+            break
+    kernel = []
+    for fc in (c for c in range(size) if c not in pivot_cols):
+        vec = [Fraction(0)] * size
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivot_cols):
+            vec[pc] = -matrix[r][fc]
+        kernel.append(vec)
+    return kernel
+
+
 @st.composite
 def systems(draw, entries, zero=0):
     """A square system whose nonzeros lie in a random band; the band may be
@@ -64,6 +102,21 @@ def systems(draw, entries, zero=0):
         for i in range(size)
     ]
     rhs = [draw(entries) for _ in range(size)]
+    return matrix, rhs
+
+
+@st.composite
+def singular_systems(draw, entries):
+    """A ``systems`` draw with one row overwritten by a combination of two
+    others (or a multiple of one)."""
+    matrix, rhs = draw(systems(entries))
+    size = len(rhs)
+    assume(size >= 2)
+    target = draw(st.integers(0, size - 1))
+    i, j = draw(st.lists(st.integers(0, size - 1).filter(lambda k: k != target),
+                         min_size=2, max_size=2))
+    ci, cj = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    matrix[target] = [ci * x + cj * y for x, y in zip(matrix[i], matrix[j])]
     return matrix, rhs
 
 
@@ -104,18 +157,26 @@ def test_exact_kernel_matches_dense_oracle(kind, data):
 @pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
 @given(data=st.data())
 def test_exact_kernel_raises_on_singular_systems(kind, data):
-    matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
-    size = len(rhs)
-    assume(size >= 2)
-    # Overwrite one row with a combination of two others (or a multiple of one).
-    target = data.draw(st.integers(0, size - 1))
-    i, j = data.draw(st.lists(st.integers(0, size - 1).filter(lambda k: k != target),
-                              min_size=2, max_size=2))
-    ci, cj = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
-    matrix[target] = [ci * x + cj * y for x, y in zip(matrix[i], matrix[j])]
+    matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES[kind]))
     with pytest.raises(SingularSystemError) as info:
         _solve_exact(matrix, rhs)
-    assert 0 <= info.value.column < size
+    assert 0 <= info.value.column < len(rhs)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_oracle_kernel_basis_matches_rref(kind, data):
+    matrix, rhs = as_fractions(*data.draw(singular_systems(EXACT_ENTRIES[kind])))
+    expected = rref_kernel(matrix)
+    assert expected
+    basis = _kernel_basis([list(row) for row in matrix])
+    assert basis == expected
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
+    # The solve names the first free column, the last nonzero of basis[0].
+    with pytest.raises(SingularSystemError) as info:
+        _dense_solve_exact([list(row) for row in matrix], rhs)
+    assert info.value.column == max(c for c, x in enumerate(basis[0]) if x)
 
 
 @given(systems(FLOAT_ENTRIES, 0.0))
@@ -139,3 +200,25 @@ def test_zero_leading_entry_forces_a_swap():
     float_matrix = tuple(tuple(float(v) for v in row) for row in matrix)
     float_rhs = tuple(float(v) for v in rhs)
     assert _solve_float(float_matrix, float_rhs) == dense_partial_pivoting(float_matrix, float_rhs)
+
+
+def test_oracle_singular_system_carries_column():
+    matrix = [[Fraction(1, 2), Fraction(1), Fraction(3)],
+              [Fraction(1), Fraction(2), Fraction(-1, 3)],
+              [Fraction(0), Fraction(0), Fraction(5, 7)]]
+    with pytest.raises(SingularSystemError) as info:
+        _dense_solve_exact(matrix, [Fraction(1)] * 3)
+    assert info.value.column == 1
+    assert "column 1" in str(info.value)
+
+
+def test_operator_kernel_of_more_than_one_dimension():
+    # x1^2 - x2^2 is harmonic, and so is xy * (x1^2 - x2^2) = Im(z^4) / 4.
+    q = Poly(2, {(2, 0): 1, (0, 2): -1})
+    basis = operator_kernel(q, 2)
+    assert len(basis) == 2
+    for v in basis:
+        assert not v.is_zero()
+        assert (q * v).laplacian().is_zero()
+    matrix, monomials = _operator_matrix(q, 2)
+    assert basis == [Poly(2, dict(zip(monomials, vec))) for vec in rref_kernel(matrix)]
