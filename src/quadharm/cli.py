@@ -71,7 +71,7 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    run_verify = force_verify or args.verify
+    run_verify = force_verify or args.verify or args.oracle
     if args.oracle and args.mode == "float":
         print("error: --oracle requires --mode exact", file=sys.stderr)
         return EXIT_INPUT
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--oracle",
         action="store_true",
-        help="also compare with the operator-matrix oracle (exact mode)",
+        help="verify, and also compare with the operator-matrix oracle (exact mode)",
     )
 
     sub.add_parser("solve", parents=[common], help="print the harmonic solution h")

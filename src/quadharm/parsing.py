@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .polynomial import Poly, Scalar
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
@@ -296,7 +296,3 @@ def poly_to_json_terms(p: Poly) -> list[dict]:
     return [
         {"e": list(alpha), "c": scalar_to_json(c)} for alpha, c in p.sorted_terms()
     ]
-
-
-def poly_from_json_terms(terms: Iterable[Mapping], n: int) -> Poly:
-    return Poly(n, {tuple(t["e"]): scalar_from_json(t["c"]) for t in terms})

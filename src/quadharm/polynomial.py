@@ -281,9 +281,6 @@ class Poly:
                 out[tuple(e - d for e, d in zip(a, alpha))] = c * mult
         return Poly._raw(self._n, out)
 
-    def gradient(self) -> tuple["Poly", ...]:
-        return tuple(self.partial(j) for j in range(self._n))
-
     def laplacian(self) -> "Poly":
         out: dict = {}
         for a, c in self._terms.items():

@@ -63,10 +63,6 @@ class NonhyperbolicQuadratic:
     def n(self) -> int:
         return len(self.a)
 
-    def norm_b_squared(self) -> Fraction:
-        """Sum of the square coefficients (the squared norm of the axis scales)."""
-        return sum(self.a, Fraction(0))
-
     def to_polynomial(self) -> Poly:
         terms: dict = {}
         n = self.n

@@ -13,7 +13,9 @@ Two cross-check routes exist beside the production solver:
 
 Both oracles and the kernel probe ``operator_kernel`` share one textbook
 elimination (first nonzero pivot, free columns kept free, then
-back-substitution) rather than the solver's tuned routine.
+back-substitution) rather than the solver's tuned routine.  It works on
+sparse rows ``{column: nonzero Fraction}`` and touches only stored
+entries; the operator matrix has about ten nonzeros per column.
 """
 
 from __future__ import annotations
@@ -56,73 +58,86 @@ class VerificationReport:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False
 
 
-def _forward_eliminate(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[int]:
+def _forward_eliminate(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[int]:
     """Plain textbook elimination in place, first nonzero pivot; independent
-    of the production solver's pivot strategy on purpose.  A column with no
-    nonzero left at or below the next pivot row stays free.  Returns the
-    pivot columns: row i holds its pivot in column pivots[i]."""
-    size = len(matrix)
+    of the production solver's pivot strategy on purpose.
+
+    Rows are sparse, ``{column: nonzero Fraction}``.  The pivot row's tail
+    is listed once per pivot and subtracted from each later row that stores
+    the pivot column; an entry that cancels to exactly 0 is deleted.  A
+    column with no stored entry at or below the next pivot row stays free.
+    Returns the pivot columns: row i holds its pivot in column pivots[i]
+    and no entry left of it.
+    """
+    size = len(rows)
     pivots: list[int] = []
     for col in range(size):
         top = len(pivots)
-        pivot_row = next((r for r in range(top, size) if matrix[r][col] != 0), -1)
+        pivot_row = next((r for r in range(top, size) if col in rows[r]), -1)
         if pivot_row < 0:
             continue
         if pivot_row != top:
-            matrix[top], matrix[pivot_row] = matrix[pivot_row], matrix[top]
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
             rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
-        prow = matrix[top]
+        prow = rows[top]
         pivot = prow[col]
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        top_rhs = rhs[top]
         for r in range(top + 1, size):
-            v = matrix[r][col]
-            if v == 0:
+            row = rows[r]
+            v = row.pop(col, None)
+            if v is None:
                 continue
             factor = v / pivot
-            row = matrix[r]
-            row[col] = Fraction(0)
-            for cc in range(col + 1, size):
-                if prow[cc]:
-                    row[cc] -= factor * prow[cc]
-            rhs[r] -= factor * rhs[top]
+            for c, pv in tail:
+                new = row.get(c, 0) - factor * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            if top_rhs:
+                rhs[r] -= factor * top_rhs
         pivots.append(col)
     return pivots
 
 
 def _back_substitute(
-    matrix: list[list[Fraction]], rhs: list[Fraction], pivots: list[int], out: list[Fraction]
+    rows: list[dict[int, Fraction]], rhs: list[Fraction], pivots: list[int], out: list[Fraction]
 ) -> list[Fraction]:
     """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value."""
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
         acc = rhs[r]
-        for cc in range(col + 1, len(out)):
-            if matrix[r][cc] and out[cc]:
-                acc -= matrix[r][cc] * out[cc]
-        out[col] = acc / matrix[r][col]
+        for c, v in rows[r].items():
+            if c != col and out[c]:
+                acc -= v * out[c]
+        out[col] = acc / rows[r][col]
     return out
 
 
-def _dense_solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    pivots = _forward_eliminate(matrix, rhs)
+def _dense_solve_exact(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve the whole system at once (no partition) on sparse rows."""
+    pivots = _forward_eliminate(rows, rhs)
     if len(pivots) < len(rhs):
         col = min(set(range(len(rhs))).difference(pivots))
         raise SingularSystemError(
             f"oracle system singular at column {col}; the operator should be bijective",
             column=col,
         )
-    return _back_substitute(matrix, rhs, pivots, [Fraction(0)] * len(rhs))
+    return _back_substitute(rows, rhs, pivots, [Fraction(0)] * len(rhs))
 
 
-def _kernel_basis(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Null space basis: per free column, in order, that unknown set to 1,
-    the other free unknowns to 0, and the pivot unknowns back-substituted."""
-    size = len(matrix)
+def _kernel_basis(rows: list[dict[int, Fraction]]) -> list[list[Fraction]]:
+    """Null space basis of sparse rows: per free column, in order, that
+    unknown set to 1, the other free unknowns to 0, and the pivot unknowns
+    back-substituted."""
+    size = len(rows)
     zeros = [Fraction(0)] * size
-    pivots = _forward_eliminate(matrix, zeros)
+    pivots = _forward_eliminate(rows, zeros)
     basis = []
     for col in sorted(set(range(size)).difference(pivots)):
         unit = [Fraction(c == col) for c in range(size)]
-        basis.append(_back_substitute(matrix, zeros, pivots, unit))
+        basis.append(_back_substitute(rows, zeros, pivots, unit))
     return basis
 
 
@@ -161,26 +176,31 @@ def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
     if order != deg - 2:
         raise ValueError(f"order {order} does not match boundary degree {deg}")
     members, matrix, rhs = assemble_full_system(ph.laplacian(), q2, order)
-    values = _dense_solve_exact(matrix, rhs)
+    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    values = _dense_solve_exact(rows, rhs)
     return taylor_reconstruct(order, dict(zip(members, values)), n)
 
 
-def _operator_matrix(q_poly: Poly, order: int) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:
+def _operator_matrix(q_poly: Poly, order: int) -> tuple[list[dict[int, Fraction]], list[tuple[int, ...]]]:
     """Matrix of f -> laplacian(q_poly * f) on the monomial basis of P_order.
 
-    The basis is every monomial of degree <= order in canonical order;
-    column j holds the expansion of laplacian(q_poly * basis_j).
+    The basis is every monomial of degree <= order, lowest degree first
+    (canonical order reversed).  Column j holds the expansion of
+    laplacian(q_poly * basis_j), stored straight into sparse rows
+    ``{column: nonzero Fraction}``.  A column of degree k reaches only rows
+    of degree k, k - 1 and k - 2, which this order puts at or above the
+    degree-k block: the matrix is block upper-triangular, and where the
+    operator is bijective elimination combines only rows of one degree.
     """
     n = q_poly.n
-    basis = list(multi_indices_upto(n, order))
+    basis = list(multi_indices_upto(n, order))[::-1]
     index = {alpha: i for i, alpha in enumerate(basis)}
-    size = len(basis)
-    matrix = [[Fraction(0)] * size for _ in range(size)]
+    rows: list[dict[int, Fraction]] = [{} for _ in basis]
     for j, alpha in enumerate(basis):
         image = (q_poly * Poly.monomial(n, alpha)).laplacian()
         for beta, c in image.terms.items():
-            matrix[index[beta]][j] = Fraction(c)
-    return matrix, basis
+            rows[index[beta]][j] = Fraction(c)
+    return rows, basis
 
 
 def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> HarmonicDecomposition:
@@ -200,10 +220,10 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
         return HarmonicDecomposition(h=p, f=Poly.zero(n), p=p, q=quadric)
     order = deg - 2
     q_poly = quadric.to_polynomial()
-    matrix, basis = _operator_matrix(q_poly, order)
+    rows, basis = _operator_matrix(q_poly, order)
     lap = p.laplacian()
     rhs = [Fraction(lap.coefficient(alpha)) for alpha in basis]
-    values = _dense_solve_exact(matrix, rhs)
+    values = _dense_solve_exact(rows, rhs)
     f = Poly(n, {alpha: v for alpha, v in zip(basis, values) if v != 0})
     return HarmonicDecomposition(h=p - q_poly * f, f=f, p=p, q=quadric)
 
@@ -216,10 +236,10 @@ def operator_kernel(q: NonhyperbolicQuadratic | Poly, order: int) -> list[Poly]:
     counterexamples can be probed in tests.
     """
     q_poly = q.to_polynomial() if isinstance(q, NonhyperbolicQuadratic) else q
-    matrix, basis = _operator_matrix(q_poly, order)
+    rows, basis = _operator_matrix(q_poly, order)
     return [
         Poly(q_poly.n, {alpha: v for alpha, v in zip(basis, vec) if v != 0})
-        for vec in _kernel_basis(matrix)
+        for vec in _kernel_basis(rows)
     ]
 
 

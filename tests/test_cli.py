@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadharm import Poly, VerificationReport
+from quadharm import HarmonicDecomposition, Poly, VerificationReport
 from quadharm.cli import (
     EXIT_ILL_CONDITIONED,
     EXIT_INPUT,
@@ -101,6 +101,27 @@ class TestDecomposeAndVerify:
             "--oracle")
         assert code == EXIT_OK
         assert "harmonic" in out.lower()
+
+    @pytest.mark.parametrize("command", ["solve", "decompose"])
+    def test_oracle_flag_runs_the_verification(self, capsys, command):
+        code, out, _ = run(
+            capsys, command, "--boundary", "x1^4", "--surface", "x1^2+2x2^2-1",
+            "--oracle")
+        assert code == EXIT_OK
+        assert "verify: harmonic=true residual_zero=true" in out
+        assert "oracle_match=true" in out
+
+    @pytest.mark.parametrize("command", ["solve", "decompose"])
+    def test_oracle_mismatch_exits_three(self, capsys, monkeypatch, command):
+        def wrong_oracle(p, quadric):
+            return HarmonicDecomposition(h=p, f=Poly.zero(p.n), p=p, q=quadric)
+
+        monkeypatch.setattr("quadharm.verify.oracle_operator_matrix", wrong_oracle)
+        code, out, _ = run(
+            capsys, command, "--boundary", "x1^4", "--surface", "x1^2+2x2^2-1",
+            "--oracle", "--format", "json")
+        assert code == EXIT_VERIFY
+        assert "verify" in json.loads(out)
 
     def test_verify_failure_exits_three(self, capsys, monkeypatch):
         def fake_verify(p, quadric, dec, **kwargs):

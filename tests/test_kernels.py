@@ -6,9 +6,16 @@ import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
 
-from quadharm import IllConditionedSystemError, Poly, SingularSystemError, operator_kernel
+from quadharm import (
+    IllConditionedSystemError,
+    NonhyperbolicQuadratic,
+    Poly,
+    SingularSystemError,
+    operator_is_bijective,
+    operator_kernel,
+)
 from quadharm.solver import FLOAT_PIVOT_RTOL, _solve_exact, _solve_float
-from quadharm.verify import _dense_solve_exact, _kernel_basis, _operator_matrix
+from quadharm.verify import _dense_solve_exact, _forward_eliminate, _kernel_basis, _operator_matrix
 from conftest import fractions_st
 
 
@@ -124,10 +131,19 @@ def as_fractions(matrix, rhs):
     return [[Fraction(v) for v in row] for row in matrix], [Fraction(v) for v in rhs]
 
 
+def sparse_rows(matrix):
+    """Dense rows as the oracle elimination takes them: {column: nonzero Fraction}."""
+    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in matrix]
+
+
+def dense_rows(rows, size):
+    return [[row.get(c, Fraction(0)) for c in range(size)] for row in rows]
+
+
 def reference_exact(matrix, rhs):
     """verify's textbook solve, or None when the system is singular."""
     try:
-        return _dense_solve_exact(*as_fractions(matrix, rhs))
+        return _dense_solve_exact(sparse_rows(matrix), [Fraction(v) for v in rhs])
     except SingularSystemError:
         return None
 
@@ -169,13 +185,13 @@ def test_oracle_kernel_basis_matches_rref(kind, data):
     matrix, rhs = as_fractions(*data.draw(singular_systems(EXACT_ENTRIES[kind])))
     expected = rref_kernel(matrix)
     assert expected
-    basis = _kernel_basis([list(row) for row in matrix])
+    basis = _kernel_basis(sparse_rows(matrix))
     assert basis == expected
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
     # The solve names the first free column, the last nonzero of basis[0].
     with pytest.raises(SingularSystemError) as info:
-        _dense_solve_exact([list(row) for row in matrix], rhs)
+        _dense_solve_exact(sparse_rows(matrix), rhs)
     assert info.value.column == max(c for c, x in enumerate(basis[0]) if x)
 
 
@@ -207,9 +223,54 @@ def test_oracle_singular_system_carries_column():
               [Fraction(1), Fraction(2), Fraction(-1, 3)],
               [Fraction(0), Fraction(0), Fraction(5, 7)]]
     with pytest.raises(SingularSystemError) as info:
-        _dense_solve_exact(matrix, [Fraction(1)] * 3)
+        _dense_solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
     assert info.value.column == 1
     assert "column 1" in str(info.value)
+
+
+# Eliminating column 0 cancels row 1's entry in column 1 exactly and fills
+# row 2's empty column 2, so column 1 must pivot on row 2.  A cancelled
+# entry left stored would be taken for a zero pivot.
+CANCELLING = [[Fraction(1, 2), Fraction(1), Fraction(1, 3)],
+              [Fraction(3, 2), Fraction(3), Fraction(2)],
+              [Fraction(1), Fraction(1, 4), Fraction(0)]]
+
+
+def test_oracle_elimination_deletes_exact_cancellations():
+    rows, rhs = sparse_rows(CANCELLING), [Fraction(1), Fraction(2), Fraction(3)]
+    pivots = _forward_eliminate(rows, list(rhs))
+    assert pivots == [0, 1, 2]
+    assert rows[1] == {1: Fraction(-7, 4), 2: Fraction(-2, 3)}
+    assert all(v != 0 for row in rows for v in row.values())
+    got = _dense_solve_exact(sparse_rows(CANCELLING), list(rhs))
+    assert got == reference_exact(CANCELLING, rhs) == _solve_exact(CANCELLING, rhs)
+    assert all(type(v) is Fraction for v in got)
+    assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(CANCELLING, rhs))
+
+
+def test_oracle_kernel_after_exact_cancellation():
+    # Row 2 is row 0 plus row 1: after column 0 it cancels in column 1 and
+    # then against row 1 in column 2, leaving column 1 free.
+    matrix = CANCELLING[:2] + [[a + b for a, b in zip(CANCELLING[0], CANCELLING[1])]]
+    rows = sparse_rows(matrix)
+    assert _forward_eliminate(rows, [Fraction(0)] * 3) == [0, 2]
+    assert rows[2] == {}
+    assert _kernel_basis(sparse_rows(matrix)) == rref_kernel(matrix) == [[-2, 1, 0]]
+    with pytest.raises(SingularSystemError) as info:
+        _dense_solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
+    assert info.value.column == 1
+
+
+# Kernel dimensions of f -> laplacian(q*f) on P_m, m = 0..4: three
+# hyperbolic quadratics, then three valid surfaces.
+KERNEL_DIMENSIONS = [
+    (Poly(2, {(2, 0): 1, (0, 2): -1}), [1, 1, 2, 2, 3]),
+    (Poly(2, {(2, 0): 1, (0, 2): -3}), [0, 1, 1, 1, 2]),
+    (Poly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -2}), [1, 1, 1, 3, 3]),
+    (NonhyperbolicQuadratic((2, 3, 4), (0, 0, 0), -1), [0] * 5),
+    (NonhyperbolicQuadratic((1, 2, 0), (0, 0, -1), 0), [0] * 5),
+    (NonhyperbolicQuadratic((1, 1), (0, 0), -1), [0] * 5),
+]
 
 
 def test_operator_kernel_of_more_than_one_dimension():
@@ -217,8 +278,21 @@ def test_operator_kernel_of_more_than_one_dimension():
     q = Poly(2, {(2, 0): 1, (0, 2): -1})
     basis = operator_kernel(q, 2)
     assert len(basis) == 2
-    for v in basis:
-        assert not v.is_zero()
-        assert (q * v).laplacian().is_zero()
-    matrix, monomials = _operator_matrix(q, 2)
-    assert basis == [Poly(2, dict(zip(monomials, vec))) for vec in rref_kernel(matrix)]
+    assert all(set(v.terms) <= {(0, 0), (1, 1)} for v in basis)
+    for surface, dims in KERNEL_DIMENSIONS:
+        q_poly = surface if isinstance(surface, Poly) else surface.to_polynomial()
+        for order, dim in enumerate(dims):
+            rows, monomials = _operator_matrix(q_poly, order)
+            size = len(monomials)
+            assert len(rref_kernel(dense_rows(rows, size))) == dim
+            basis = operator_kernel(surface, order)
+            assert len(basis) == dim
+            assert operator_is_bijective(surface, order) == (dim == 0)
+            for v in basis:
+                assert not v.is_zero()
+                assert (q_poly * v).laplacian().is_zero()
+            # Independent: the matrix whose columns are the basis vectors
+            # (padded with zero columns) has rank dim.
+            columns = [[v.coefficient(alpha) for v in basis] + [0] * (size - dim)
+                       for alpha in monomials]
+            assert len(rref_kernel(columns)) == size - dim

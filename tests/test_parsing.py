@@ -15,7 +15,6 @@ from quadharm import (
     parse_surface,
 )
 from quadharm.parsing import (
-    poly_from_json_terms,
     poly_to_json_terms,
     scalar_from_json,
     scalar_to_json,
@@ -137,4 +136,4 @@ class TestJsonScalars:
         p = Poly(3, {(4, 3, 0): 1, (0, 1, 4): Fraction(236464, 60434439)})
         terms = poly_to_json_terms(p)
         assert terms[0]["e"] == [4, 3, 0]  # canonical order, top degree first
-        assert poly_from_json_terms(terms, 3) == p
+        assert Poly(3, {tuple(t["e"]): scalar_from_json(t["c"]) for t in terms}) == p

@@ -159,11 +159,6 @@ class TestDifferentiation:
         assert p.d_alpha((2, 1)) == Poly(2, {(2, 1): 24})
         assert p.d_alpha((5, 0)).is_zero()
 
-    def test_gradient_length(self):
-        g = (x1 * x2 + x3).gradient()
-        assert len(g) == 3
-        assert g[0] == x2 and g[2] == Poly.constant(3, 1)
-
     @given(dimensioned_polys_st(max_degree=5), st.data())
     def test_d_alpha_matches_repeated_partials(self, p, data):
         alpha = data.draw(

@@ -54,9 +54,6 @@ class TestPolynomialViews:
         assert q1.degree() == 1
         assert q0.degree() == 0
 
-    def test_norm_b_squared(self):
-        assert NonhyperbolicQuadratic((2, 3, 4), (0, 0, 0), -1).norm_b_squared() == 9
-
     def test_extend_pads_with_zeros(self):
         q = sphere(2).extend(4)
         assert q.n == 4
