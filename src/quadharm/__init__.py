@@ -18,7 +18,7 @@ from .polynomial import (
     product_diff_quadratic,
     taylor_reconstruct,
 )
-from .quadric import InvalidQuadricError, NonhyperbolicQuadratic, SurfaceKind
+from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
 from .solver import (
     ClassSystem,
     HarmonicDecomposition,
@@ -26,7 +26,6 @@ from .solver import (
     SingularSystemError,
     SolveStats,
     assemble_class_systems,
-    cascade,
     parity_class,
     solve_class,
     solve_dirichlet,
@@ -60,10 +59,8 @@ __all__ = [
     "Poly",
     "SingularSystemError",
     "SolveStats",
-    "SurfaceKind",
     "VerificationReport",
     "assemble_class_systems",
-    "cascade",
     "format_polynomial",
     "laplacian_product",
     "multi_indices",

@@ -136,11 +136,14 @@ def full_reference_solver(ph: Poly, q2: Poly) -> Poly:
     """Unpartitioned homogeneous-level solve at the dense-model cost.
 
     Same equations as the production path, one matrix over all order-m
-    multi-indices, eliminated without zero shortcuts.  Plug into
+    multi-indices, eliminated without zero shortcuts; the only place that
+    expands the sparse level rows into a dense matrix.  Plug into
     solve_dirichlet(..., homogeneous_solver=...) for timing comparisons.
     """
     order = ph.degree() - 2
-    members, matrix, rhs = assemble_full_system(ph.laplacian(), q2, order)
+    members, rows, rhs = assemble_full_system(ph.laplacian(), q2, order)
+    zero: Scalar = 0.0 if q2.is_float() else Fraction(0)
+    matrix = [[row.get(c, zero) for c in range(len(rows))] for row in rows]
     values = dict(zip(members, _plain_elimination(matrix, rhs)))
     return taylor_reconstruct(order, values, ph.n)
 

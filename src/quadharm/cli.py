@@ -50,7 +50,11 @@ def _solution_document(n, mode, dec, report, timing_ms):
         doc["verify"] = {
             "harmonic": report.harmonic_ok,
             "residual_zero": report.residual_ok,
+            "surface_nondegenerate": report.surface_nondegenerate,
         }
+        if report.oracle_match is not None:
+            doc["verify"]["oracle_match"] = report.oracle_match
+        doc["verify"]["notes"] = report.notes
     doc["timing_ms"] = timing_ms
     return doc
 

@@ -14,7 +14,6 @@ unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
@@ -23,13 +22,6 @@ from .polynomial import Poly
 
 class InvalidQuadricError(ValueError):
     """Raised when coefficients do not describe a valid surface."""
-
-
-class SurfaceKind(str, Enum):
-    ELLIPSOID = "ellipsoid"
-    ELLIPTIC_CYLINDER = "elliptic-cylinder-like"
-    PARABOLOID = "paraboloid-like"
-    DEGENERATE_OR_EMPTY = "degenerate-or-empty"
 
 
 def _fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -102,16 +94,6 @@ class NonhyperbolicQuadratic:
             Fraction(0),
         )
         return self.d < bound
-
-    def classify(self) -> SurfaceKind:
-        nondeg = self.is_nondegenerate_zero_set()
-        if all(aj > 0 for aj in self.a) and nondeg:
-            return SurfaceKind.ELLIPSOID
-        if any(aj == 0 and cj != 0 for aj, cj in zip(self.a, self.c)):
-            return SurfaceKind.PARABOLOID
-        if any(aj == 0 for aj in self.a) and nondeg:
-            return SurfaceKind.ELLIPTIC_CYLINDER
-        return SurfaceKind.DEGENERATE_OR_EMPTY
 
     def extend(self, n: int) -> "NonhyperbolicQuadratic":
         """Embed into a larger space; new axes get zero coefficients."""

@@ -69,11 +69,14 @@ class SingularSystemError(ArithmeticError):
 
 
 class IllConditionedSystemError(ArithmeticError):
-    """Float-mode elimination met a pivot below the conditioning threshold.
+    """Float-mode elimination met a pivot below the conditioning threshold,
+    or back-substitution overflowed.
 
     ``column`` is the elimination column, ``pivot`` the chosen pivot,
     ``row_max`` the largest magnitude in the pivot row from that column on,
-    and ``ratio`` = |pivot| / row_max (0.0 for an all-zero row).
+    and ``ratio`` = |pivot| / row_max (0.0 for an all-zero row).  An
+    unknown that comes out infinite or NaN raises with its ``column`` and
+    ``pivot`` only.
     """
 
     def __init__(
@@ -111,8 +114,10 @@ class ClassSystem:
     """One parity block of the level-m linear system.
 
     Rows and columns follow ``members`` (canonical order, highest first).
+    ``matrix`` holds one sparse row ``{column: nonzero entry}`` per member,
+    as ``level_rows`` made it; the kernels read it and never change it.
     In exact mode every equation is multiplied by L, the lcm of the
-    denominators of the axis squares a_j: ``matrix`` holds Python ints and
+    denominators of the axis squares a_j: the entries are Python ints and
     ``rhs`` holds L * D^alpha(rhs source), so the solution is unchanged;
     the solver's own rhs sources have int coefficients, which makes ``rhs``
     ints too.  Float mode is unscaled.
@@ -120,7 +125,7 @@ class ClassSystem:
 
     parity: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
-    matrix: tuple[tuple[Scalar | int, ...], ...]
+    matrix: list[dict[int, Scalar | int]]
     rhs: tuple[Scalar, ...]
 
     def has_nonzero_rhs(self) -> bool:
@@ -178,17 +183,21 @@ def _axis_squares(q2: Poly, zero: Scalar) -> list[Scalar]:
 
 def level_rows(
     rhs_source: Poly, q2: Poly, members: Sequence[tuple[int, ...]]
-) -> tuple[list[list[Scalar | int]], list[Scalar]]:
-    """Matrix rows and right-hand sides of the level equations for ``members``.
+) -> tuple[list[dict[int, Scalar | int]], list[Scalar]]:
+    """Sparse matrix rows and right-hand sides of the level equations for
+    ``members``.
 
-    Rows and columns follow ``members``, which must hold every multi-index
-    alpha - 2e_j + 2e_k that a member's equation reaches: one parity class,
-    or all multi-indices of one order.  The right-hand side of row alpha is
-    D^alpha(rhs_source) at the origin, alpha! times the x^alpha coefficient.
-    In exact mode each row is scaled by L, the lcm of the denominators of
-    the a_j, which makes every matrix entry an int; the right-hand sides
-    are scaled by L too (see ``ClassSystem``), and are ints when
-    ``rhs_source`` has int coefficients.
+    Row i is ``{column: entry}`` for the equation of ``members[i]``, with
+    columns numbered by position in ``members``, which must hold every
+    multi-index alpha - 2e_j + 2e_k that a member's equation reaches: one
+    parity class, or all multi-indices of one order.  For a_j >= 0 (some
+    a_j > 0) every entry is a sum of positive terms, so none is stored as
+    0.  The right-hand side of row alpha is D^alpha(rhs_source) at the
+    origin, alpha! times the x^alpha coefficient.  In exact mode each row
+    is scaled by L, the lcm of the denominators of the a_j, which makes
+    every matrix entry an int; the right-hand sides are scaled by L too
+    (see ``ClassSystem``), and are ints when ``rhs_source`` has int
+    coefficients.
     """
     n = q2.n
     if q2.is_float():
@@ -201,26 +210,30 @@ def level_rows(
         a = [aj.numerator * (scale // aj.denominator) for aj in a]
     two_s = 2 * sum(a, zero)
     col = {alpha: i for i, alpha in enumerate(members)}
-    size = len(members)
-    matrix = [[zero] * size for _ in range(size)]
+    rows = []
     rhs = []
     for i, alpha in enumerate(members):
-        row = matrix[i]
         diag = two_s
         for j, aj in enumerate(alpha):
             diag = diag + 4 * aj * a[j]
-        row[i] = row[i] + diag
+        row = {}
         for j, aj in enumerate(alpha):
             w = aj * (aj - 1) * a[j]
             if w == 0:
                 continue
+            # k == j reaches alpha itself; each k != j reaches a column
+            # that no other (j, k) reaches.
+            diag = diag + w
             for k in range(n):
-                beta = list(alpha)
-                beta[j] -= 2
-                beta[k] += 2
-                row[col[tuple(beta)]] += w
+                if k != j:
+                    beta = list(alpha)
+                    beta[j] -= 2
+                    beta[k] += 2
+                    row[col[tuple(beta)]] = w
+        row[i] = diag
+        rows.append(row)
         rhs.append(rhs_source.coefficient(alpha) * (multi_factorial(alpha) * scale) + zero)
-    return matrix, rhs
+    return rows, rhs
 
 
 def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[ClassSystem]:
@@ -237,64 +250,54 @@ def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[Class
         )
     systems = []
     for key, members in _parity_groups(q2.n, order).items():
-        matrix, rhs = level_rows(rhs_source, q2, members)
-        systems.append(
-            ClassSystem(
-                parity=key,
-                members=tuple(members),
-                matrix=tuple(tuple(r) for r in matrix),
-                rhs=tuple(rhs),
-            )
-        )
+        rows, rhs = level_rows(rhs_source, q2, members)
+        systems.append(ClassSystem(parity=key, members=tuple(members), matrix=rows, rhs=tuple(rhs)))
     return systems
 
 
-def _band_profile(rows: Sequence[Sequence[Scalar | int]]) -> tuple[int, list[int]]:
-    """Lower bandwidth of ``rows`` and the column of each row's last nonzero
-    (-1 for an all-zero row).
+def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]:
+    """Lower bandwidth of the sparse ``rows`` and the column of each row's
+    last stored entry (-1 for an empty row), read from the row keys.
 
     Elimination with row swaps keeps both bounds: a row more than ``lower``
     below the pivot row still holds a zero in the pivot column, and an
     updated row ends no later than itself or the pivot row.
     """
-    lower = 0
-    last = []
-    for i, row in enumerate(rows):
-        nonzero = bytes(map(bool, row))
-        first = nonzero.find(1)
-        if first >= 0:
-            lower = max(lower, i - first)
-        last.append(nonzero.rfind(1))
-    return lower, last
+    lower = max((i - min(row) for i, row in enumerate(rows) if row), default=0)
+    return lower, [max(row, default=-1) for row in rows]
 
 
 def _solve_exact(
-    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+    matrix: Sequence[Mapping[int, Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> list[Fraction]:
     """Band-limited Gaussian elimination on primitive integer rows.
 
-    Each row, with its right-hand side appended as a last column, is
-    cleared of denominators and divided by its content (the gcd of its
-    entries).  Pivot row ``prow`` with pivot p turns a row with entry v
-    below it into (p/g)*row - (v/g)*prow, g = gcd(p, v), and the new row's
-    content is divided out again, so entries stay integers of modest size
-    (unlike Bareiss, no row outside the band is rewritten).  Only rows
-    within the lower bandwidth of the pivot and columns up to each row's
-    last nonzero are touched.  Pivot choice: the candidate of fewest bits
-    (first row wins ties); the exact answer does not depend on it.
-    Back-substitution sums each row over the common denominator of the
-    unknowns it meets and forms one ``Fraction`` per unknown.
+    Each sparse row ``{column: entry}`` is expanded into a private dense
+    working row with its right-hand side appended as a last column, cleared
+    of denominators and divided by its content (the gcd of its entries).
+    Pivot row ``prow`` with pivot p turns a row with entry v below it into
+    (p/g)*row - (v/g)*prow, g = gcd(p, v), and the new row's content is
+    divided out again, so entries stay integers of modest size (unlike
+    Bareiss, no row outside the band is rewritten).  Only rows within the
+    lower bandwidth of the pivot and columns up to each row's last nonzero
+    are touched; both bounds come from the row keys.  Pivot choice: the
+    candidate of fewest bits (first row wins ties); the exact answer does
+    not depend on it.  Back-substitution sums each row over the common
+    denominator of the unknowns it meets and forms one ``Fraction`` per
+    unknown.
     """
     size = len(rhs)
     lower, last = _band_profile(matrix)
     rows = []
     for entries, b in zip(matrix, rhs):
-        row = [*entries, b]
         # Star-arguments from a list, not a generator: a generator's tuple is
         # grown by resizing, which strands one tuple per call on the
         # interpreter's free lists (1.5 MB of peak RSS on exact-homogeneous).
-        den = math.lcm(*[v.denominator for v in row])
-        row = [v.numerator * (den // v.denominator) for v in row]
+        den = math.lcm(b.denominator, *[v.denominator for v in entries.values()])
+        row = [0] * (size + 1)
+        for c, v in entries.items():
+            row[c] = v.numerator * (den // v.denominator)
+        row[size] = b.numerator * (den // b.denominator)
         g = math.gcd(*row)
         rows.append([v // g for v in row] if g > 1 else row)
     for col in range(size):
@@ -342,17 +345,25 @@ def _solve_exact(
     return out
 
 
-def _solve_float(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> list[float]:
+def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) -> list[float]:
     """Partial-pivoting elimination; small pivots raise instead of smearing.
 
-    Confined to the band like ``_solve_exact``.  The entries it skips are
-    exact zeros, so it performs, in the same order, every floating-point
-    operation of a dense partial-pivoting loop that can change a value,
-    and returns the same bits.
+    Expands each sparse row into a private dense working row and keeps to
+    the band like ``_solve_exact``.  The entries it skips are exact zeros,
+    so it performs, in the same order, every floating-point operation of a
+    dense partial-pivoting loop that can change a finite value, and returns
+    the same bits.  An unknown that overflows (a subnormal pivot passes the
+    relative test) raises: past it the dense loop's 0 * inf products turn
+    other unknowns into NaN where the band skips them.
     """
     size = len(rhs)
     lower, last = _band_profile(matrix)
-    rows = [list(row) for row in matrix]
+    rows = []
+    for entries in matrix:
+        row = [0.0] * size
+        for c, v in entries.items():
+            row[c] = v
+        rows.append(row)
     rhs = list(rhs)
     for col in range(size):
         end = min(col + lower + 1, size)
@@ -394,6 +405,12 @@ def _solve_float(matrix: Sequence[Sequence[float]], rhs: Sequence[float]) -> lis
         for c in range(r + 1, last[r] + 1):
             acc -= row[c] * out[c]
         out[r] = acc / row[r]
+        if not math.isfinite(out[r]):
+            raise IllConditionedSystemError(
+                f"unknown {r} is {out[r]!r} after dividing by pivot {row[r]!r}",
+                column=r,
+                pivot=row[r],
+            )
     return out
 
 
@@ -403,14 +420,12 @@ def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     A block with an all-zero right-hand side is returned as all zeros
     without elimination; this is what makes sparse boundaries cheap.
     """
-    is_float = isinstance(system.matrix[0][0], float)
+    is_float = isinstance(system.rhs[0], float)
     if not system.has_nonzero_rhs():
         zero: Scalar = 0.0 if is_float else Fraction(0)
         return {alpha: zero for alpha in system.members}
-    if is_float:
-        values = _solve_float(system.matrix, system.rhs)
-    else:
-        values = _solve_exact(system.matrix, system.rhs)
+    solve = _solve_float if is_float else _solve_exact
+    values = solve(system.matrix, system.rhs)
     return dict(zip(system.members, values))
 
 
@@ -575,23 +590,3 @@ def solve_dirichlet(
         h_terms.update(_fractions(carry, den) if exact else carry.terms)
     return HarmonicDecomposition(h=Poly._raw(n, h_terms), f=Poly._raw(n, f_terms), p=p, q=quadric)
 
-
-def cascade(
-    ph: Poly,
-    quadric: NonhyperbolicQuadratic,
-    *,
-    homogeneous_solver: HomogeneousSolver | None = None,
-    stats: SolveStats | None = None,
-) -> tuple[Poly, Poly]:
-    """Decompose one homogeneous boundary component; returns (h, f).
-
-    ``solve_dirichlet`` restricted to homogeneous input.
-    """
-    if ph.n != quadric.n:
-        raise DimensionMismatchError(
-            f"operands have dimensions {ph.n} and {quadric.n}"
-        )
-    if not ph.is_homogeneous():
-        raise ValueError("cascade input must be homogeneous")
-    dec = solve_dirichlet(ph, quadric, homogeneous_solver=homogeneous_solver, stats=stats)
-    return dec.h, dec.f

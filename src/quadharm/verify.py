@@ -3,8 +3,8 @@
 Two cross-check routes exist beside the production solver:
 
 * ``oracle_full_system`` assembles the level system over all multi-indices
-  of one order as a single dense matrix, skipping the parity partition, so
-  it exercises the same row equations through a different layout.
+  of one order as a single matrix, skipping the parity partition, so it
+  exercises the same row equations through a different layout.
 * ``oracle_operator_matrix`` never differentiates products at all: it
   builds the matrix of the map f -> laplacian(q * f) on the full monomial
   basis of degree <= deg(p) - 2, column by column from plain polynomial
@@ -143,29 +143,31 @@ def _kernel_basis(rows: list[dict[int, Fraction]]) -> list[list[Fraction]]:
 
 def assemble_full_system(
     rhs_source: Poly, q2: Poly, order: int
-) -> tuple[list[tuple[int, ...]], list[list[Scalar]], list[Scalar]]:
-    """One dense matrix over all order-m multi-indices, no parity partition.
+) -> tuple[list[tuple[int, ...]], list[dict[int, Scalar]], list[Scalar]]:
+    """One system over all order-m multi-indices, no parity partition.
 
-    Returns (members, matrix, rhs) with rows in canonical member order.
-    Shared by the full-system oracle and by the benchmark's unpartitioned
-    reference path, which differ only in how they eliminate.  Exact rows
-    and right-hand sides come back as ``Fraction`` (``level_rows`` may give
-    ints), so both eliminations divide exactly.
+    Returns (members, rows, rhs): sparse rows ``{column: nonzero entry}``
+    from ``level_rows``, in canonical member order.  Shared by the
+    full-system oracle and by the benchmark's unpartitioned reference path,
+    which differ only in how they eliminate.  Exact entries and right-hand
+    sides come back as ``Fraction`` (``level_rows`` may give ints), so both
+    eliminations divide exactly.
     """
     members = list(multi_indices(rhs_source.n, order))
-    matrix, rhs = level_rows(rhs_source, q2, members)
+    rows, rhs = level_rows(rhs_source, q2, members)
     if not q2.is_float():
-        matrix = [[Fraction(v) for v in row] for row in matrix]
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
         rhs = [Fraction(v) for v in rhs]
-    return members, matrix, rhs
+    return members, rows, rhs
 
 
 def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
     """Level solve without the parity partition (same equations, one matrix).
 
-    Solves for all constants D^alpha f, |alpha| = order, in a single dense
-    system and rebuilds f.  Drop-in replacement for the homogeneous solver,
-    used to check that partitioning changes nothing.
+    Solves for all constants D^alpha f, |alpha| = order, in a single
+    system by the textbook elimination and rebuilds f.  Drop-in replacement
+    for the homogeneous solver, used to check that partitioning changes
+    nothing.
     """
     if ph.n != q2.n:
         raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
@@ -175,8 +177,7 @@ def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
         return Poly.zero(n)
     if order != deg - 2:
         raise ValueError(f"order {order} does not match boundary degree {deg}")
-    members, matrix, rhs = assemble_full_system(ph.laplacian(), q2, order)
-    rows = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+    members, rows, rhs = assemble_full_system(ph.laplacian(), q2, order)
     values = _dense_solve_exact(rows, rhs)
     return taylor_reconstruct(order, dict(zip(members, values)), n)
 

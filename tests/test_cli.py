@@ -42,7 +42,9 @@ class TestSolve:
         doc = json.loads(out)
         assert set(doc) == {"n", "mode", "h", "f", "verify", "timing_ms"}
         assert doc["n"] == 3 and doc["mode"] == "exact"
-        assert doc["verify"] == {"harmonic": True, "residual_zero": True}
+        # Without --oracle there is no oracle_match key.
+        assert doc["verify"] == {"harmonic": True, "residual_zero": True,
+                                 "surface_nondegenerate": True, "notes": []}
         f = {tuple(t["e"]): t["c"] for t in doc["f"]}
         assert f[(0, 5, 0)] == "-97950/20144813"
 
@@ -121,7 +123,9 @@ class TestDecomposeAndVerify:
             capsys, command, "--boundary", "x1^4", "--surface", "x1^2+2x2^2-1",
             "--oracle", "--format", "json")
         assert code == EXIT_VERIFY
-        assert "verify" in json.loads(out)
+        doc = json.loads(out)
+        assert doc["verify"]["oracle_match"] is False
+        assert "operator-matrix oracle disagrees with the solver" in doc["verify"]["notes"]
 
     def test_verify_failure_exits_three(self, capsys, monkeypatch):
         def fake_verify(p, quadric, dec, **kwargs):

@@ -1,5 +1,6 @@
 """The band-limited elimination kernels against dense reference loops."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from conftest import fractions_st
 
 def dense_partial_pivoting(matrix, rhs):
     """The float kernel before it was confined to the band: every row below
-    the pivot, every column right of it.  Kept here as the reference."""
+    the pivot, every column right of it.  Kept here as the reference, with
+    the kernel's overflow check."""
     matrix = [list(row) for row in matrix]
     rhs = list(rhs)
     size = len(rhs)
@@ -54,6 +56,9 @@ def dense_partial_pivoting(matrix, rhs):
         for cc in range(r + 1, size):
             acc -= row[cc] * out[cc]
         out[r] = acc / row[r]
+        if not math.isfinite(out[r]):
+            raise IllConditionedSystemError(
+                f"unknown {r} is {out[r]!r} after dividing by pivot {row[r]!r}")
     return out
 
 
@@ -132,8 +137,8 @@ def as_fractions(matrix, rhs):
 
 
 def sparse_rows(matrix):
-    """Dense rows as the oracle elimination takes them: {column: nonzero Fraction}."""
-    return [{c: Fraction(v) for c, v in enumerate(row) if v} for row in matrix]
+    """Dense rows as every elimination takes them: {column: nonzero entry}."""
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
 
 
 def dense_rows(rows, size):
@@ -142,8 +147,9 @@ def dense_rows(rows, size):
 
 def reference_exact(matrix, rhs):
     """verify's textbook solve, or None when the system is singular."""
+    matrix, rhs = as_fractions(matrix, rhs)
     try:
-        return _dense_solve_exact(sparse_rows(matrix), [Fraction(v) for v in rhs])
+        return _dense_solve_exact(sparse_rows(matrix), rhs)
     except SingularSystemError:
         return None
 
@@ -165,7 +171,7 @@ def test_exact_kernel_matches_dense_oracle(kind, data):
     matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
     expected = reference_exact(matrix, rhs)
     assume(expected is not None)
-    got = _solve_exact(matrix, rhs)
+    got = _solve_exact(sparse_rows(matrix), rhs)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
 
@@ -175,7 +181,7 @@ def test_exact_kernel_matches_dense_oracle(kind, data):
 def test_exact_kernel_raises_on_singular_systems(kind, data):
     matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES[kind]))
     with pytest.raises(SingularSystemError) as info:
-        _solve_exact(matrix, rhs)
+        _solve_exact(sparse_rows(matrix), rhs)
     assert 0 <= info.value.column < len(rhs)
 
 
@@ -202,20 +208,34 @@ def test_float_kernel_is_bit_identical_to_dense_loop(system):
         expected = dense_partial_pivoting(matrix, rhs)
     except IllConditionedSystemError as dense_error:
         with pytest.raises(IllConditionedSystemError) as info:
-            _solve_float(matrix, rhs)
+            _solve_float(sparse_rows(matrix), rhs)
         assert str(info.value) == str(dense_error)
         return
-    got = _solve_float(matrix, rhs)
+    got = _solve_float(sparse_rows(matrix), rhs)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+def test_float_overflow_raises_instead_of_returning_inf():
+    # The subnormal pivot passes the relative test, but 0.25 / pivot
+    # overflows; the dense loop would then multiply 0.0 by inf.
+    matrix = [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 2.2250738585e-313]]
+    rhs = [0.0, 0.0, 0.25]
+    with pytest.raises(IllConditionedSystemError) as info:
+        _solve_float(sparse_rows(matrix), rhs)
+    assert (info.value.column, info.value.pivot) == (2, 2.2250738585e-313)
+    with pytest.raises(IllConditionedSystemError) as dense_error:
+        dense_partial_pivoting(matrix, rhs)
+    assert str(info.value) == str(dense_error.value)
 
 
 def test_zero_leading_entry_forces_a_swap():
     matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
     rhs = (Fraction(1, 2), 1, Fraction(-3))
-    assert _solve_exact(matrix, rhs) == reference_exact(matrix, rhs)
+    assert _solve_exact(sparse_rows(matrix), rhs) == reference_exact(matrix, rhs)
     float_matrix = tuple(tuple(float(v) for v in row) for row in matrix)
     float_rhs = tuple(float(v) for v in rhs)
-    assert _solve_float(float_matrix, float_rhs) == dense_partial_pivoting(float_matrix, float_rhs)
+    assert (_solve_float(sparse_rows(float_matrix), float_rhs)
+            == dense_partial_pivoting(float_matrix, float_rhs))
 
 
 def test_oracle_singular_system_carries_column():
@@ -243,7 +263,7 @@ def test_oracle_elimination_deletes_exact_cancellations():
     assert rows[1] == {1: Fraction(-7, 4), 2: Fraction(-2, 3)}
     assert all(v != 0 for row in rows for v in row.values())
     got = _dense_solve_exact(sparse_rows(CANCELLING), list(rhs))
-    assert got == reference_exact(CANCELLING, rhs) == _solve_exact(CANCELLING, rhs)
+    assert got == reference_exact(CANCELLING, rhs) == _solve_exact(sparse_rows(CANCELLING), rhs)
     assert all(type(v) is Fraction for v in got)
     assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(CANCELLING, rhs))
 

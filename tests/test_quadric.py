@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadharm import InvalidQuadricError, NonhyperbolicQuadratic, Poly, SurfaceKind
+from quadharm import InvalidQuadricError, NonhyperbolicQuadratic, Poly
 
 
 def sphere(n: int = 3) -> NonhyperbolicQuadratic:
@@ -66,12 +66,10 @@ class TestGeometry:
     def test_sphere_is_nondegenerate_ellipsoid(self):
         q = sphere()
         assert q.is_nondegenerate_zero_set()
-        assert q.classify() is SurfaceKind.ELLIPSOID
 
     def test_empty_sphere_detected(self):
         q = NonhyperbolicQuadratic((1, 1, 1), (0, 0, 0), 1)
         assert not q.is_nondegenerate_zero_set()
-        assert q.classify() is SurfaceKind.DEGENERATE_OR_EMPTY
 
     def test_single_point_is_degenerate(self):
         # x1^2 + x2^2 = 0 only at the origin
@@ -88,14 +86,8 @@ class TestGeometry:
     def test_paraboloid_always_nondegenerate(self):
         q = NonhyperbolicQuadratic((1, 1, 0), (0, 0, 1), 5)
         assert q.is_nondegenerate_zero_set()
-        assert q.classify() is SurfaceKind.PARABOLOID
 
     def test_cylinder(self):
+        # x1^2 + x3^2 = 4 for every x2
         q = NonhyperbolicQuadratic((1, 0, 1), (0, 0, 0), -4)
-        assert q.classify() is SurfaceKind.ELLIPTIC_CYLINDER
-
-    def test_kind_values_are_stable_strings(self):
-        assert SurfaceKind.ELLIPSOID.value == "ellipsoid"
-        assert SurfaceKind.PARABOLOID.value == "paraboloid-like"
-        assert SurfaceKind.ELLIPTIC_CYLINDER.value == "elliptic-cylinder-like"
-        assert SurfaceKind.DEGENERATE_OR_EMPTY.value == "degenerate-or-empty"
+        assert q.is_nondegenerate_zero_set()

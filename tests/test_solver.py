@@ -16,7 +16,6 @@ from quadharm import (
     SingularSystemError,
     SolveStats,
     assemble_class_systems,
-    cascade,
     multi_indices,
     multi_indices_upto,
     oracle_full_system,
@@ -28,6 +27,15 @@ from quadharm import (
 )
 from quadharm.verify import assemble_full_system
 from conftest import all_degree, random_fraction, random_poly, random_quadric
+
+
+def test_every_exported_name_resolves():
+    import quadharm
+
+    namespace: dict = {}
+    exec("from quadharm import *", namespace)
+    assert len(set(quadharm.__all__)) == len(quadharm.__all__)
+    assert all(namespace[name] is getattr(quadharm, name) for name in quadharm.__all__)
 
 
 def sphere(n: int = 3) -> NonhyperbolicQuadratic:
@@ -61,7 +69,7 @@ class TestAssembly:
         q2 = Poly(2, {(2, 0): 2, (0, 2): 3})
         systems = assemble_class_systems(Poly.constant(2, 2), q2, 0)
         assert len(systems) == 1
-        assert systems[0].matrix == ((Fraction(10),),)
+        assert systems[0].matrix == [{0: Fraction(10)}]
         assert systems[0].rhs == (Fraction(2),)
         assert solve_class(systems[0]) == {(0, 0): Fraction(1, 5)}
 
@@ -74,11 +82,11 @@ class TestAssembly:
         rhs_source = Poly(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
         odd, even = assemble_class_systems(rhs_source, q2, 2)  # parity keys descend
         assert even.members == ((2, 0), (0, 2))
-        assert even.matrix == ((Fraction(16), Fraction(2)),
-                               (Fraction(4), Fraction(26)))
+        assert even.matrix == [{0: Fraction(16), 1: Fraction(2)},
+                               {0: Fraction(4), 1: Fraction(26)}]
         assert even.rhs == (Fraction(2), Fraction(2))
         assert odd.members == ((1, 1),)
-        assert odd.matrix == ((Fraction(18),),)
+        assert odd.matrix == [{0: Fraction(18)}]
         assert odd.rhs == (Fraction(1),)
 
     def test_classes_partition_all_indices(self):
@@ -124,7 +132,7 @@ class TestNonIntegerAxisSquares:
         q2 = NON_INTEGER_AXES.parts()[0]
         rhs_source = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 4)})
         for system in assemble_class_systems(rhs_source, q2, 4):
-            assert all(type(v) is int for row in system.matrix for v in row)
+            assert all(type(v) is int for row in system.matrix for v in row.values())
             for alpha, value in zip(system.members, system.rhs):
                 assert value == 12 * rhs_source.d_alpha(alpha).coefficient((0, 0, 0))
 
@@ -144,13 +152,28 @@ class TestNonIntegerAxisSquares:
         # A missing coefficient must come back as Fraction(0), not 0.
         sparse = Poly(3, {alpha: c for alpha, c in rhs_source.terms.items() if sum(alpha[:2]) != 2})
         for source in (rhs_source, sparse):
-            _, matrix, rhs = assemble_full_system(source, q2, 4)
-            assert all(type(v) is Fraction for row in matrix for v in row)
+            _, rows, rhs = assemble_full_system(source, q2, 4)
+            assert all(type(v) is Fraction for row in rows for v in row.values())
             assert all(type(v) is Fraction for v in rhs)
         assert 0 in rhs
 
 
 class TestSolveClass:
+    @pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
+    def test_kernels_leave_the_stored_rows_unchanged(self, rng, float_mode):
+        q2 = NON_INTEGER_AXES.parts()[0]
+        rhs_source = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 6)})
+        if float_mode:
+            q2, rhs_source = q2.to_float(), rhs_source.to_float()
+        systems = assemble_class_systems(rhs_source, q2, 6)
+        before = [[dict(row) for row in s.matrix] for s in systems]
+        assert all(v != 0 for s in systems for row in s.matrix for v in row.values())
+        assert max(len(s.members) for s in systems) > 1
+        for system in systems:
+            assert system.has_nonzero_rhs()
+            solve_class(system)
+        assert [s.matrix for s in systems] == before
+
     def test_zero_rhs_short_circuits_to_typed_zeros(self):
         q2 = Poly(2, {(2, 0): 1, (0, 2): 1})
         systems = assemble_class_systems(Poly.monomial(2, (2, 0)), q2, 2)
@@ -164,7 +187,7 @@ class TestSolveClass:
         system = ClassSystem(
             parity=(0, 0),
             members=((2, 0), (0, 2)),
-            matrix=((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1))),
+            matrix=[{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}],
             rhs=(Fraction(1), Fraction(2)),
         )
         with pytest.raises(SingularSystemError) as info:
@@ -176,11 +199,11 @@ class TestSolveClass:
         system = ClassSystem(
             parity=(0, 0, 0),
             members=((2, 0, 0), (0, 2, 0), (0, 0, 2)),
-            matrix=(
-                (1.0, 0.0, 0.0),
-                (0.0, 1e-16, 1.0),
-                (0.0, 0.0, 1.0),
-            ),
+            matrix=[
+                {0: 1.0},
+                {1: 1e-16, 2: 1.0},
+                {2: 1.0},
+            ],
             rhs=(1.0, 1.0, 1.0),
         )
         with pytest.raises(IllConditionedSystemError) as info:
@@ -191,11 +214,14 @@ class TestSolveClass:
 
 
 class TestCascade:
+    """Single homogeneous components through the degree-descending pass."""
+
     def test_paraboloid_hand_solution(self):
         # x1^2 on the surface x3 = -(x1^2 + x2^2)
         q = NonhyperbolicQuadratic((1, 1, 0), (0, 0, 1), 0)
         p = Poly.monomial(3, (2, 0, 0))
-        h, f = cascade(p, q)
+        dec = solve_dirichlet(p, q)
+        h, f = dec.h, dec.f
         assert f == Poly.constant(3, Fraction(1, 2))
         assert h == Poly(3, {
             (2, 0, 0): Fraction(1, 2),
@@ -204,16 +230,12 @@ class TestCascade:
         assert h.laplacian().is_zero()
 
     def test_low_degree_passthrough(self):
-        q = sphere()
-        p = Poly(3, {(1, 0, 0): 2, (0, 0, 0): -1})
-        with pytest.raises(ValueError):
-            cascade(p, q)  # not homogeneous
-        h, f = cascade(Poly.variable(3, 0), q)
-        assert h == Poly.variable(3, 0) and f.is_zero()
+        dec = solve_dirichlet(Poly.variable(3, 0), sphere())
+        assert dec.h == Poly.variable(3, 0) and dec.f.is_zero()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            cascade(Poly.monomial(2, (2, 0)), sphere(3))
+            solve_dirichlet(Poly.monomial(2, (2, 0)), sphere(3))
 
 
 class TestSolveDirichlet:
@@ -246,8 +268,8 @@ class TestSolveDirichlet:
         dec = solve_dirichlet(p, q)
         h_sum, f_sum = Poly.zero(3), Poly.zero(3)
         for _, component in p.homogeneous_components():
-            h, f = cascade(component, q)
-            h_sum, f_sum = h_sum + h, f_sum + f
+            part = solve_dirichlet(component, q)
+            h_sum, f_sum = h_sum + part.h, f_sum + part.f
         assert dec.h == h_sum and dec.f == f_sum
         assert all(isinstance(c, Fraction) for c in (*dec.h.terms.values(), *dec.f.terms.values()))
 
@@ -265,6 +287,18 @@ class TestSolveDirichlet:
         assert all(lv.nonzero_rhs_classes == 1 for lv in stats.levels)
         assert stats.max_nonzero_rhs_classes() == 1
 
+    def test_float_answer_is_accurate_on_a_high_degree_monomial(self):
+        # A level system written in f's own coefficients instead of the
+        # Taylor constants reached 3.3e-10 here; the Taylor form gives 8e-16.
+        q = NonhyperbolicQuadratic((1, 2, 0), (0, 0, 1), 0)
+        p = Poly.monomial(3, (32, 0, 0))
+        exact = solve_dirichlet(p, q).h
+        approx = solve_dirichlet(p.to_float(), q).h
+        scale = float(exact.max_abs_coefficient())
+        error = max(abs(approx.coefficient(alpha) - float(exact.coefficient(alpha)))
+                    for alpha in set(exact.terms) | set(approx.terms))
+        assert error <= 1e-13 * scale
+
     def test_float_mode_residual_small(self, rng):
         q = random_quadric(rng, 3, "ellipsoid")
         p = random_poly(rng, 3, 5, terms=5).to_float()
@@ -279,9 +313,9 @@ class TestSolveDirichlet:
         q = NonhyperbolicQuadratic((2, 3), (0, 0), 0)
         p = Poly.monomial(2, (4, 2))
         f_top = solve_homogeneous(p, q.parts()[0])
-        h, f = cascade(p, q)
-        assert f == f_top
-        assert h == p - q.parts()[0] * f_top
+        dec = solve_dirichlet(p, q)
+        assert dec.f == f_top
+        assert dec.h == p - q.parts()[0] * f_top
 
 
 def _lcm_den(poly: Poly) -> int:
