@@ -1,119 +1,52 @@
 #!/usr/bin/env python3
-"""Benchmark sweep: parity-class census plus timed solver comparisons.
+"""Timed degree sweep with the per-level text report.
 
-Prints a census table for a grid of dimensions and system orders, then
-times the partitioned solver against the unpartitioned reference on
-dense boundaries over the unit sphere.  Output is the pinned CSV format
-by default; --text switches to the per-level report.
+For each boundary degree, times the partitioned solver against the
+unpartitioned reference over the unit sphere and prints the report of
+`quadharm bench`: census, predicted operation counts, medians, and one
+line per level from the first (cold) solve.  For the CSV table of one
+grid cell use `quadharm bench --format csv`.
 """
 
 import argparse
 import sys
 import time
 
-from quadharm.bench import (
-    census_record,
-    dense_boundary,
-    monomial_boundary,
-    records_to_csv,
-    record_to_text,
-    run_comparison,
-)
+from quadharm.bench import dense_boundary, monomial_boundary, record_to_text, run_comparison
 from quadharm.quadric import NonhyperbolicQuadratic
-from quadharm.solver import SolveStats, solve_dirichlet
-
-
-def unit_sphere(n: int) -> NonhyperbolicQuadratic:
-    return NonhyperbolicQuadratic((1,) * n, (0,) * n, -1)
-
-
-def census_sweep(dims: list[int], max_order: int) -> None:
-    records = [
-        census_record(n, m)
-        for n in dims
-        for m in range(0, max_order + 1)
-    ]
-    print(records_to_csv(records))
-
-
-def timed_sweep(args: argparse.Namespace) -> None:
-    records = []
-    for degree in args.degrees:
-        boundary = (
-            monomial_boundary(args.dim, degree)
-            if args.monomial
-            else dense_boundary(args.dim, degree)
-        )
-        if args.float:
-            boundary = boundary.to_float()
-        quadric = unit_sphere(args.dim)
-        t0 = time.perf_counter()
-        record = run_comparison(
-            boundary,
-            quadric,
-            repetitions=args.reps,
-            compare_full=not args.no_full,
-        )
-        elapsed = time.perf_counter() - t0
-        records.append(record)
-        if args.text:
-            stats = SolveStats()
-            solve_dirichlet(boundary, quadric, stats=stats)
-            print(record_to_text(record, stats))
-            print(f"total wall time {elapsed:.2f} s")
-            print()
-    if not args.text:
-        print(records_to_csv(records))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--census", action="store_true",
-        help="print the census table only, no timing runs",
-    )
-    parser.add_argument(
-        "--dims", type=int, nargs="+", default=[2, 3, 4, 5],
-        help="dimensions for the census sweep",
-    )
-    parser.add_argument(
-        "--max-order", type=int, default=10,
-        help="largest system order in the census sweep",
-    )
-    parser.add_argument(
-        "--dim", type=int, default=3,
-        help="dimension for the timed sweep",
-    )
-    parser.add_argument(
-        "--degrees", type=int, nargs="+", default=[8, 10, 12],
-        help="boundary degrees for the timed sweep",
-    )
-    parser.add_argument(
-        "--reps", type=int, default=3,
-        help="repetitions per timing (median is reported)",
-    )
-    parser.add_argument(
-        "--monomial", action="store_true",
-        help="use a single-monomial boundary instead of a dense one",
-    )
-    parser.add_argument(
-        "--float", action="store_true",
-        help="run in float arithmetic instead of exact rationals",
-    )
-    parser.add_argument(
-        "--no-full", action="store_true",
-        help="skip the unpartitioned reference (partitioned timing only)",
-    )
-    parser.add_argument(
-        "--text", action="store_true",
-        help="per-level text report instead of CSV",
-    )
+    parser.add_argument("--dim", type=int, default=3, help="dimension of the sweep")
+    parser.add_argument("--degrees", type=int, nargs="+", default=[8, 10, 12],
+                        help="boundary degrees of the sweep")
+    parser.add_argument("--reps", type=int, default=3,
+                        help="repetitions per timing (median is reported)")
+    parser.add_argument("--monomial", action="store_true",
+                        help="use a single-monomial boundary instead of a dense one")
+    parser.add_argument("--float", action="store_true",
+                        help="run in float arithmetic instead of exact rationals")
+    parser.add_argument("--no-full", action="store_true",
+                        help="skip the unpartitioned reference (partitioned timing only)")
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
 
-    if args.census:
-        census_sweep(args.dims, args.max_order)
-    else:
-        timed_sweep(args)
+    unit_sphere = NonhyperbolicQuadratic((1,) * args.dim, (0,) * args.dim, -1)
+    builder = monomial_boundary if args.monomial else dense_boundary
+    for degree in args.degrees:
+        boundary = builder(args.dim, degree)
+        if args.float:
+            boundary = boundary.to_float()
+        t0 = time.perf_counter()
+        record = run_comparison(
+            boundary, unit_sphere, repetitions=args.reps, compare_full=not args.no_full
+        )
+        elapsed = time.perf_counter() - t0
+        print(record_to_text(record))
+        print(f"total wall time {elapsed:.2f} s")
+        print()
     return 0
 
 

@@ -6,6 +6,11 @@ s = comb(m + n - 1, m) rows; splitting it into the 2^(n-1) parity blocks
 of roughly equal size divides the predicted work by 2^(2n-2), and monomial
 boundaries gain another factor 2^(n-1) because only one block per level
 carries a nonzero right-hand side.
+
+A ``BenchRecord`` holds only what a run measured: the two median timings
+and the ``SolveStats`` of ``run_comparison``'s first solve.  The census
+and the predictions follow from (n, m), so the CSV and text reports
+compute them as they print.
 """
 
 from __future__ import annotations
@@ -36,14 +41,14 @@ class BenchRecord:
     n: int
     m: int
     boundary_kind: str
-    class_count: int
-    class_sizes: list[int]
-    predicted_full_ops: Fraction
-    predicted_partitioned_ops: Fraction
-    predicted_ratio: Fraction
-    measured_full_ms: float | None
-    measured_partitioned_ms: float | None
-    nonzero_rhs_classes: int
+    measured_full_ms: float | None = None
+    measured_partitioned_ms: float | None = None
+    stats: SolveStats | None = None
+
+    @property
+    def nonzero_rhs_classes(self) -> int:
+        """Most classes with a nonzero right-hand side at one level, 0 if unsolved."""
+        return 0 if self.stats is None else self.stats.max_nonzero_rhs_classes()
 
 
 def predicted_full_ops(m: int, n: int) -> Fraction:
@@ -168,13 +173,15 @@ def run_comparison(
 
     Both paths must produce identical results (exact mode; float mode is
     compared to 1e-9); a mismatch raises.  Timings are medians over the
-    given repetition count.
+    given repetition count.  The first, untimed partitioned solve records
+    the ``SolveStats`` kept in the returned record, so the partitioned
+    solver runs 1 + repetitions times in all.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     deg = p.degree()
     if deg is None:
         raise ValueError("boundary must be nonzero")
-    m = max(deg - 2, 0)
-    census = class_census(p.n, m)
 
     stats = SolveStats()
     base = solve_dirichlet(p, quadric, stats=stats)
@@ -200,34 +207,11 @@ def run_comparison(
 
     return BenchRecord(
         n=p.n,
-        m=m,
+        m=max(deg - 2, 0),
         boundary_kind="monomial" if len(p.terms) == 1 else "dense",
-        class_count=len(census),
-        class_sizes=list(census.values()),
-        predicted_full_ops=predicted_full_ops(m, p.n),
-        predicted_partitioned_ops=predicted_partitioned_ops(m, p.n),
-        predicted_ratio=predicted_ratio(p.n),
         measured_full_ms=full_ms,
         measured_partitioned_ms=part_ms,
-        nonzero_rhs_classes=stats.max_nonzero_rhs_classes(),
-    )
-
-
-def census_record(n: int, m: int, boundary_kind: str = "monomial") -> BenchRecord:
-    """Prediction-only record (no timing runs)."""
-    census = class_census(n, m)
-    return BenchRecord(
-        n=n,
-        m=m,
-        boundary_kind=boundary_kind,
-        class_count=len(census),
-        class_sizes=list(census.values()),
-        predicted_full_ops=predicted_full_ops(m, n),
-        predicted_partitioned_ops=predicted_partitioned_ops(m, n),
-        predicted_ratio=predicted_ratio(n),
-        measured_full_ms=None,
-        measured_partitioned_ms=None,
-        nonzero_rhs_classes=0,
+        stats=stats,
     )
 
 
@@ -239,39 +223,29 @@ def record_to_csv_row(record: BenchRecord) -> str:
     ratio_meas = ""
     if record.measured_full_ms is not None and record.measured_partitioned_ms:
         ratio_meas = f"{record.measured_full_ms / record.measured_partitioned_ms:.2f}"
-    ratio_pred = record.predicted_ratio
-    ratio_text = (
-        str(ratio_pred.numerator)
-        if ratio_pred.denominator == 1
-        else f"{ratio_pred.numerator}/{ratio_pred.denominator}"
-    )
-    return ",".join(
-        [
-            str(record.n),
-            str(record.m),
-            record.boundary_kind,
-            str(record.class_count),
-            _fmt_ms(record.measured_full_ms),
-            _fmt_ms(record.measured_partitioned_ms),
-            ratio_text,
-            ratio_meas,
-            str(record.nonzero_rhs_classes),
-        ]
-    )
+    n, m = record.n, record.m
+    cells = [n, m, record.boundary_kind, len(class_census(n, m)),
+             _fmt_ms(record.measured_full_ms), _fmt_ms(record.measured_partitioned_ms),
+             predicted_ratio(n), ratio_meas, record.nonzero_rhs_classes]
+    return ",".join(map(str, cells))
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
     return "\n".join([CSV_HEADER] + [record_to_csv_row(r) for r in records])
 
 
-def record_to_text(record: BenchRecord, stats: SolveStats | None = None) -> str:
+def record_to_text(record: BenchRecord) -> str:
+    """Census, predictions and timings, then one line per level of
+    ``record.stats`` (the first, cold solve of ``run_comparison``)."""
+    n, m = record.n, record.m
+    census = class_census(n, m)
     lines = [
-        f"dimension n = {record.n}, top system order m = {record.m}, "
+        f"dimension n = {n}, top system order m = {m}, "
         f"boundary = {record.boundary_kind}",
-        f"inhabited parity classes: {record.class_count} with sizes {record.class_sizes}",
-        f"predicted ops: full = {float(record.predicted_full_ops):.4g}, "
-        f"partitioned = {float(record.predicted_partitioned_ops):.4g}, "
-        f"ratio = {record.predicted_ratio}",
+        f"inhabited parity classes: {len(census)} with sizes {list(census.values())}",
+        f"predicted ops: full = {float(predicted_full_ops(m, n)):.4g}, "
+        f"partitioned = {float(predicted_partitioned_ops(m, n)):.4g}, "
+        f"ratio = {predicted_ratio(n)}",
     ]
     if record.measured_partitioned_ms is not None:
         lines.append(f"measured partitioned: {record.measured_partitioned_ms:.3f} ms")
@@ -283,8 +257,8 @@ def record_to_text(record: BenchRecord, stats: SolveStats | None = None) -> str:
                 f"{record.measured_full_ms / record.measured_partitioned_ms:.2f}"
             )
     lines.append(f"nonzero-rhs classes per level (max): {record.nonzero_rhs_classes}")
-    if stats is not None:
-        for lv in stats.levels:
+    if record.stats is not None:
+        for lv in record.stats.levels:
             line = (
                 f"  level deg {lv.carry_degree}: order {lv.system_order}, "
                 f"{lv.class_count} classes {lv.class_sizes}, "

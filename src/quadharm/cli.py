@@ -23,7 +23,7 @@ from .parsing import (
 )
 from .polynomial import DimensionMismatchError, Poly
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
-from .solver import IllConditionedSystemError, SolveStats, solve_dirichlet
+from .solver import IllConditionedSystemError, solve_dirichlet
 from .verify import verify_solution
 
 EXIT_OK = 0
@@ -126,7 +126,7 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
 def cmd_bench(args: argparse.Namespace) -> int:
     # Imported here so that solve, decompose and verify do not load it.
     from .bench import (
-        census_record,
+        BenchRecord,
         dense_boundary,
         monomial_boundary,
         record_to_text,
@@ -140,6 +140,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     if m < 0:
         print("error: --degree must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
+    if args.reps < 1:
+        print("error: --reps must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
         if args.surface:
@@ -155,7 +158,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.mode == "float":
         p = p.to_float()
 
-    stats = SolveStats()
+    record = BenchRecord(n, m, args.boundary_kind)
     try:
         if args.compare_full or args.time:
             record = run_comparison(
@@ -164,10 +167,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 repetitions=args.reps,
                 compare_full=args.compare_full,
             )
-            solve_dirichlet(p, surface, stats=stats)
-        else:
-            record = census_record(n, m, args.boundary_kind)
-            stats = None
     except IllConditionedSystemError as exc:
         print(f"error: ill-conditioned system in float mode: {exc}", file=sys.stderr)
         return EXIT_ILL_CONDITIONED
@@ -175,7 +174,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.format == "csv":
         print(records_to_csv([record]))
     else:
-        print(record_to_text(record, stats))
+        print(record_to_text(record))
     return EXIT_OK
 
 

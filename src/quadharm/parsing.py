@@ -190,10 +190,10 @@ def _scalar_from_json(value) -> Fraction:
 def parse_surface(source: str | Mapping, n: int | None = None) -> NonhyperbolicQuadratic:
     """Read a surface from an expression or a structured document.
 
-    A mapping (or JSON text starting with '{') must carry keys "a", "c",
-    "d" with integer or "num/den" entries.  Anything else is parsed as a
-    polynomial of degree <= 2 with no cross terms and nonnegative square
-    coefficients.
+    A mapping (or JSON text starting with '{') must carry lists "a" and
+    "c" and a value "d", with integer or "num/den" entries.  Anything else
+    is parsed as a polynomial of degree <= 2 with no cross terms and
+    nonnegative square coefficients.
     """
     if isinstance(source, Mapping):
         doc = source
@@ -208,6 +208,9 @@ def parse_surface(source: str | Mapping, n: int | None = None) -> NonhyperbolicQ
             poly = parse_polynomial(source, n)
             return _surface_from_polynomial(poly)
     try:
+        for key in ("a", "c"):
+            if not isinstance(doc[key], list):
+                raise ParseError(f"surface key {key!r} must be a list, got {doc[key]!r}")
         a = [_scalar_from_json(v) for v in doc["a"]]
         c = [_scalar_from_json(v) for v in doc["c"]]
         d = _scalar_from_json(doc["d"])

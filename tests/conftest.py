@@ -9,6 +9,12 @@ import hypothesis.strategies as st
 
 from quadharm import NonhyperbolicQuadratic, Poly, multi_indices_upto
 
+# Hypothesis seeds its draws with literals from the package modules that are
+# loaded.  `import quadharm` leaves out these two, which the full suite loads,
+# so without them a run of one file would draw other examples than the suite.
+import quadharm.bench  # noqa: F401
+import quadharm.cli  # noqa: F401
+
 SEED = 20260815
 
 settings.register_profile(

@@ -1,6 +1,7 @@
 """Operation-count predictions, the class census, and timing records."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from quadharm import NonhyperbolicQuadratic, Poly
 from quadharm.bench import (
     CSV_HEADER,
+    BenchRecord,
     class_census,
-    census_record,
     dense_boundary,
     full_reference_solver,
     monomial_boundary,
@@ -18,6 +19,7 @@ from quadharm.bench import (
     predicted_partitioned_ops,
     predicted_ratio,
     record_to_csv_row,
+    record_to_text,
     records_to_csv,
     run_comparison,
 )
@@ -72,10 +74,16 @@ class TestBoundaries:
 
 class TestComparison:
     def test_census_only_record_has_no_timings(self):
-        rec = census_record(3, 4)
-        assert rec.measured_full_ms is None
-        assert rec.measured_partitioned_ms is None
-        assert rec.class_count == 4
+        rec = BenchRecord(3, 4, "monomial")
+        assert rec.measured_full_ms is None and rec.measured_partitioned_ms is None
+        assert rec.stats is None and rec.nonzero_rhs_classes == 0
+
+    def test_record_stores_only_measurements(self):
+        # The census and the predictions follow from (n, m); the reports
+        # compute them, so the record holds none of them.
+        assert [f.name for f in fields(BenchRecord)] == [
+            "n", "m", "boundary_kind", "measured_full_ms",
+            "measured_partitioned_ms", "stats"]
 
     def test_run_comparison_checks_agreement(self, monkeypatch):
         q = NonhyperbolicQuadratic((1, 1), (0, 0), -1)
@@ -83,6 +91,7 @@ class TestComparison:
         rec = run_comparison(p, q, repetitions=1)
         assert rec.measured_full_ms is not None
         assert rec.measured_partitioned_ms is not None
+        assert [lv.carry_degree for lv in rec.stats.levels] == [4, 2]
 
         def wrong_solver(ph, q2):
             return full_reference_solver(ph, q2) + Poly.constant(ph.n, 1)
@@ -104,15 +113,28 @@ class TestComparison:
         rec = run_comparison(dense_boundary(2, 5).to_float(), q, repetitions=1)
         assert rec.measured_full_ms is not None
 
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    def test_repetitions_below_one_raise_before_any_solve(self, monkeypatch, repetitions):
+        monkeypatch.setattr("quadharm.bench.solve_dirichlet", None)  # a solve would TypeError
+        q = NonhyperbolicQuadratic((1, 1), (0, 0), -1)
+        with pytest.raises(ValueError, match="repetitions"):
+            run_comparison(monomial_boundary(2, 4), q, repetitions=repetitions)
+
 
 class TestRecordFormats:
     def test_csv_row_matches_header(self):
-        rec = census_record(3, 4)
-        row = record_to_csv_row(rec)
+        row = record_to_csv_row(BenchRecord(3, 4, "monomial"))
         assert len(row.split(",")) == len(CSV_HEADER.split(","))
+        assert row == "3,4,monomial,4,,,16,,0"
 
     def test_records_to_csv_starts_with_header(self):
-        out = records_to_csv([census_record(2, 3), census_record(3, 3)])
+        out = records_to_csv([BenchRecord(2, 3, "monomial"), BenchRecord(3, 3, "monomial")])
         lines = out.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3
+
+    def test_census_text_report_has_no_level_lines(self):
+        text = record_to_text(BenchRecord(3, 4, "monomial"))
+        assert "inhabited parity classes: 4 with sizes [3, 3, 3, 6]" in text
+        assert "ratio = 16" in text
+        assert "measured" not in text and "level deg" not in text

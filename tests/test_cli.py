@@ -147,6 +147,13 @@ class TestExitCodes:
         ("solve", "--boundary", "x1^2", "--surface", "x1*x2-1"),
         ("solve", "--boundary", "x1^2", "--surface", "x1^2+x2^2-1",
          "--mode", "float", "--oracle"),
+        # "a" must be a list: a string would be read one character at a
+        # time, an object as its keys.
+        ("solve", "--boundary", "x1^2", "--surface", '{"a": 1, "c": [0, 0], "d": -1}'),
+        ("solve", "--boundary", "x1^2", "--surface", '{"a": null, "c": [0, 0], "d": -1}'),
+        ("solve", "--boundary", "x1^2", "--surface", '{"a": "11", "c": [0, 0], "d": -1}'),
+        ("solve", "--boundary", "x1^2", "--surface",
+         '{"a": {"1": 1, "2": 1}, "c": [0, 0], "d": -1}'),
     ])
     def test_input_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -190,6 +197,41 @@ class TestBench:
             "--reps", "2")
         assert code == EXIT_OK
         assert "assemble" in out and "solve" in out
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_text_report_has_one_line_per_level(self, capsys, mode):
+        code, out, _ = run(
+            capsys, "bench", "--dim", "3", "--degree", "4", "--boundary-kind", "dense",
+            "--time", "--compare-full", "--reps", "1", "--mode", mode)
+        assert code == EXIT_OK
+        levels = [line for line in out.splitlines() if "level deg" in line]
+        assert [line.split(":")[0].strip() for line in levels] == [
+            "level deg 6", "level deg 4", "level deg 2"]
+        # Carry bit lengths exist in exact mode only.
+        assert all(("bits" in line) == (mode == "exact") for line in levels)
+        assert "measured full" in out
+
+    @pytest.mark.parametrize("reps", [1, 5])
+    def test_time_solves_once_per_rep_plus_one(self, capsys, monkeypatch, reps):
+        from quadharm.bench import solve_dirichlet
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_dirichlet(*args, **kwargs)
+
+        monkeypatch.setattr("quadharm.bench.solve_dirichlet", counting)
+        monkeypatch.setattr("quadharm.cli.solve_dirichlet", counting)
+        code, _, _ = run(
+            capsys, "bench", "--dim", "2", "--degree", "4", "--time", "--reps", str(reps))
+        assert code == EXIT_OK and len(calls) == 1 + reps
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_two(self, capsys, reps):
+        code, out, err = run(
+            capsys, "bench", "--dim", "3", "--degree", "2", "--time", "--reps", reps)
+        assert (code, out) == (EXIT_INPUT, "") and "--reps must be at least 1" in err
 
 
 def test_module_entry_point_smoke():
