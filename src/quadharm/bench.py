@@ -15,6 +15,7 @@ compute them as they print.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import time
@@ -28,7 +29,6 @@ from .solver import (
     IllConditionedSystemError,
     SingularSystemError,
     SolveStats,
-    _parity_groups,
     solve_dirichlet,
 )
 from .verify import assemble_full_system
@@ -72,9 +72,32 @@ def monomial_combined_factor(n: int) -> int:
     return 2 ** (3 * n - 3)
 
 
+# ``quadharm bench`` refuses an (n, m) with more inhabited parity classes
+# than this, before it builds anything: the text report lists every class.
+CENSUS_MAX_CLASSES = 4096
+
+
+def class_count(n: int, order: int) -> int:
+    """Number of inhabited parity classes: parity vectors with |e| <= m and
+    |e| = m (mod 2)."""
+    return sum(math.comb(n, k) for k in range(order % 2, min(n, order) + 1, 2))
+
+
 def class_census(n: int, order: int) -> dict[tuple[int, ...], int]:
-    """Sizes of the inhabited parity classes at one order, canonical order."""
-    return {key: len(members) for key, members in _parity_groups(n, order).items()}
+    """Sizes of the inhabited parity classes at one order, canonical order.
+
+    The class of parity vector e holds the alpha = e + 2*beta with
+    |beta| = (m - |e|) / 2, so it has comb((m - |e|)/2 + n - 1, n - 1)
+    members; no multi-index is listed.
+    """
+    census = {}
+    for k in range(min(n, order), -1, -1):
+        if (order - k) % 2:
+            continue
+        size = math.comb((order - k) // 2 + n - 1, n - 1)
+        for ones in itertools.combinations(range(n), k):
+            census[tuple(int(j in ones) for j in range(n))] = size
+    return census
 
 
 def monomial_boundary(n: int, degree: int) -> Poly:
@@ -147,9 +170,10 @@ def full_reference_solver(ph: Poly, q2: Poly) -> Poly:
     """
     order = ph.degree() - 2
     members, rows, rhs = assemble_full_system(ph.laplacian(), q2, order)
-    zero: Scalar = 0.0 if q2.is_float() else Fraction(0)
-    matrix = [[row.get(c, zero) for c in range(len(rows))] for row in rows]
-    values = dict(zip(members, _plain_elimination(matrix, rhs)))
+    # Exact entries become ``Fraction``s: the elimination divides them.
+    scalar = float if q2.is_float() else Fraction
+    matrix = [[scalar(row.get(c, 0)) for c in range(len(rows))] for row in rows]
+    values = dict(zip(members, _plain_elimination(matrix, [scalar(v) for v in rhs])))
     return taylor_reconstruct(order, values, ph.n)
 
 
@@ -224,7 +248,7 @@ def record_to_csv_row(record: BenchRecord) -> str:
     if record.measured_full_ms is not None and record.measured_partitioned_ms:
         ratio_meas = f"{record.measured_full_ms / record.measured_partitioned_ms:.2f}"
     n, m = record.n, record.m
-    cells = [n, m, record.boundary_kind, len(class_census(n, m)),
+    cells = [n, m, record.boundary_kind, class_count(n, m),
              _fmt_ms(record.measured_full_ms), _fmt_ms(record.measured_partitioned_ms),
              predicted_ratio(n), ratio_meas, record.nonzero_rhs_classes]
     return ",".join(map(str, cells))

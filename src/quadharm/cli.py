@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ from .parsing import (
 from .polynomial import DimensionMismatchError, Poly
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
 from .solver import IllConditionedSystemError, solve_dirichlet
-from .verify import verify_solution
+from .verify import ORACLE_MAX_UNKNOWNS, verify_solution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -76,9 +77,17 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
         return EXIT_INPUT
 
     run_verify = force_verify or args.verify or args.oracle
-    if args.oracle and args.mode == "float":
-        print("error: --oracle requires --mode exact", file=sys.stderr)
-        return EXIT_INPUT
+    if args.oracle:
+        if args.mode == "float":
+            print("error: --oracle requires --mode exact", file=sys.stderr)
+            return EXIT_INPUT
+        degree = p.degree() or 0
+        unknowns = math.comb(degree - 2 + n, n) if degree >= 2 else 0
+        if unknowns > ORACLE_MAX_UNKNOWNS:
+            print(f"error: --oracle on degree {degree} in {n} variables needs "
+                  f"{unknowns} unknowns; the limit is {ORACLE_MAX_UNKNOWNS}",
+                  file=sys.stderr)
+            return EXIT_INPUT
 
     p_solved = p.to_float() if args.mode == "float" else p
     t0 = time.perf_counter()
@@ -126,7 +135,9 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
 def cmd_bench(args: argparse.Namespace) -> int:
     # Imported here so that solve, decompose and verify do not load it.
     from .bench import (
+        CENSUS_MAX_CLASSES,
         BenchRecord,
+        class_count,
         dense_boundary,
         monomial_boundary,
         record_to_text,
@@ -144,6 +155,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         print("error: --reps must be at least 1", file=sys.stderr)
         return EXIT_INPUT
+    classes = class_count(n, m)
+    if classes > CENSUS_MAX_CLASSES:
+        print(f"error: --dim {n} --degree {m} has {classes} parity classes; "
+              f"bench reports at most {CENSUS_MAX_CLASSES}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         if args.surface:
             surface = _read_surface_argument(args.surface, n).extend(n)
@@ -153,23 +169,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    builder = monomial_boundary if args.boundary_kind == "monomial" else dense_boundary
-    p = builder(n, m + 2)
-    if args.mode == "float":
-        p = p.to_float()
-
     record = BenchRecord(n, m, args.boundary_kind)
-    try:
-        if args.compare_full or args.time:
+    if args.compare_full or args.time:
+        builder = monomial_boundary if args.boundary_kind == "monomial" else dense_boundary
+        p = builder(n, m + 2)
+        if args.mode == "float":
+            p = p.to_float()
+        try:
             record = run_comparison(
                 p,
                 surface,
                 repetitions=args.reps,
                 compare_full=args.compare_full,
             )
-    except IllConditionedSystemError as exc:
-        print(f"error: ill-conditioned system in float mode: {exc}", file=sys.stderr)
-        return EXIT_ILL_CONDITIONED
+        except IllConditionedSystemError as exc:
+            print(f"error: ill-conditioned system in float mode: {exc}", file=sys.stderr)
+            return EXIT_ILL_CONDITIONED
 
     if args.format == "csv":
         print(records_to_csv([record]))

@@ -16,6 +16,7 @@ polynomials round-trip through their printed form.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from fractions import Fraction
 from typing import Mapping
@@ -34,27 +35,26 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<var>x(?P<idx>\d+))|(?P<int>\d+)|(?P<op>[-+*/^()])")
+# Whitespace matches no named group; any other character matches "bad".
+_TOKEN_RE = re.compile(r"\s+|x(?P<var>\d+)|(?P<int>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos + 1)
-        if m.lastgroup != "ws":
-            if m.group("var"):
-                idx = int(m.group("idx"))
-                if idx == 0:
-                    raise ParseError("variable indices start at x1", pos + 1)
-                tokens.append(("var", idx, pos + 1))
-            elif m.group("int"):
-                tokens.append(("int", int(m.group("int")), pos + 1))
-            else:
-                tokens.append(("op", m.group("op"), pos + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        value, pos = m.group(kind), m.start() + 1
+        if kind == "op":
+            tokens.append((kind, value, pos))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        else:
+            value = int(value)
+            if kind == "var" and value == 0:
+                raise ParseError("variable indices start at x1", pos)
+            tokens.append((kind, value, pos))
     return tokens
 
 
@@ -80,78 +80,103 @@ class _Parser:
         return self.tokens[-1][2] if self.tokens else 1
 
     def parse_expr(self) -> Poly:
-        negate = False
-        if self.at_op("+", "-"):
-            negate = self.advance()[1] == "-"
-        poly = self.parse_term()
-        if negate:
-            poly = -poly
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            rhs = self.parse_term()
-            poly = poly - rhs if op == "-" else poly + rhs
-        return poly
-
-    def parse_term(self) -> Poly:
-        poly = self.parse_factor()
+        """A signed sum of terms, added into one dict."""
+        terms: dict[tuple[int, ...], Fraction] = {}
+        negate = self.at_op("+", "-") and self.advance()[1] == "-"
         while True:
+            for alpha, c in self.parse_term():
+                if negate:
+                    c = -c
+                s = terms.get(alpha)
+                if s is None:
+                    terms[alpha] = c
+                    continue
+                s += c
+                if s:
+                    terms[alpha] = s
+                else:
+                    del terms[alpha]
+            if not self.at_op("+", "-"):
+                return Poly._raw(self.n, terms)
+            negate = self.advance()[1] == "-"
+
+    def parse_term(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """A product of factors, as its nonzero (exponents, coefficient)
+        terms.  Rationals and powers of variables are read into one
+        coefficient and one exponent list; only a parenthesised factor
+        builds a Poly."""
+        num, den = 1, 1
+        exponents = [0] * self.n
+        group: Poly | None = None
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise ParseError("unexpected end of input", self.end_position())
+            kind, value, pos = tok
+            if kind == "int":
+                n, d = self.parse_rational()
+                num *= n
+                den *= d
+            elif kind == "var":
+                exponents[value - 1] += self.parse_power()
+            elif kind == "op" and value == "(":
+                inner = self.parse_group()
+                group = inner if group is None else group * inner
+            else:
+                raise ParseError("expected a number, variable, or '('", pos)
             if self.at_op("*"):
                 self.advance()
-                poly = poly * self.parse_factor()
-            else:
-                tok = self.peek()
-                if tok is not None and (tok[0] in ("int", "var") or (tok[0] == "op" and tok[1] == "(")):
-                    poly = poly * self.parse_factor()
-                else:
-                    return poly
+                continue
+            tok = self.peek()
+            if tok is None or not (tok[0] in ("int", "var") or tok[1] == "("):
+                break
+        if num == 0:
+            return []
+        coefficient = Fraction(num, den)
+        alpha = tuple(exponents)
+        if group is None:
+            return [(alpha, coefficient)]
+        return [(tuple(map(operator.add, alpha, beta)), coefficient * c)
+                for beta, c in group.terms.items()]
 
-    def parse_factor(self) -> Poly:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_position())
-        kind, value, pos = tok
-        if kind == "int":
-            self.advance()
-            num = value
-            if self.at_op("/"):
-                self.advance()
-                den_tok = self.peek()
-                if den_tok is None or den_tok[0] != "int":
-                    raise ParseError(
-                        "expected an integer denominator after '/'",
-                        den_tok[2] if den_tok else self.end_position(),
-                    )
-                self.advance()
-                if den_tok[1] == 0:
-                    raise ParseError("zero denominator", den_tok[2])
-                return Poly.constant(self.n, Fraction(num, den_tok[1]))
-            return Poly.constant(self.n, num)
-        if kind == "var":
-            self.advance()
-            exponent = 1
-            if self.at_op("^"):
-                self.advance()
-                exp_tok = self.peek()
-                if exp_tok is None or exp_tok[0] != "int":
-                    raise ParseError(
-                        "expected a nonnegative integer exponent after '^'",
-                        exp_tok[2] if exp_tok else self.end_position(),
-                    )
-                self.advance()
-                exponent = exp_tok[1]
-            alpha = tuple(exponent if j == value - 1 else 0 for j in range(self.n))
-            return Poly.monomial(self.n, alpha)
-        if kind == "op" and value == "(":
-            self.advance()
-            inner = self.parse_expr()
-            if not self.at_op(")"):
-                tok2 = self.peek()
-                raise ParseError(
-                    "expected ')'", tok2[2] if tok2 else self.end_position()
-                )
-            self.advance()
-            return inner
-        raise ParseError("expected a number, variable, or '('", pos)
+    def parse_rational(self) -> tuple[int, int]:
+        num = self.advance()[1]
+        if not self.at_op("/"):
+            return num, 1
+        self.advance()
+        den_tok = self.peek()
+        if den_tok is None or den_tok[0] != "int":
+            raise ParseError(
+                "expected an integer denominator after '/'",
+                den_tok[2] if den_tok else self.end_position(),
+            )
+        self.advance()
+        if den_tok[1] == 0:
+            raise ParseError("zero denominator", den_tok[2])
+        return num, den_tok[1]
+
+    def parse_power(self) -> int:
+        self.advance()
+        if not self.at_op("^"):
+            return 1
+        self.advance()
+        exp_tok = self.peek()
+        if exp_tok is None or exp_tok[0] != "int":
+            raise ParseError(
+                "expected a nonnegative integer exponent after '^'",
+                exp_tok[2] if exp_tok else self.end_position(),
+            )
+        self.advance()
+        return exp_tok[1]
+
+    def parse_group(self) -> Poly:
+        self.advance()
+        inner = self.parse_expr()
+        if not self.at_op(")"):
+            tok = self.peek()
+            raise ParseError("expected ')'", tok[2] if tok else self.end_position())
+        self.advance()
+        return inner
 
 
 def parse_polynomial(text: str, n: int | None = None) -> Poly:

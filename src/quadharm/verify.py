@@ -14,12 +14,14 @@ Two cross-check routes exist beside the production solver:
 Both oracles and the kernel probe ``operator_kernel`` share one textbook
 elimination (first nonzero pivot, free columns kept free, then
 back-substitution) rather than the solver's tuned routine.  It works on
-sparse rows ``{column: nonzero Fraction}`` and touches only stored
-entries; the operator matrix has about ten nonzeros per column.
+sparse primitive integer rows ``{column: nonzero int}`` and touches only
+stored entries; the operator matrix has about ten nonzeros per column.
+``Fraction`` arithmetic is left to the back-substitution.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +35,7 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import HarmonicDecomposition, SingularSystemError, level_rows
+from .solver import HarmonicDecomposition, SingularSystemError, _numerators, level_rows
 
 # Float checks allow this many units of rounding per coefficient, times
 # (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a
@@ -42,6 +44,14 @@ from .solver import HarmonicDecomposition, SingularSystemError, level_rows
 # to 0.4 units per unit of max(|h|, |q*f|) / |p|, so answers up to about
 # 150 times the size of p pass and larger ones are reported ill-conditioned.
 FLOAT_TOL_ULPS = 64
+
+# ``quadharm verify --oracle`` refuses a boundary whose operator matrix has
+# more unknowns than this, comb(deg(p) - 2 + n, n), before it solves.  The
+# largest accepted inputs took 3 to 8 s for the whole command on 2 cores
+# (CPython 3.11): dense and all-degree boundaries on a surface with linear
+# terms, n = 2 to 6; the slowest was dense degree 26 in n = 3, 2,925
+# unknowns.
+ORACLE_MAX_UNKNOWNS = 3000
 
 
 @dataclass
@@ -58,16 +68,38 @@ class VerificationReport:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False
 
 
-def _forward_eliminate(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[int]:
+def _integer_rows(
+    rows: list[dict[int, Scalar | int]], rhs: list[Scalar | int]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Exact sparse rows as primitive int rows: each row and its right-hand
+    side times the lcm of their denominators, over the gcd of the results.
+    The system keeps its solutions."""
+    out_rows: list[dict[int, int]] = []
+    out_rhs: list[int] = []
+    for row, b in zip(rows, rhs):
+        values = [*row.values(), b]
+        den = math.lcm(*[v.denominator for v in values])
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        g = math.gcd(*nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+        out_rhs.append(nums.pop())
+        out_rows.append(dict(zip(row, nums)))
+    return out_rows, out_rhs
+
+
+def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
     """Plain textbook elimination in place, first nonzero pivot; independent
     of the production solver's pivot strategy on purpose.
 
-    Rows are sparse, ``{column: nonzero Fraction}``.  The pivot row's tail
-    is listed once per pivot and subtracted from each later row that stores
-    the pivot column; an entry that cancels to exactly 0 is deleted.  A
-    column with no stored entry at or below the next pivot row stays free.
-    Returns the pivot columns: row i holds its pivot in column pivots[i]
-    and no entry left of it.
+    Rows are primitive sparse int rows, ``{column: nonzero int}``, as
+    ``_integer_rows`` makes them.  Each later row that stores the pivot
+    column becomes (p/g)*row - (v/g)*pivot_row, where p is the pivot, v the
+    row's entry and g = gcd(p, v); then the content of the new row and its
+    right-hand side is divided out, so entries stay small, and an entry
+    that cancels to 0 is deleted.  A column with no stored entry at or
+    below the next pivot row stays free.  Returns the pivot columns: row i
+    holds its pivot in column pivots[i] and no entry left of it.
     """
     size = len(rows)
     pivots: list[int] = []
@@ -88,35 +120,55 @@ def _forward_eliminate(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> 
             v = row.pop(col, None)
             if v is None:
                 continue
-            factor = v / pivot
+            g = math.gcd(pivot, v)
+            a, b = pivot // g, v // g
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
             for c, pv in tail:
-                new = row.get(c, 0) - factor * pv
+                new = row.get(c, 0) - b * pv
                 if new:
                     row[c] = new
                 else:
                     del row[c]
-            if top_rhs:
-                rhs[r] -= factor * top_rhs
+            b_r = a * rhs[r] - b * top_rhs
+            g = math.gcd(*row.values(), b_r)
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+                b_r //= g
+            rows[r] = row
+            rhs[r] = b_r
         pivots.append(col)
     return pivots
 
 
 def _back_substitute(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction], pivots: list[int], out: list[Fraction]
+    rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[Fraction]
 ) -> list[Fraction]:
-    """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value."""
+    """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value.
+
+    Each row's sum is kept as an int numerator over the lcm of the
+    denominators it has met, and reduced once, into the unknown's
+    ``Fraction``.
+    """
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
-        acc = rhs[r]
+        num, den = rhs[r], 1
         for c, v in rows[r].items():
-            if c != col and out[c]:
-                acc -= v * out[c]
-        out[col] = acc / rows[r][col]
+            x = out[c]
+            if c != col and x:
+                d = x.denominator
+                if d != den:
+                    lcm = den // math.gcd(den, d) * d
+                    num *= lcm // den
+                    den = lcm
+                num -= v * x.numerator * (den // d)
+        out[col] = Fraction(num, den * rows[r][col])
     return out
 
 
-def _dense_solve_exact(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the whole system at once (no partition) on sparse rows."""
+def _dense_solve_exact(rows: list[dict[int, Scalar | int]], rhs: list[Scalar | int]) -> list[Fraction]:
+    """Solve the whole system at once (no partition) on sparse exact rows."""
+    rows, rhs = _integer_rows(rows, rhs)
     pivots = _forward_eliminate(rows, rhs)
     if len(pivots) < len(rhs):
         col = min(set(range(len(rhs))).difference(pivots))
@@ -127,12 +179,12 @@ def _dense_solve_exact(rows: list[dict[int, Fraction]], rhs: list[Fraction]) -> 
     return _back_substitute(rows, rhs, pivots, [Fraction(0)] * len(rhs))
 
 
-def _kernel_basis(rows: list[dict[int, Fraction]]) -> list[list[Fraction]]:
-    """Null space basis of sparse rows: per free column, in order, that
-    unknown set to 1, the other free unknowns to 0, and the pivot unknowns
-    back-substituted."""
+def _kernel_basis(rows: list[dict[int, Scalar | int]]) -> list[list[Fraction]]:
+    """Null space basis of sparse exact rows: per free column, in order,
+    that unknown set to 1, the other free unknowns to 0, and the pivot
+    unknowns back-substituted."""
     size = len(rows)
-    zeros = [Fraction(0)] * size
+    rows, zeros = _integer_rows(rows, [0] * size)
     pivots = _forward_eliminate(rows, zeros)
     basis = []
     for col in sorted(set(range(size)).difference(pivots)):
@@ -147,17 +199,13 @@ def assemble_full_system(
     """One system over all order-m multi-indices, no parity partition.
 
     Returns (members, rows, rhs): sparse rows ``{column: nonzero entry}``
-    from ``level_rows``, in canonical member order.  Shared by the
-    full-system oracle and by the benchmark's unpartitioned reference path,
-    which differ only in how they eliminate.  Exact entries and right-hand
-    sides come back as ``Fraction`` (``level_rows`` may give ints), so both
-    eliminations divide exactly.
+    and right-hand sides as ``level_rows`` makes them (exact entries are
+    ints), in canonical member order.  Shared by the full-system oracle and
+    by the benchmark's unpartitioned reference path, which differ only in
+    how they eliminate.
     """
     members = list(multi_indices(rhs_source.n, order))
     rows, rhs = level_rows(rhs_source, q2, members)
-    if not q2.is_float():
-        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
-        rhs = [Fraction(v) for v in rhs]
     return members, rows, rhs
 
 
@@ -182,25 +230,26 @@ def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
     return taylor_reconstruct(order, dict(zip(members, values)), n)
 
 
-def _operator_matrix(q_poly: Poly, order: int) -> tuple[list[dict[int, Fraction]], list[tuple[int, ...]]]:
-    """Matrix of f -> laplacian(q_poly * f) on the monomial basis of P_order.
+def _operator_matrix(q_num: Poly, order: int) -> tuple[list[dict[int, int]], list[tuple[int, ...]]]:
+    """Matrix of f -> laplacian(q_num * f) on the monomial basis of P_order.
 
-    The basis is every monomial of degree <= order, lowest degree first
-    (canonical order reversed).  Column j holds the expansion of
-    laplacian(q_poly * basis_j), stored straight into sparse rows
-    ``{column: nonzero Fraction}``.  A column of degree k reaches only rows
+    ``q_num`` has int coefficients (see ``_numerators``), so the entries
+    are ints.  The basis is every monomial of degree <= order, lowest
+    degree first (canonical order reversed).  Column j holds the expansion
+    of laplacian(q_num * basis_j), stored straight into sparse rows
+    ``{column: nonzero int}``.  A column of degree k reaches only rows
     of degree k, k - 1 and k - 2, which this order puts at or above the
     degree-k block: the matrix is block upper-triangular, and where the
     operator is bijective elimination combines only rows of one degree.
     """
-    n = q_poly.n
+    n = q_num.n
     basis = list(multi_indices_upto(n, order))[::-1]
     index = {alpha: i for i, alpha in enumerate(basis)}
-    rows: list[dict[int, Fraction]] = [{} for _ in basis]
+    rows: list[dict[int, int]] = [{} for _ in basis]
     for j, alpha in enumerate(basis):
-        image = (q_poly * Poly.monomial(n, alpha)).laplacian()
+        image = (q_num * Poly._raw(n, {alpha: 1})).laplacian()
         for beta, c in image.terms.items():
-            rows[index[beta]][j] = Fraction(c)
+            rows[index[beta]][j] = c
     return rows, basis
 
 
@@ -209,7 +258,8 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
 
     Exact mode only.  The multiplier f is the unique solution of
     laplacian(q*f) = laplacian(p) in the space of polynomials of degree
-    <= deg(p) - 2, and h = p - q*f.
+    <= deg(p) - 2, and h = p - q*f.  With q = q_num / den, f also solves
+    laplacian(q_num*f) = den * laplacian(p), an int matrix.
     """
     if p.n != quadric.n:
         raise DimensionMismatchError(f"operands have dimensions {p.n} and {quadric.n}")
@@ -221,9 +271,10 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
         return HarmonicDecomposition(h=p, f=Poly.zero(n), p=p, q=quadric)
     order = deg - 2
     q_poly = quadric.to_polynomial()
-    rows, basis = _operator_matrix(q_poly, order)
+    q_num, den = _numerators(q_poly)
+    rows, basis = _operator_matrix(q_num, order)
     lap = p.laplacian()
-    rhs = [Fraction(lap.coefficient(alpha)) for alpha in basis]
+    rhs = [den * lap.coefficient(alpha) for alpha in basis]
     values = _dense_solve_exact(rows, rhs)
     f = Poly(n, {alpha: v for alpha, v in zip(basis, values) if v != 0})
     return HarmonicDecomposition(h=p - q_poly * f, f=f, p=p, q=quadric)
@@ -234,10 +285,13 @@ def operator_kernel(q: NonhyperbolicQuadratic | Poly, order: int) -> list[Poly]:
 
     Empty for every valid surface; nonhyperbolicity is exactly what makes
     the map bijective.  Accepts a raw Poly so that hyperbolic
-    counterexamples can be probed in tests.
+    counterexamples can be probed in tests.  Scaling q to int numerators
+    keeps the kernel.
     """
     q_poly = q.to_polynomial() if isinstance(q, NonhyperbolicQuadratic) else q
-    rows, basis = _operator_matrix(q_poly, order)
+    # Float coefficients are read as the rationals they are.
+    exact = Poly._raw(q_poly.n, {a: Fraction(c) for a, c in q_poly.terms.items()})
+    rows, basis = _operator_matrix(_numerators(exact)[0], order)
     return [
         Poly(q_poly.n, {alpha: v for alpha, v in zip(basis, vec) if v != 0})
         for vec in _kernel_basis(rows)

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from quadharm import NonhyperbolicQuadratic, Poly
+from quadharm.solver import _parity_groups
 from quadharm.bench import (
     CSV_HEADER,
     BenchRecord,
     class_census,
+    class_count,
     dense_boundary,
     full_reference_solver,
     monomial_boundary,
@@ -54,6 +56,13 @@ class TestCensus:
     def test_inhabited_class_count_stabilizes(self, n):
         for m in range(n + 1, n + 9):
             assert len(class_census(n, m)) == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_form_matches_enumeration(self, n):
+        for m in range(0, 11):
+            enumerated = {key: len(members) for key, members in _parity_groups(n, m).items()}
+            assert list(class_census(n, m).items()) == list(enumerated.items())
+            assert class_count(n, m) == len(enumerated)
 
     def test_census_keys_are_parities_in_canonical_order(self):
         census = class_census(2, 4)

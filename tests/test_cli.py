@@ -17,6 +17,7 @@ from quadharm.cli import (
     main,
 )
 from quadharm.solver import IllConditionedSystemError
+from quadharm.verify import ORACLE_MAX_UNKNOWNS
 
 ELLIPSOID = "2x1^2 + 3x2^2 + 4x3^2 - 1"
 
@@ -160,6 +161,26 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert err.strip()
 
+    def test_oracle_over_the_limit_exits_two_before_any_work(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an input over the limit")
+
+        monkeypatch.setattr("quadharm.verify._operator_matrix", forbidden)
+        monkeypatch.setattr("quadharm.cli.solve_dirichlet", forbidden)
+        code, out, err = run(
+            capsys, "verify", "--boundary", "x1^400", "--surface", ELLIPSOID, "--oracle")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "--oracle" in err and f"the limit is {ORACLE_MAX_UNKNOWNS}" in err
+
+    def test_oracle_limit_counts_the_operator_matrix(self, capsys, monkeypatch):
+        # x1^6 in 3 variables: f has degree <= 4, comb(4 + 3, 3) = 35 unknowns.
+        monkeypatch.setattr("quadharm.cli.ORACLE_MAX_UNKNOWNS", 35)
+        argv = ("verify", "--surface", ELLIPSOID, "--oracle")
+        assert run(capsys, *argv, "--boundary", "x1^6")[0] == EXIT_OK
+        code, _, err = run(capsys, *argv, "--boundary", "x1^7")
+        assert code == EXIT_INPUT and "needs 56 unknowns" in err
+        assert run(capsys, *argv[:-1], "--boundary", "x1^7")[0] == EXIT_OK
+
     def test_ill_conditioned_exits_four(self, capsys, monkeypatch):
         def fake_solve(*args, **kwargs):
             raise IllConditionedSystemError("synthetic")
@@ -226,6 +247,18 @@ class TestBench:
         code, _, _ = run(
             capsys, "bench", "--dim", "2", "--degree", "4", "--time", "--reps", str(reps))
         assert code == EXIT_OK and len(calls) == 1 + reps
+
+    def test_census_builds_nothing_and_refuses_too_many_classes(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("census-only bench built or solved a problem")
+
+        for name in ("monomial_boundary", "dense_boundary", "run_comparison"):
+            monkeypatch.setattr(f"quadharm.bench.{name}", forbidden)
+        assert run(capsys, "bench", "--dim", "3", "--degree", "4")[0] == EXIT_OK
+        # 2^39 classes: refused before the census is formed.
+        monkeypatch.setattr("quadharm.bench.class_census", forbidden)
+        code, out, err = run(capsys, "bench", "--dim", "40", "--degree", "40")
+        assert (code, out) == (EXIT_INPUT, "") and "parity classes" in err
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_two(self, capsys, reps):

@@ -16,7 +16,13 @@ from quadharm import (
     operator_kernel,
 )
 from quadharm.solver import FLOAT_PIVOT_RTOL, _solve_exact, _solve_float
-from quadharm.verify import _dense_solve_exact, _forward_eliminate, _kernel_basis, _operator_matrix
+from quadharm.verify import (
+    _dense_solve_exact,
+    _forward_eliminate,
+    _integer_rows,
+    _kernel_basis,
+    _operator_matrix,
+)
 from conftest import fractions_st
 
 
@@ -60,6 +66,66 @@ def dense_partial_pivoting(matrix, rhs):
             raise IllConditionedSystemError(
                 f"unknown {r} is {out[r]!r} after dividing by pivot {row[r]!r}")
     return out
+
+
+def fraction_forward_eliminate(rows, rhs):
+    """The oracle's elimination before it moved to integer rows: the same
+    textbook pivot rule on sparse ``Fraction`` rows, subtracting
+    (v / pivot) * pivot_row.  Kept here as the reference."""
+    size = len(rows)
+    pivots = []
+    for col in range(size):
+        top = len(pivots)
+        pivot_row = next((r for r in range(top, size) if col in rows[r]), -1)
+        if pivot_row < 0:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
+        prow = rows[top]
+        pivot = prow[col]
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        top_rhs = rhs[top]
+        for r in range(top + 1, size):
+            row = rows[r]
+            v = row.pop(col, None)
+            if v is None:
+                continue
+            factor = v / pivot
+            for c, pv in tail:
+                new = row.get(c, 0) - factor * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            if top_rhs:
+                rhs[r] -= factor * top_rhs
+        pivots.append(col)
+    return pivots
+
+
+def fraction_back_substitute(rows, rhs, pivots, out):
+    """The oracle's back-substitution before it moved to integer rows, one
+    ``Fraction`` operation per stored entry.  Kept here as the reference."""
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        acc = rhs[r]
+        for c, v in rows[r].items():
+            if c != col and out[c]:
+                acc -= v * out[c]
+        out[col] = acc / rows[r][col]
+    return out
+
+
+def fraction_solve(matrix, rhs):
+    """The reference textbook solve on ``Fraction`` rows; a singular system
+    names its first free column, as the oracle does."""
+    rows, rhs = sparse_rows(matrix), list(rhs)
+    pivots = fraction_forward_eliminate(rows, rhs)
+    if len(pivots) < len(rhs):
+        col = min(set(range(len(rhs))).difference(pivots))
+        raise SingularSystemError(f"singular at column {col}", column=col)
+    return fraction_back_substitute(rows, rhs, pivots, [Fraction(0)] * len(rhs))
 
 
 def rref_kernel(matrix):
@@ -146,12 +212,17 @@ def dense_rows(rows, size):
 
 
 def reference_exact(matrix, rhs):
-    """verify's textbook solve, or None when the system is singular."""
-    matrix, rhs = as_fractions(matrix, rhs)
+    """The textbook ``Fraction`` solve, or None when the system is singular."""
     try:
-        return _dense_solve_exact(sparse_rows(matrix), rhs)
+        return fraction_solve(*as_fractions(matrix, rhs))
     except SingularSystemError:
         return None
+
+
+def is_primitive_int_row(row, b):
+    values = [*row.values(), b]
+    return (all(type(v) is int for v in values) and 0 not in row.values()
+            and math.gcd(*values) in (0, 1))
 
 
 EXACT_ENTRIES = {
@@ -199,6 +270,37 @@ def test_oracle_kernel_basis_matches_rref(kind, data):
     with pytest.raises(SingularSystemError) as info:
         _dense_solve_exact(sparse_rows(matrix), rhs)
     assert info.value.column == max(c for c, x in enumerate(basis[0]) if x)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_oracle_solve_matches_fraction_reference(kind, data):
+    strategy = data.draw(st.sampled_from([systems, singular_systems]))
+    matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
+    try:
+        expected = fraction_solve(matrix, rhs)
+    except SingularSystemError as reference_error:
+        with pytest.raises(SingularSystemError) as info:
+            _dense_solve_exact(sparse_rows(matrix), list(rhs))
+        assert info.value.column == reference_error.column
+        return
+    got = _dense_solve_exact(sparse_rows(matrix), list(rhs))
+    assert got == expected
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_oracle_elimination_keeps_primitive_int_rows(kind, data):
+    strategy = data.draw(st.sampled_from([systems, singular_systems]))
+    matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
+    rows, int_rhs = _integer_rows(sparse_rows(matrix), rhs)
+    assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
+    pivots = _forward_eliminate(rows, int_rhs)
+    assert pivots == fraction_forward_eliminate(sparse_rows(matrix), list(rhs))
+    assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
+    for r, col in enumerate(pivots):
+        assert min(rows[r]) == col
 
 
 @given(systems(FLOAT_ENTRIES, 0.0))
@@ -257,11 +359,13 @@ CANCELLING = [[Fraction(1, 2), Fraction(1), Fraction(1, 3)],
 
 
 def test_oracle_elimination_deletes_exact_cancellations():
-    rows, rhs = sparse_rows(CANCELLING), [Fraction(1), Fraction(2), Fraction(3)]
-    pivots = _forward_eliminate(rows, list(rhs))
+    rhs = [Fraction(1), Fraction(2), Fraction(3)]
+    rows, int_rhs = _integer_rows(sparse_rows(CANCELLING), rhs)
+    pivots = _forward_eliminate(rows, int_rhs)
     assert pivots == [0, 1, 2]
-    assert rows[1] == {1: Fraction(-7, 4), 2: Fraction(-2, 3)}
-    assert all(v != 0 for row in rows for v in row.values())
+    # The primitive int row proportional to {1: -7/4, 2: -2/3}.
+    assert rows[1] in ({1: -21, 2: -8}, {1: 21, 2: 8})
+    assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
     got = _dense_solve_exact(sparse_rows(CANCELLING), list(rhs))
     assert got == reference_exact(CANCELLING, rhs) == _solve_exact(sparse_rows(CANCELLING), rhs)
     assert all(type(v) is Fraction for v in got)
@@ -272,8 +376,8 @@ def test_oracle_kernel_after_exact_cancellation():
     # Row 2 is row 0 plus row 1: after column 0 it cancels in column 1 and
     # then against row 1 in column 2, leaving column 1 free.
     matrix = CANCELLING[:2] + [[a + b for a, b in zip(CANCELLING[0], CANCELLING[1])]]
-    rows = sparse_rows(matrix)
-    assert _forward_eliminate(rows, [Fraction(0)] * 3) == [0, 2]
+    rows, zeros = _integer_rows(sparse_rows(matrix), [0] * 3)
+    assert _forward_eliminate(rows, zeros) == [0, 2]
     assert rows[2] == {}
     assert _kernel_basis(sparse_rows(matrix)) == rref_kernel(matrix) == [[-2, 1, 0]]
     with pytest.raises(SingularSystemError) as info:

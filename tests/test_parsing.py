@@ -32,6 +32,10 @@ class TestExpressionGrammar:
         ("(x1 + x2)*(x1 - x2)", Poly(2, {(2, 0): 1, (0, 2): -1})),
         ("1/2 x1^2 - 1", Poly(1, {(2,): Fraction(1, 2), (0,): -1})),
         ("+x2", Poly(2, {(0, 1): 1})),
+        ("x1*x1^2", Poly.monomial(1, (3,))),                # repeated variable
+        ("0*x1 + 1", Poly.constant(1, 1)),                  # zero term
+        ("x1 - x1", Poly.zero(1)),                          # cancellation across terms
+        ("2*x1*(x1 - 1/2)*x2", Poly(2, {(2, 1): 2, (1, 1): -1})),
     ])
     def test_accepted_forms(self, text, expected):
         assert parse_polynomial(text) == expected

@@ -25,6 +25,7 @@ from quadharm import (
     solve_dirichlet,
     solve_homogeneous,
 )
+from quadharm.bench import full_reference_solver
 from quadharm.verify import assemble_full_system
 from conftest import all_degree, random_fraction, random_poly, random_quadric
 
@@ -145,16 +146,22 @@ class TestNonIntegerAxisSquares:
             for alpha, value in zip(system.members, system.rhs):
                 assert value == 12 * rhs_source.d_alpha(alpha).coefficient((0, 0, 0))
 
-    def test_full_system_is_returned_in_fractions(self, rng):
-        # The oracles divide entries; ints would divide into floats.
+    def test_full_system_solves_divide_exactly(self, rng):
+        # The full system comes back as level_rows made it: int entries, and
+        # a plain 0 for a missing coefficient.  Both eliminations that read
+        # it divide, and ints must not divide into floats.
         q2 = NON_INTEGER_AXES.parts()[0]
-        rhs_source = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 4)})
-        # A missing coefficient must come back as Fraction(0), not 0.
-        sparse = Poly(3, {alpha: c for alpha, c in rhs_source.terms.items() if sum(alpha[:2]) != 2})
-        for source in (rhs_source, sparse):
-            _, rows, rhs = assemble_full_system(source, q2, 4)
-            assert all(type(v) is Fraction for row in rows for v in row.values())
-            assert all(type(v) is Fraction for v in rhs)
+        ph = Poly(3, {alpha: random_fraction(rng) for alpha in multi_indices(3, 6)})
+        # Its Laplacian lacks every coefficient with x1^2 x2^2 in it.
+        sparse = Poly(3, {alpha: c for alpha, c in ph.terms.items() if min(alpha[:2]) < 2})
+        for source in (ph, sparse):
+            _, rows, rhs = assemble_full_system(source.laplacian(), q2, 4)
+            assert all(type(v) is int for row in rows for v in row.values())
+            expected = solve_homogeneous(source, q2)
+            for solver in (full_reference_solver, lambda s, q: oracle_full_system(s, q, 4)):
+                got = solver(source, q2)
+                assert got == expected
+                assert all(type(c) is Fraction for c in got.terms.values())
         assert 0 in rhs
 
 

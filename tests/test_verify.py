@@ -81,6 +81,10 @@ class TestKernelProbe:
         assert witness == scale * x1
         assert not operator_is_bijective(hyper, 1)
 
+    def test_float_quadratic_is_probed_exactly(self):
+        hyper = Poly(2, {(2, 0): 1, (0, 2): -3})
+        assert operator_kernel(hyper.to_float(), 3) == operator_kernel(hyper, 3)
+
     def test_valid_surfaces_have_trivial_kernel(self, rng):
         for _ in range(6):
             n = rng.randint(2, 3)
