@@ -29,9 +29,9 @@ from .solver import (
     IllConditionedSystemError,
     SingularSystemError,
     SolveStats,
+    level_rows,
     solve_dirichlet,
 )
-from .verify import assemble_full_system
 
 CSV_HEADER = "n,m,kind,classes,full_ms,part_ms,ratio_pred,ratio_meas,nonzero_rhs_classes"
 
@@ -169,7 +169,8 @@ def full_reference_solver(ph: Poly, q2: Poly) -> Poly:
     solve_dirichlet(..., homogeneous_solver=...) for timing comparisons.
     """
     order = ph.degree() - 2
-    members, rows, rhs = assemble_full_system(ph.laplacian(), q2, order)
+    members = list(multi_indices(ph.n, order))
+    rows, rhs = level_rows(ph.laplacian(), q2, members)
     # Exact entries become ``Fraction``s: the elimination divides them.
     scalar = float if q2.is_float() else Fraction
     matrix = [[scalar(row.get(c, 0)) for c in range(len(rows))] for row in rows]

@@ -22,7 +22,7 @@ from .parsing import (
     parse_surface,
     poly_to_json_terms,
 )
-from .polynomial import DimensionMismatchError, Poly
+from .polynomial import MAX_VARIABLES, DimensionMismatchError
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
 from .solver import IllConditionedSystemError, solve_dirichlet
 from .verify import ORACLE_MAX_UNKNOWNS, verify_solution
@@ -264,6 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad usage, which matches the input-error code
         return int(exc.code or 0)
+    if args.dim is not None and args.dim > MAX_VARIABLES:
+        print(f"error: --dim {args.dim} is past the limit of {MAX_VARIABLES} variables",
+              file=sys.stderr)
+        return EXIT_INPUT
 
     try:
         if args.command == "solve":

@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from typing import Mapping
 
-from .polynomial import Poly, Scalar
+from .polynomial import MAX_VARIABLES, Poly, Scalar
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
 
 
@@ -184,12 +184,16 @@ def parse_polynomial(text: str, n: int | None = None) -> Poly:
 
     The dimension is the largest variable index present, raised to ``n``
     when that is larger.  A constant expression with no dimension hint
-    parses in dimension 1.
+    parses in dimension 1.  A variable index above ``MAX_VARIABLES`` is
+    refused before the parser allocates anything per variable.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression", 1)
-    max_var = max((t[1] for t in tokens if t[0] == "var"), default=0)
+    _, max_var, pos = max((t for t in tokens if t[0] == "var"),
+                          key=operator.itemgetter(1), default=("var", 0, 1))
+    if max_var > MAX_VARIABLES:
+        raise ParseError(f"x{max_var} is past the limit of {MAX_VARIABLES} variables", pos)
     dim = max(max_var, n or 0, 1)
     parser = _Parser(tokens, dim)
     poly = parser.parse_expr()
@@ -236,6 +240,9 @@ def parse_surface(source: str | Mapping, n: int | None = None) -> NonhyperbolicQ
         for key in ("a", "c"):
             if not isinstance(doc[key], list):
                 raise ParseError(f"surface key {key!r} must be a list, got {doc[key]!r}")
+            if len(doc[key]) > MAX_VARIABLES:
+                raise ParseError(f"surface key {key!r} has {len(doc[key])} entries, "
+                                 f"past the limit of {MAX_VARIABLES} variables")
         a = [_scalar_from_json(v) for v in doc["a"]]
         c = [_scalar_from_json(v) for v in doc["c"]]
         d = _scalar_from_json(doc["d"])

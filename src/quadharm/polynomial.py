@@ -45,6 +45,13 @@ def canonical_key(alpha: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(alpha), alpha)
 
 
+# The most variables a polynomial read from text, a surface document or the
+# command line may have.  ``multi_indices`` recurses once per variable, and
+# this many nested frames leave about 740 of CPython's default recursion
+# limit of 1000 to its callers.
+MAX_VARIABLES = 256
+
+
 def multi_indices(n: int, order: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices of the exact given order, descending lexicographic.
 

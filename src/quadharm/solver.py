@@ -267,82 +267,126 @@ def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]
     return lower, [max(row, default=-1) for row in rows]
 
 
-def _solve_exact(
-    matrix: Sequence[Mapping[int, Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction]:
-    """Band-limited Gaussian elimination on primitive integer rows.
+def _integer_rows(
+    rows: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Exact sparse rows as primitive int rows: each row and its right-hand
+    side times the lcm of their denominators, over the gcd of the results.
+    The system keeps its solutions, and the given rows are not changed."""
+    out_rows: list[dict[int, int]] = []
+    out_rhs: list[int] = []
+    for row, b in zip(rows, rhs):
+        values = [*row.values(), b]
+        den = math.lcm(*[v.denominator for v in values])
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        g = math.gcd(*nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+        out_rhs.append(nums.pop())
+        out_rows.append(dict(zip(row, nums)))
+    return out_rows, out_rhs
 
-    Each sparse row ``{column: entry}`` is expanded into a private dense
-    working row with its right-hand side appended as a last column, cleared
-    of denominators and divided by its content (the gcd of its entries).
-    Pivot row ``prow`` with pivot p turns a row with entry v below it into
-    (p/g)*row - (v/g)*prow, g = gcd(p, v), and the new row's content is
-    divided out again, so entries stay integers of modest size (unlike
-    Bareiss, no row outside the band is rewritten).  Only rows within the
-    lower bandwidth of the pivot and columns up to each row's last nonzero
-    are touched; both bounds come from the row keys.  Pivot choice: the
-    candidate of fewest bits (first row wins ties); the exact answer does
-    not depend on it.  Back-substitution sums each row over the common
-    denominator of the unknowns it meets and forms one ``Fraction`` per
-    unknown.
+
+def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
+    """Gaussian elimination in place on primitive sparse int rows
+    ``{column: nonzero int}``, as ``_integer_rows`` makes them.
+
+    Each column pivots on the stored entry of fewest bits among the rows
+    not yet used as pivots; the first such row wins ties.  Each later row
+    that stores the pivot column becomes (p/g)*row - (v/g)*pivot_row, where
+    p is the pivot, v the row's entry and g = gcd(p, v); then the content
+    of the new row and its right-hand side is divided out, so entries stay
+    small, and an entry that cancels to 0 is deleted.  Updates touch only
+    stored entries, so a banded system fills in only within its band.  A
+    column with no stored entry at or below the next pivot row stays free.
+    Returns the pivot columns: row i holds its pivot in column pivots[i]
+    and no entry left of it.  Pivot and free columns do not depend on the
+    pivot rule; the rule keeps the entries of the level systems small.
     """
-    size = len(rhs)
-    lower, last = _band_profile(matrix)
-    rows = []
-    for entries, b in zip(matrix, rhs):
-        # Star-arguments from a list, not a generator: a generator's tuple is
-        # grown by resizing, which strands one tuple per call on the
-        # interpreter's free lists (1.5 MB of peak RSS on exact-homogeneous).
-        den = math.lcm(b.denominator, *[v.denominator for v in entries.values()])
-        row = [0] * (size + 1)
-        for c, v in entries.items():
-            row[c] = v.numerator * (den // v.denominator)
-        row[size] = b.numerator * (den // b.denominator)
-        g = math.gcd(*row)
-        rows.append([v // g for v in row] if g > 1 else row)
+    size = len(rows)
+    pivots: list[int] = []
     for col in range(size):
-        end = min(col + lower + 1, size)
-        best_row = -1
-        best_bits = 0
-        for r in range(col, end):
-            v = rows[r][col]
-            if v and (best_row < 0 or v.bit_length() < best_bits):
-                best_row, best_bits = r, v.bit_length()
-        if best_row < 0:
-            raise SingularSystemError(
-                f"singular system at column {col}; the operator should be bijective",
-                column=col,
-            )
-        if best_row != col:
-            rows[col], rows[best_row] = rows[best_row], rows[col]
-            last[col], last[best_row] = last[best_row], last[col]
-        prow = rows[col]
+        top = len(pivots)
+        pivot_row, bits = -1, 0
+        for r in range(top, size):
+            v = rows[r].get(col)
+            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
+                pivot_row, bits = r, v.bit_length()
+        if pivot_row < 0:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
+        prow = rows[top]
         pivot = prow[col]
-        for r in range(col + 1, end):
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        top_rhs = rhs[top]
+        for r in range(top + 1, size):
             row = rows[r]
-            v = row[col]
-            if not v:
+            v = row.pop(col, None)
+            if v is None:
                 continue
             g = math.gcd(pivot, v)
-            p, v = pivot // g, v // g
-            hi = last[r] = max(last[r], last[col])
-            row[col] = 0
-            new = [p * x - v * y for x, y in zip(row[col + 1:hi + 1], prow[col + 1:hi + 1])]
-            b = p * row[size] - v * prow[size]
-            g = math.gcd(*new, b)
+            a, b = pivot // g, v // g
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, pv in tail:
+                new = row.get(c, 0) - b * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            b_r = a * rhs[r] - b * top_rhs
+            g = math.gcd(*row.values(), b_r)
             if g > 1:
-                new = [x // g for x in new]
-                b //= g
-            row[col + 1:hi + 1] = new
-            row[size] = b
-    out: list[Fraction] = [Fraction(0)] * size
-    for r in range(size - 1, -1, -1):
-        row = rows[r]
-        known = [(row[c], out[c]) for c in range(r + 1, last[r] + 1) if row[c] and out[c]]
-        den = math.lcm(*[x.denominator for _, x in known])
-        num = row[size] * den - sum(a * x.numerator * (den // x.denominator) for a, x in known)
-        out[r] = Fraction(num, den * row[r])
+                row = {c: x // g for c, x in row.items()}
+                b_r //= g
+            rows[r] = row
+            rhs[r] = b_r
+        pivots.append(col)
+    return pivots
+
+
+def _back_substitute(
+    rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[Fraction]
+) -> list[Fraction]:
+    """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value.
+
+    Each row's sum is kept as an int numerator over the lcm of the
+    denominators it has met, and reduced once, into the unknown's
+    ``Fraction``.
+    """
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        num, den = rhs[r], 1
+        for c, v in rows[r].items():
+            x = out[c]
+            if c != col and x:
+                d = x.denominator
+                if d != den:
+                    lcm = den // math.gcd(den, d) * d
+                    num *= lcm // den
+                    den = lcm
+                num -= v * x.numerator * (den // d)
+        out[col] = Fraction(num, den * rows[r][col])
     return out
+
+
+def _solve_exact(
+    matrix: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
+) -> list[Fraction]:
+    """Solve sparse exact rows ``{column: nonzero entry}``: the class
+    systems, the full-system oracle and the operator-matrix oracle all come
+    here.  A singular system raises with its first free column."""
+    rows, b = _integer_rows(matrix, rhs)
+    pivots = _forward_eliminate(rows, b)
+    if len(pivots) < len(b):
+        col = min(set(range(len(b))).difference(pivots))
+        raise SingularSystemError(
+            f"singular system at column {col}; the operator should be bijective",
+            column=col,
+        )
+    return _back_substitute(rows, b, pivots, [Fraction(0)] * len(b))
 
 
 def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) -> list[float]:

@@ -11,17 +11,17 @@ Two cross-check routes exist beside the production solver:
   products, and solves that.  Agreement with the production path is strong
   evidence against a shared derivation bug.
 
-Both oracles and the kernel probe ``operator_kernel`` share one textbook
-elimination (first nonzero pivot, free columns kept free, then
-back-substitution) rather than the solver's tuned routine.  It works on
-sparse primitive integer rows ``{column: nonzero int}`` and touches only
-stored entries; the operator matrix has about ten nonzeros per column.
-``Fraction`` arithmetic is left to the back-substitution.
+Both oracles and the kernel probe ``operator_kernel`` eliminate with the
+solver's own exact routine, on sparse primitive integer rows.  The exact
+answer does not depend on how it is eliminated, so the operator-matrix
+oracle's independence lies in its matrix, which is built from polynomial
+products and never from ``level_rows``.  ``verify_solution`` itself
+eliminates nothing: the split p = h + q*f is unique, so laplacian(h) = 0
+and p - h - q*f = 0 certify an exact answer.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +35,15 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import HarmonicDecomposition, SingularSystemError, _numerators, level_rows
+from .solver import (
+    HarmonicDecomposition,
+    _back_substitute,
+    _forward_eliminate,
+    _integer_rows,
+    _numerators,
+    _solve_exact,
+    level_rows,
+)
 
 # Float checks allow this many units of rounding per coefficient, times
 # (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a
@@ -68,117 +76,6 @@ class VerificationReport:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False
 
 
-def _integer_rows(
-    rows: list[dict[int, Scalar | int]], rhs: list[Scalar | int]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Exact sparse rows as primitive int rows: each row and its right-hand
-    side times the lcm of their denominators, over the gcd of the results.
-    The system keeps its solutions."""
-    out_rows: list[dict[int, int]] = []
-    out_rhs: list[int] = []
-    for row, b in zip(rows, rhs):
-        values = [*row.values(), b]
-        den = math.lcm(*[v.denominator for v in values])
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        g = math.gcd(*nums)
-        if g > 1:
-            nums = [v // g for v in nums]
-        out_rhs.append(nums.pop())
-        out_rows.append(dict(zip(row, nums)))
-    return out_rows, out_rhs
-
-
-def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
-    """Plain textbook elimination in place, first nonzero pivot; independent
-    of the production solver's pivot strategy on purpose.
-
-    Rows are primitive sparse int rows, ``{column: nonzero int}``, as
-    ``_integer_rows`` makes them.  Each later row that stores the pivot
-    column becomes (p/g)*row - (v/g)*pivot_row, where p is the pivot, v the
-    row's entry and g = gcd(p, v); then the content of the new row and its
-    right-hand side is divided out, so entries stay small, and an entry
-    that cancels to 0 is deleted.  A column with no stored entry at or
-    below the next pivot row stays free.  Returns the pivot columns: row i
-    holds its pivot in column pivots[i] and no entry left of it.
-    """
-    size = len(rows)
-    pivots: list[int] = []
-    for col in range(size):
-        top = len(pivots)
-        pivot_row = next((r for r in range(top, size) if col in rows[r]), -1)
-        if pivot_row < 0:
-            continue
-        if pivot_row != top:
-            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
-            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
-        prow = rows[top]
-        pivot = prow[col]
-        tail = [(c, v) for c, v in prow.items() if c != col]
-        top_rhs = rhs[top]
-        for r in range(top + 1, size):
-            row = rows[r]
-            v = row.pop(col, None)
-            if v is None:
-                continue
-            g = math.gcd(pivot, v)
-            a, b = pivot // g, v // g
-            if a != 1:
-                row = {c: a * x for c, x in row.items()}
-            for c, pv in tail:
-                new = row.get(c, 0) - b * pv
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
-            b_r = a * rhs[r] - b * top_rhs
-            g = math.gcd(*row.values(), b_r)
-            if g > 1:
-                row = {c: x // g for c, x in row.items()}
-                b_r //= g
-            rows[r] = row
-            rhs[r] = b_r
-        pivots.append(col)
-    return pivots
-
-
-def _back_substitute(
-    rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[Fraction]
-) -> list[Fraction]:
-    """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value.
-
-    Each row's sum is kept as an int numerator over the lcm of the
-    denominators it has met, and reduced once, into the unknown's
-    ``Fraction``.
-    """
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        num, den = rhs[r], 1
-        for c, v in rows[r].items():
-            x = out[c]
-            if c != col and x:
-                d = x.denominator
-                if d != den:
-                    lcm = den // math.gcd(den, d) * d
-                    num *= lcm // den
-                    den = lcm
-                num -= v * x.numerator * (den // d)
-        out[col] = Fraction(num, den * rows[r][col])
-    return out
-
-
-def _dense_solve_exact(rows: list[dict[int, Scalar | int]], rhs: list[Scalar | int]) -> list[Fraction]:
-    """Solve the whole system at once (no partition) on sparse exact rows."""
-    rows, rhs = _integer_rows(rows, rhs)
-    pivots = _forward_eliminate(rows, rhs)
-    if len(pivots) < len(rhs):
-        col = min(set(range(len(rhs))).difference(pivots))
-        raise SingularSystemError(
-            f"oracle system singular at column {col}; the operator should be bijective",
-            column=col,
-        )
-    return _back_substitute(rows, rhs, pivots, [Fraction(0)] * len(rhs))
-
-
 def _kernel_basis(rows: list[dict[int, Scalar | int]]) -> list[list[Fraction]]:
     """Null space basis of sparse exact rows: per free column, in order,
     that unknown set to 1, the other free unknowns to 0, and the pivot
@@ -193,29 +90,12 @@ def _kernel_basis(rows: list[dict[int, Scalar | int]]) -> list[list[Fraction]]:
     return basis
 
 
-def assemble_full_system(
-    rhs_source: Poly, q2: Poly, order: int
-) -> tuple[list[tuple[int, ...]], list[dict[int, Scalar]], list[Scalar]]:
-    """One system over all order-m multi-indices, no parity partition.
-
-    Returns (members, rows, rhs): sparse rows ``{column: nonzero entry}``
-    and right-hand sides as ``level_rows`` makes them (exact entries are
-    ints), in canonical member order.  Shared by the full-system oracle and
-    by the benchmark's unpartitioned reference path, which differ only in
-    how they eliminate.
-    """
-    members = list(multi_indices(rhs_source.n, order))
-    rows, rhs = level_rows(rhs_source, q2, members)
-    return members, rows, rhs
-
-
 def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
     """Level solve without the parity partition (same equations, one matrix).
 
     Solves for all constants D^alpha f, |alpha| = order, in a single
-    system by the textbook elimination and rebuilds f.  Drop-in replacement
-    for the homogeneous solver, used to check that partitioning changes
-    nothing.
+    system and rebuilds f.  Drop-in replacement for the homogeneous solver,
+    used to check that partitioning changes nothing.
     """
     if ph.n != q2.n:
         raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
@@ -225,8 +105,9 @@ def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
         return Poly.zero(n)
     if order != deg - 2:
         raise ValueError(f"order {order} does not match boundary degree {deg}")
-    members, rows, rhs = assemble_full_system(ph.laplacian(), q2, order)
-    values = _dense_solve_exact(rows, rhs)
+    members = list(multi_indices(n, order))
+    rows, rhs = level_rows(ph.laplacian(), q2, members)
+    values = _solve_exact(rows, rhs)
     return taylor_reconstruct(order, dict(zip(members, values)), n)
 
 
@@ -275,7 +156,7 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
     rows, basis = _operator_matrix(q_num, order)
     lap = p.laplacian()
     rhs = [den * lap.coefficient(alpha) for alpha in basis]
-    values = _dense_solve_exact(rows, rhs)
+    values = _solve_exact(rows, rhs)
     f = Poly(n, {alpha: v for alpha, v in zip(basis, values) if v != 0})
     return HarmonicDecomposition(h=p - q_poly * f, f=f, p=p, q=quadric)
 

@@ -16,6 +16,7 @@ from quadharm.cli import (
     EXIT_VERIFY,
     main,
 )
+from quadharm.polynomial import MAX_VARIABLES
 from quadharm.solver import IllConditionedSystemError
 from quadharm.verify import ORACLE_MAX_UNKNOWNS
 
@@ -180,6 +181,30 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--boundary", "x1^7")
         assert code == EXIT_INPUT and "needs 56 unknowns" in err
         assert run(capsys, *argv[:-1], "--boundary", "x1^7")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ("--boundary", "x99999999999999999999^2", "--surface", "x1^2 + x2^2 + x3^2 - 1"),
+        ("--boundary", "x1200^2", "--surface", "x1^2 + x2^2 + x3^2 - 1"),
+        ("--boundary", "x1^4", "--surface", "x1^2 + x2^2 + x3^2 - 1", "--dim", "1200"),
+        ("--boundary", "x1^2", "--surface", json.dumps({"a": [1] * 1200, "c": [0] * 1200, "d": -1})),
+    ])
+    def test_too_many_variables_exit_two_before_any_work(self, capsys, monkeypatch, argv):
+        import quadharm.parsing
+
+        parser = quadharm.parsing._Parser
+
+        def small_parser(tokens, n):
+            assert n <= MAX_VARIABLES, "the parser allocated per variable"
+            return parser(tokens, n)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an input over the limit")
+
+        monkeypatch.setattr("quadharm.parsing._Parser", small_parser)
+        monkeypatch.setattr("quadharm.cli.solve_dirichlet", forbidden)
+        code, out, err = run(capsys, "solve", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"past the limit of {MAX_VARIABLES} variables" in err
 
     def test_ill_conditioned_exits_four(self, capsys, monkeypatch):
         def fake_solve(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""The band-limited elimination kernels against dense reference loops."""
+"""The exact and float elimination kernels against reference loops."""
 
 import math
 from fractions import Fraction
@@ -15,14 +15,14 @@ from quadharm import (
     operator_is_bijective,
     operator_kernel,
 )
-from quadharm.solver import FLOAT_PIVOT_RTOL, _solve_exact, _solve_float
-from quadharm.verify import (
-    _dense_solve_exact,
+from quadharm.solver import (
+    FLOAT_PIVOT_RTOL,
     _forward_eliminate,
     _integer_rows,
-    _kernel_basis,
-    _operator_matrix,
+    _solve_exact,
+    _solve_float,
 )
+from quadharm.verify import _kernel_basis, _operator_matrix
 from conftest import fractions_st
 
 
@@ -238,26 +238,6 @@ FLOAT_ENTRIES = st.one_of(
 
 @pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
 @given(data=st.data())
-def test_exact_kernel_matches_dense_oracle(kind, data):
-    matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
-    expected = reference_exact(matrix, rhs)
-    assume(expected is not None)
-    got = _solve_exact(sparse_rows(matrix), rhs)
-    assert got == expected
-    assert all(type(v) is Fraction for v in got)
-
-
-@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
-@given(data=st.data())
-def test_exact_kernel_raises_on_singular_systems(kind, data):
-    matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES[kind]))
-    with pytest.raises(SingularSystemError) as info:
-        _solve_exact(sparse_rows(matrix), rhs)
-    assert 0 <= info.value.column < len(rhs)
-
-
-@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
-@given(data=st.data())
 def test_oracle_kernel_basis_matches_rref(kind, data):
     matrix, rhs = as_fractions(*data.draw(singular_systems(EXACT_ENTRIES[kind])))
     expected = rref_kernel(matrix)
@@ -268,23 +248,25 @@ def test_oracle_kernel_basis_matches_rref(kind, data):
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
     # The solve names the first free column, the last nonzero of basis[0].
     with pytest.raises(SingularSystemError) as info:
-        _dense_solve_exact(sparse_rows(matrix), rhs)
+        _solve_exact(sparse_rows(matrix), rhs)
     assert info.value.column == max(c for c, x in enumerate(basis[0]) if x)
 
 
 @pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
 @given(data=st.data())
 def test_oracle_solve_matches_fraction_reference(kind, data):
+    # The one exact solve, used by the class systems and both oracles, on
+    # int or Fraction entries as drawn; the reference gets Fractions.
     strategy = data.draw(st.sampled_from([systems, singular_systems]))
-    matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
+    matrix, rhs = data.draw(strategy(EXACT_ENTRIES[kind]))
     try:
-        expected = fraction_solve(matrix, rhs)
+        expected = fraction_solve(*as_fractions(matrix, rhs))
     except SingularSystemError as reference_error:
         with pytest.raises(SingularSystemError) as info:
-            _dense_solve_exact(sparse_rows(matrix), list(rhs))
+            _solve_exact(sparse_rows(matrix), rhs)
         assert info.value.column == reference_error.column
         return
-    got = _dense_solve_exact(sparse_rows(matrix), list(rhs))
+    got = _solve_exact(sparse_rows(matrix), rhs)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
 
@@ -301,6 +283,16 @@ def test_oracle_elimination_keeps_primitive_int_rows(kind, data):
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
     for r, col in enumerate(pivots):
         assert min(rows[r]) == col
+
+
+def test_pivot_is_the_entry_of_fewest_bits():
+    rows, rhs = [{0: 12, 1: 1}, {0: 1, 1: 1}], [1, 2]
+    assert _forward_eliminate(rows, rhs) == [0, 1]
+    assert (rows, rhs) == ([{0: 1, 1: 1}, {1: -11}], [2, -23])
+    # 3 and -2 both have two bits: the first row keeps the pivot.
+    rows, rhs = [{0: 3, 1: 1}, {0: -2, 1: 1}], [1, 2]
+    assert _forward_eliminate(rows, rhs) == [0, 1]
+    assert (rows, rhs) == ([{0: 3, 1: 1}, {1: 5}], [1, 8])
 
 
 @given(systems(FLOAT_ENTRIES, 0.0))
@@ -345,7 +337,7 @@ def test_oracle_singular_system_carries_column():
               [Fraction(1), Fraction(2), Fraction(-1, 3)],
               [Fraction(0), Fraction(0), Fraction(5, 7)]]
     with pytest.raises(SingularSystemError) as info:
-        _dense_solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
+        _solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
     assert info.value.column == 1
     assert "column 1" in str(info.value)
 
@@ -366,8 +358,8 @@ def test_oracle_elimination_deletes_exact_cancellations():
     # The primitive int row proportional to {1: -7/4, 2: -2/3}.
     assert rows[1] in ({1: -21, 2: -8}, {1: 21, 2: 8})
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
-    got = _dense_solve_exact(sparse_rows(CANCELLING), list(rhs))
-    assert got == reference_exact(CANCELLING, rhs) == _solve_exact(sparse_rows(CANCELLING), rhs)
+    got = _solve_exact(sparse_rows(CANCELLING), rhs)
+    assert got == reference_exact(CANCELLING, rhs)
     assert all(type(v) is Fraction for v in got)
     assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(CANCELLING, rhs))
 
@@ -381,7 +373,7 @@ def test_oracle_kernel_after_exact_cancellation():
     assert rows[2] == {}
     assert _kernel_basis(sparse_rows(matrix)) == rref_kernel(matrix) == [[-2, 1, 0]]
     with pytest.raises(SingularSystemError) as info:
-        _dense_solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
+        _solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
     assert info.value.column == 1
 
 

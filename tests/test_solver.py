@@ -26,7 +26,7 @@ from quadharm import (
     solve_homogeneous,
 )
 from quadharm.bench import full_reference_solver
-from quadharm.verify import assemble_full_system
+from quadharm.solver import level_rows
 from conftest import all_degree, random_fraction, random_poly, random_quadric
 
 
@@ -155,7 +155,7 @@ class TestNonIntegerAxisSquares:
         # Its Laplacian lacks every coefficient with x1^2 x2^2 in it.
         sparse = Poly(3, {alpha: c for alpha, c in ph.terms.items() if min(alpha[:2]) < 2})
         for source in (ph, sparse):
-            _, rows, rhs = assemble_full_system(source.laplacian(), q2, 4)
+            rows, rhs = level_rows(source.laplacian(), q2, list(multi_indices(3, 4)))
             assert all(type(v) is int for row in rows for v in row.values())
             expected = solve_homogeneous(source, q2)
             for solver in (full_reference_solver, lambda s, q: oracle_full_system(s, q, 4)):
