@@ -238,6 +238,26 @@ FLOAT_ENTRIES = st.one_of(
 
 @pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
 @given(data=st.data())
+def test_exact_kernel_matches_dense_oracle(kind, data):
+    matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
+    expected = reference_exact(matrix, rhs)
+    assume(expected is not None)
+    got = _solve_exact(sparse_rows(matrix), rhs)
+    assert got == expected
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_exact_kernel_raises_on_singular_systems(kind, data):
+    matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES[kind]))
+    with pytest.raises(SingularSystemError) as info:
+        _solve_exact(sparse_rows(matrix), rhs)
+    assert 0 <= info.value.column < len(rhs)
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
 def test_oracle_kernel_basis_matches_rref(kind, data):
     matrix, rhs = as_fractions(*data.draw(singular_systems(EXACT_ENTRIES[kind])))
     expected = rref_kernel(matrix)
