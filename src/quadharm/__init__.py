@@ -11,7 +11,6 @@ arithmetic, or in floats for speed.
 from .polynomial import (
     DimensionMismatchError,
     Poly,
-    laplacian_product,
     multi_indices,
     multi_indices_upto,
     product_diff_linear,
@@ -62,7 +61,6 @@ __all__ = [
     "VerificationReport",
     "assemble_class_systems",
     "format_polynomial",
-    "laplacian_product",
     "multi_indices",
     "multi_indices_upto",
     "operator_is_bijective",

@@ -261,7 +261,9 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 def record_to_text(record: BenchRecord) -> str:
     """Census, predictions and timings, then one line per level of
-    ``record.stats`` (the first, cold solve of ``run_comparison``)."""
+    ``record.stats`` (the first solve of ``run_comparison``).  A float line
+    counts the classes solved from factors stored by earlier solves in the
+    process; an exact line gives the carry's bit lengths."""
     n, m = record.n, record.m
     census = class_census(n, m)
     lines = [
@@ -292,5 +294,7 @@ def record_to_text(record: BenchRecord) -> str:
             )
             if lv.carry_den_bits is not None:
                 line += f", carry bits {lv.carry_num_bits} over {lv.carry_den_bits}"
+            else:
+                line += f", {lv.factor_hits} from stored factors"
             lines.append(line)
     return "\n".join(lines)

@@ -11,6 +11,10 @@ Expression grammar (whitespace-insensitive, '*' optional):
 Coefficients are integers or integer ratios; exponents are nonnegative
 integers.  ``format_polynomial`` emits this grammar back, so exact-mode
 polynomials round-trip through their printed form.
+
+Two limits keep every input a ``ParseError`` rather than a crash: a digit
+run (coefficient, index or exponent) has at most ``MAX_LITERAL_DIGITS``
+digits, and parentheses nest at most ``MAX_NESTING_DEPTH`` deep.
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+# A longer digit run is refused: CPython converts at most 4,300 digits of
+# a string to an int.
+MAX_LITERAL_DIGITS = 1000
+
+# Deeper parentheses are refused before the parser recurses; each level
+# takes two frames of the interpreter's recursion limit (1,000 by default).
+MAX_NESTING_DEPTH = 300
+
 # Whitespace matches no named group; any other character matches "bad".
 _TOKEN_RE = re.compile(r"\s+|x(?P<var>\d+)|(?P<int>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)", re.DOTALL)
 
@@ -51,6 +63,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif kind == "bad":
             raise ParseError(f"unexpected character {value!r}", pos)
         else:
+            if len(value) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"a number of {len(value)} digits is past the limit "
+                                 f"of {MAX_LITERAL_DIGITS} digits", pos)
             value = int(value)
             if kind == "var" and value == 0:
                 raise ParseError("variable indices start at x1", pos)
@@ -63,6 +78,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.n = n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -120,7 +136,17 @@ class _Parser:
             elif kind == "var":
                 exponents[value - 1] += self.parse_power()
             elif kind == "op" and value == "(":
-                inner = self.parse_group()
+                if self.depth == MAX_NESTING_DEPTH:
+                    raise ParseError("parentheses nest deeper than the limit of "
+                                     f"{MAX_NESTING_DEPTH}", pos)
+                self.advance()
+                self.depth += 1
+                inner = self.parse_expr()
+                self.depth -= 1
+                if not self.at_op(")"):
+                    tok = self.peek()
+                    raise ParseError("expected ')'", tok[2] if tok else self.end_position())
+                self.advance()
                 group = inner if group is None else group * inner
             else:
                 raise ParseError("expected a number, variable, or '('", pos)
@@ -169,15 +195,6 @@ class _Parser:
         self.advance()
         return exp_tok[1]
 
-    def parse_group(self) -> Poly:
-        self.advance()
-        inner = self.parse_expr()
-        if not self.at_op(")"):
-            tok = self.peek()
-            raise ParseError("expected ')'", tok[2] if tok else self.end_position())
-        self.advance()
-        return inner
-
 
 def parse_polynomial(text: str, n: int | None = None) -> Poly:
     """Parse an expression into an exact Poly.
@@ -204,6 +221,8 @@ def parse_polynomial(text: str, n: int | None = None) -> Poly:
 
 
 def _scalar_from_json(value) -> Fraction:
+    """A rational from JSON: an int, or a string such as "-7/3", "12" or
+    "1.25e-09", read exactly."""
     if isinstance(value, bool):
         raise ParseError(f"expected a rational value, got {value!r}")
     if isinstance(value, int):
@@ -229,9 +248,11 @@ def parse_surface(source: str | Mapping, n: int | None = None) -> NonhyperbolicQ
     else:
         stripped = source.strip()
         if stripped.startswith("{"):
+            # A JSON number past CPython's int conversion limit raises a
+            # plain ValueError, not a JSONDecodeError.
             try:
                 doc = json.loads(stripped)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad surface document: {exc}") from None
         else:
             poly = parse_polynomial(source, n)
@@ -318,12 +339,6 @@ def scalar_to_json(c: Scalar) -> str:
     if isinstance(c, float):
         return repr(c)
     return f"{c.numerator}/{c.denominator}"
-
-
-def scalar_from_json(text: str) -> Scalar:
-    if re.fullmatch(r"-?\d+(/\d+)?", text):
-        return Fraction(text)
-    return float(text)
 
 
 def poly_to_json_terms(p: Poly) -> list[dict]:

@@ -386,20 +386,6 @@ def taylor_reconstruct(
     return Poly._raw(n, out)
 
 
-def laplacian_product(q: Poly, p: Poly) -> Poly:
-    """Laplacian of a product via the product rule.
-
-    Returns p*lap(q) + q*lap(p) + 2*grad(q).grad(p), which equals
-    laplacian(q*p) for every pair of polynomials.
-    """
-    if q.n != p.n:
-        raise DimensionMismatchError(f"operands have dimensions {q.n} and {p.n}")
-    out = p * q.laplacian() + q * p.laplacian()
-    for j in range(q.n):
-        out = out + 2 * (q.partial(j) * p.partial(j))
-    return out
-
-
 def product_diff_linear(g: Poly, f: Poly, alpha: Iterable[int]) -> Poly:
     """D^alpha(g*f) for g of degree at most 1, without forming the product.
 

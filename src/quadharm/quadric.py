@@ -13,7 +13,6 @@ unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -28,28 +27,43 @@ def _fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
 class NonhyperbolicQuadratic:
-    """q(x) = sum a_j x_j^2 + sum c_j x_j + d with a_j >= 0, some a_j > 0."""
+    """q(x) = sum a_j x_j^2 + sum c_j x_j + d with a_j >= 0, some a_j > 0.
 
-    a: tuple[Fraction, ...]
-    c: tuple[Fraction, ...]
-    d: Fraction
+    The coefficients are stored as ``Fraction``s, ``a`` and ``c`` as
+    tuples.  Instances are immutable, and compare and hash by (a, c, d).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _fractions(self.a))
-        object.__setattr__(self, "c", _fractions(self.c))
-        object.__setattr__(self, "d", Fraction(self.d))
-        if len(self.a) != len(self.c):
+    def __init__(self, a: Iterable, c: Iterable, d):
+        a, c, d = _fractions(a), _fractions(c), Fraction(d)
+        if len(a) != len(c):
             raise InvalidQuadricError(
-                f"coefficient vectors have lengths {len(self.a)} and {len(self.c)}"
+                f"coefficient vectors have lengths {len(a)} and {len(c)}"
             )
-        if len(self.a) < 2:
+        if len(a) < 2:
             raise InvalidQuadricError("surface dimension must be at least 2")
-        if any(aj < 0 for aj in self.a):
+        if any(aj < 0 for aj in a):
             raise InvalidQuadricError("square coefficients must be nonnegative")
-        if all(aj == 0 for aj in self.a):
+        if all(aj == 0 for aj in a):
             raise InvalidQuadricError("at least one square coefficient must be positive")
+        vars(self).update(a=a, c=c, d=d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.c, self.d) == (other.a, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.c, self.d))
+
+    def __repr__(self):
+        return f"NonhyperbolicQuadratic(a={self.a!r}, c={self.c!r}, d={self.d!r})"
 
     @property
     def n(self) -> int:

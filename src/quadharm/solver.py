@@ -38,10 +38,11 @@ the Taylor rebuild).  Float mode runs the same pass with denominator 1.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from array import array
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .polynomial import (
     DimensionMismatchError,
@@ -109,8 +110,7 @@ def _parity_groups(n: int, order: int) -> dict[tuple[int, ...], list[tuple[int, 
     return {key: groups[key] for key in sorted(groups, key=canonical_key, reverse=True)}
 
 
-@dataclass(frozen=True)
-class ClassSystem:
+class ClassSystem(NamedTuple):
     """One parity block of the level-m linear system.
 
     Rows and columns follow ``members`` (canonical order, highest first).
@@ -132,8 +132,7 @@ class ClassSystem:
         return any(v != 0 for v in self.rhs)
 
 
-@dataclass(frozen=True)
-class HarmonicDecomposition:
+class HarmonicDecomposition(NamedTuple):
     """Result pair (h, f) with p = h + q*f and laplacian(h) = 0."""
 
     h: Poly
@@ -142,13 +141,16 @@ class HarmonicDecomposition:
     q: NonhyperbolicQuadratic
 
 
-@dataclass
-class LevelStats:
+class LevelStats(NamedTuple):
     """Instrumentation for one cascade level (carry of one degree).
 
-    In exact mode ``carry_den_bits`` and ``carry_num_bits`` are the bit
-    lengths of the denominator the carry is held over and of its largest
-    integer numerator; they stay None in float mode.
+    ``assemble_ms`` covers the right-hand sides and the matrices built,
+    ``solve_ms`` the eliminations and substitutions.  ``factor_hits``
+    counts the classes that float mode solved from stored factors (see
+    ``_FloatFactorCache``); exact mode stores none.  In exact mode
+    ``carry_den_bits`` and ``carry_num_bits`` are the bit lengths of the
+    denominator the carry is held over and of its largest integer
+    numerator; they stay None in float mode.
     """
 
     carry_degree: int
@@ -161,11 +163,22 @@ class LevelStats:
     solve_ms: float
     carry_den_bits: int | None = None
     carry_num_bits: int | None = None
+    factor_hits: int = 0
 
 
-@dataclass
 class SolveStats:
-    levels: list[LevelStats] = field(default_factory=list)
+    """The ``LevelStats`` of the levels a solve ran, top degree first."""
+
+    def __init__(self, levels: list[LevelStats] | None = None):
+        self.levels = [] if levels is None else levels
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.levels == other.levels
+
+    def __repr__(self):
+        return f"SolveStats(levels={self.levels!r})"
 
     def max_nonzero_rhs_classes(self) -> int:
         return max((lv.nonzero_rhs_classes for lv in self.levels), default=0)
@@ -199,6 +212,15 @@ def level_rows(
     (see ``ClassSystem``), and are ints when ``rhs_source`` has int
     coefficients.
     """
+    rows, scale, zero = _level_matrix(q2, members)
+    return rows, _level_rhs(rhs_source, members, scale, zero)
+
+
+def _level_matrix(
+    q2: Poly, members: Sequence[tuple[int, ...]]
+) -> tuple[list[dict[int, Scalar | int]], int, Scalar]:
+    """The rows of ``level_rows``, the scale L of its exact mode (1 in
+    float mode) and the zero of its mode."""
     n = q2.n
     if q2.is_float():
         zero, scale = 0.0, 1
@@ -211,7 +233,6 @@ def level_rows(
     two_s = 2 * sum(a, zero)
     col = {alpha: i for i, alpha in enumerate(members)}
     rows = []
-    rhs = []
     for i, alpha in enumerate(members):
         diag = two_s
         for j, aj in enumerate(alpha):
@@ -232,8 +253,18 @@ def level_rows(
                     row[col[tuple(beta)]] = w
         row[i] = diag
         rows.append(row)
-        rhs.append(rhs_source.coefficient(alpha) * (multi_factorial(alpha) * scale) + zero)
-    return rows, rhs
+    return rows, scale, zero
+
+
+def _level_rhs(rhs_source: Poly, members: Sequence[tuple[int, ...]], scale: int,
+               zero: Scalar) -> list[Scalar]:
+    """D^alpha(rhs_source) at the origin times ``scale`` for each alpha in
+    ``members``: alpha! times the x^alpha coefficient; adding ``zero``
+    makes float mode's values floats.  A zero coefficient gives ``zero``
+    without the factorial."""
+    coefficient = rhs_source.terms.get
+    return [c * (multi_factorial(alpha) * scale) + zero if (c := coefficient(alpha)) else zero
+            for alpha in members]
 
 
 def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[ClassSystem]:
@@ -389,18 +420,25 @@ def _solve_exact(
     return _back_substitute(rows, b, pivots, [Fraction(0)] * len(b))
 
 
-def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) -> list[float]:
-    """Partial-pivoting elimination; small pivots raise instead of smearing.
+def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
+    """Partial-pivoting LU factors of sparse float rows; small pivots raise
+    instead of smearing.
 
     Expands each sparse row into a private dense working row and keeps to
     the band like ``_solve_exact``.  The entries it skips are exact zeros,
     so it performs, in the same order, every floating-point operation of a
-    dense partial-pivoting loop that can change a finite value, and returns
-    the same bits.  An unknown that overflows (a subnormal pivot passes the
-    relative test) raises: past it the dense loop's 0 * inf products turn
-    other unknowns into NaN where the band skips them.
+    dense partial-pivoting loop that can change a finite value.  Returns
+    six arrays, each of exactly its length:
+
+    * ``pivot_rows``: column col swapped rows col and pivot_rows[col];
+    * ``l_start``, ``l_rows``, ``l_factors``: then, for i from l_start[col]
+      to l_start[col + 1], row l_rows[i] lost l_factors[i] times row col,
+      only for the rows that held a nonzero in column col;
+    * ``u_start``, ``u_values``: row r of U is u_values[u_start[r]:u_start[r + 1]],
+      from its diagonal to the last column its updates reached, zeros
+      included.
     """
-    size = len(rhs)
+    size = len(matrix)
     lower, last = _band_profile(matrix)
     rows = []
     for entries in matrix:
@@ -408,7 +446,8 @@ def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) ->
         for c, v in entries.items():
             row[c] = v
         rows.append(row)
-    rhs = list(rhs)
+    pivot_rows, l_start, l_rows, l_factors = [], [0], [], []
+    keep_row, keep_factor = l_rows.append, l_factors.append
     for col in range(size):
         end = min(col + lower + 1, size)
         best_row = col
@@ -427,9 +466,9 @@ def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) ->
                 row_max=row_max,
                 ratio=abs(pivot) / row_max if row_max else 0.0,
             )
+        pivot_rows.append(best_row)
         if best_row != col:
             rows[col], rows[best_row] = prow, rows[col]
-            rhs[col], rhs[best_row] = rhs[best_row], rhs[col]
             last[col], last[best_row] = last[best_row], last[col]
         for r in range(col + 1, end):
             row = rows[r]
@@ -441,21 +480,96 @@ def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) ->
             hi = last[r] = max(last[r], last[col])
             for c in range(col + 1, hi + 1):
                 row[c] -= factor * prow[c]
-            rhs[r] -= factor * rhs[col]
+            keep_row(r)
+            keep_factor(factor)
+        l_start.append(len(l_rows))
+    u_start, u_values = [0], []
+    for r, row in enumerate(rows):
+        u_values += row[r:last[r] + 1]
+        u_start.append(len(u_values))
+    return (array("i", pivot_rows), array("i", l_start), array("i", l_rows),
+            array("d", l_factors), array("i", u_start), array("d", u_values))
+
+
+def _substitute_float(factors: tuple[array, ...], rhs: Sequence[float]) -> list[float]:
+    """Solve for one right-hand side with the factors of ``_factor_float``.
+
+    Replays the elimination's swaps and updates on ``rhs`` in their order,
+    then back-substitutes, so the answer has the bits of a dense
+    partial-pivoting loop.  An unknown that overflows (a subnormal pivot
+    passes the relative test) raises: past it the dense loop's 0 * inf
+    products turn other unknowns into NaN where the band skips them.
+    """
+    pivot_rows, l_start, l_rows, l_factors, u_start, u_values = factors
+    rhs = list(rhs)
+    size = len(rhs)
+    i = 0
+    for col, p in enumerate(pivot_rows):
+        if p != col:
+            rhs[col], rhs[p] = rhs[p], rhs[col]
+        b = rhs[col]
+        end = l_start[col + 1]
+        while i < end:
+            rhs[l_rows[i]] -= l_factors[i] * b
+            i += 1
     out = [0.0] * size
     for r in range(size - 1, -1, -1):
+        lo = u_start[r]
         acc = rhs[r]
-        row = rows[r]
-        for c in range(r + 1, last[r] + 1):
-            acc -= row[c] * out[c]
-        out[r] = acc / row[r]
+        c = r
+        for i in range(lo + 1, u_start[r + 1]):
+            c += 1
+            acc -= u_values[i] * out[c]
+        pivot = u_values[lo]
+        out[r] = acc / pivot
         if not math.isfinite(out[r]):
             raise IllConditionedSystemError(
-                f"unknown {r} is {out[r]!r} after dividing by pivot {row[r]!r}",
+                f"unknown {r} is {out[r]!r} after dividing by pivot {pivot!r}",
                 column=r,
-                pivot=row[r],
+                pivot=pivot,
             )
     return out
+
+
+def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) -> list[float]:
+    """Partial-pivoting elimination of sparse float rows, in two halves."""
+    return _substitute_float(_factor_float(matrix), rhs)
+
+
+# The float factors of a class system depend only on the axis squares, the
+# order and the parity class, so float mode keeps them in one store per
+# process and later solves on the same surface only substitute their
+# right-hand sides.  The store holds at most this many bytes of arrays,
+# dropping the oldest factors first; factors larger than it are not kept.
+FLOAT_FACTOR_CACHE_BYTES = 1 << 22
+
+
+def _factor_bytes(factors: tuple[array, ...]) -> int:
+    return sum(map(sys.getsizeof, factors))
+
+
+class _FloatFactorCache:
+    """``_factor_float`` results by (axis squares, order, parity class)."""
+
+    def __init__(self):
+        self.entries: dict[tuple, tuple[array, ...]] = {}
+        self.nbytes = 0
+
+    def put(self, key: tuple, factors: tuple[array, ...]) -> None:
+        size = _factor_bytes(factors)
+        if size > FLOAT_FACTOR_CACHE_BYTES:
+            return
+        while self.nbytes + size > FLOAT_FACTOR_CACHE_BYTES:
+            self.nbytes -= _factor_bytes(self.entries.pop(next(iter(self.entries))))
+        self.entries[key] = factors
+        self.nbytes += size
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+_float_factors = _FloatFactorCache()
 
 
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
@@ -481,7 +595,11 @@ def solve_homogeneous(
 ) -> Poly:
     """Find homogeneous f of degree deg(ph) - 2 with lap(q2*f) = lap(ph).
 
-    For ph of degree below 2 (already harmonic) the answer is zero.
+    For ph of degree below 2 (already harmonic) the answer is zero.  Exact
+    mode assembles and solves every ``ClassSystem``.  Float mode (a float
+    q2) reads each class's right-hand side alone and solves only the
+    nonzero ones, with the factors stored for its (axis squares, order,
+    parity class), or assembled, factored and stored when there are none.
     """
     if ph.n != q2.n:
         raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
@@ -494,26 +612,51 @@ def solve_homogeneous(
 
     t0 = time.perf_counter()
     rhs_source = ph.laplacian()
-    systems = assemble_class_systems(rhs_source, q2, order)
-    t1 = time.perf_counter()
-    solutions = [solve_class(s) for s in systems]
-    t2 = time.perf_counter()
-
     values: dict[tuple[int, ...], Scalar] = {}
-    for sol in solutions:
-        values.update(sol)
+    hits = 0
+    if q2.is_float():
+        # Zero-rhs classes solve to zeros, which the Taylor rebuild drops.
+        groups = _parity_groups(q2.n, order)
+        a = tuple(_axis_squares(q2, 0.0))
+        active = []
+        for parity, members in groups.items():
+            rhs = _level_rhs(rhs_source, members, 1, 0.0)
+            if any(rhs):
+                key = (a, order, parity)
+                factors = _float_factors.entries.get(key)
+                rows = _level_matrix(q2, members)[0] if factors is None else None
+                active.append((members, rhs, key, factors, rows))
+        t1 = time.perf_counter()
+        for members, rhs, key, factors, rows in active:
+            if factors is None:
+                factors = _factor_float(rows)
+                _float_factors.put(key, factors)
+            else:
+                hits += 1
+            values.update(zip(members, _substitute_float(factors, rhs)))
+        sizes = [len(members) for members in groups.values()]
+        nonzero = len(active)
+    else:
+        systems = assemble_class_systems(rhs_source, q2, order)
+        t1 = time.perf_counter()
+        for system in systems:
+            values.update(solve_class(system))
+        sizes = [len(s.members) for s in systems]
+        nonzero = sum(1 for s in systems if s.has_nonzero_rhs())
+    t2 = time.perf_counter()
 
     if stats is not None:
         stats.levels.append(
             LevelStats(
                 carry_degree=deg,
                 system_order=order,
-                class_count=len(systems),
-                class_sizes=[len(s.members) for s in systems],
-                nonzero_rhs_classes=sum(1 for s in systems if s.has_nonzero_rhs()),
+                class_count=len(sizes),
+                class_sizes=sizes,
+                nonzero_rhs_classes=nonzero,
                 rhs_is_zero=rhs_source.is_zero(),
                 assemble_ms=(t1 - t0) * 1000.0,
                 solve_ms=(t2 - t1) * 1000.0,
+                factor_hits=hits,
             )
         )
     return taylor_reconstruct(order, values, ph.n)
@@ -604,9 +747,10 @@ def solve_dirichlet(
             return split(homogeneous_solver(carry, q2))
         f = solve_homogeneous(carry, q2, stats=stats)
         if stats is not None and exact:
-            lv = stats.levels[-1]
-            lv.carry_den_bits = den.bit_length()
-            lv.carry_num_bits = max(abs(c) for c in carry.terms.values()).bit_length()
+            stats.levels[-1] = stats.levels[-1]._replace(
+                carry_den_bits=den.bit_length(),
+                carry_num_bits=max(abs(c) for c in carry.terms.values()).bit_length(),
+            )
         return split(f, den)
 
     zero_part = (zero, 1)

@@ -23,7 +23,6 @@ and p - h - q*f = 0 certify an exact answer.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polynomial import (
@@ -62,15 +61,38 @@ FLOAT_TOL_ULPS = 64
 ORACLE_MAX_UNKNOWNS = 3000
 
 
-@dataclass
 class VerificationReport:
-    harmonic_ok: bool
-    residual_ok: bool
-    residual: Poly
-    surface_nondegenerate: bool
-    oracle_match: bool | None = None
-    notes: list[str] = field(default_factory=list)
-    ill_conditioned: bool = False
+    """What ``verify_solution`` found; compared and shown field by field."""
+
+    __slots__ = ("harmonic_ok", "residual_ok", "residual", "surface_nondegenerate",
+                 "oracle_match", "notes", "ill_conditioned")
+
+    def __init__(
+        self,
+        harmonic_ok: bool,
+        residual_ok: bool,
+        residual: Poly,
+        surface_nondegenerate: bool,
+        oracle_match: bool | None = None,
+        notes: list[str] | None = None,
+        ill_conditioned: bool = False,
+    ):
+        self.harmonic_ok = harmonic_ok
+        self.residual_ok = residual_ok
+        self.residual = residual
+        self.surface_nondegenerate = surface_nondegenerate
+        self.oracle_match = oracle_match
+        self.notes = [] if notes is None else notes
+        self.ill_conditioned = ill_conditioned
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"VerificationReport({fields})"
 
     def ok(self) -> bool:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False

@@ -16,6 +16,7 @@ from quadharm.cli import (
     EXIT_VERIFY,
     main,
 )
+from quadharm.parsing import MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH
 from quadharm.polynomial import MAX_VARIABLES
 from quadharm.solver import IllConditionedSystemError
 from quadharm.verify import ORACLE_MAX_UNKNOWNS
@@ -206,6 +207,45 @@ class TestExitCodes:
         assert (code, out) == (EXIT_INPUT, "")
         assert f"past the limit of {MAX_VARIABLES} variables" in err
 
+    @pytest.mark.parametrize("surface", [
+        "x1^2 + x2^2 + x3^2 - 1",
+        '{"a": [1, 1, 1], "c": [0, 0, 0], "d": -1}',
+    ], ids=["text surface", "json surface"])
+    def test_long_variable_index_exits_two(self, capsys, surface):
+        code, out, err = run(capsys, "solve", "--boundary", "x" + "9" * 5000,
+                             "--surface", surface)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"past the limit of {MAX_LITERAL_DIGITS} digits" in err
+
+    @pytest.mark.parametrize("boundary", ["9" * 5000 + "x1^2", "x1^" + "9" * 5000,
+                                          "x1^2/" + "7" * 5000],
+                             ids=["coefficient", "exponent", "denominator"])
+    def test_long_coefficient_exits_two(self, capsys, boundary):
+        code, out, err = run(capsys, "solve", "--boundary", boundary,
+                             "--surface", "x1^2 + x2^2 + x3^2 - 1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"past the limit of {MAX_LITERAL_DIGITS} digits" in err
+
+    def test_long_number_in_a_surface_document_exits_two(self, capsys):
+        surface = '{"a": [1, %s], "c": [0, 0], "d": -1}' % ("9" * 5000)
+        code, out, err = run(capsys, "solve", "--boundary", "x1^2", "--surface", surface)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "bad surface document" in err
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH + 1, 1000])
+    def test_deep_parentheses_exit_two(self, capsys, depth):
+        code, out, err = run(capsys, "solve", "--boundary", "(" * depth + "x1" + ")" * depth,
+                             "--surface", "x1^2 + x2^2 - 1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"deeper than the limit of {MAX_NESTING_DEPTH}" in err
+
+    def test_parentheses_300_deep_still_solve(self, capsys):
+        depth = 300
+        assert depth <= MAX_NESTING_DEPTH
+        code, out, _ = run(capsys, "solve", "--boundary", "(" * depth + "x1^2" + ")" * depth,
+                           "--surface", "x1^2 + x2^2 - 1")
+        assert (code, out.strip()) == (EXIT_OK, "h = 1/2*x1^2 - 1/2*x2^2 + 1/2")
+
     def test_ill_conditioned_exits_four(self, capsys, monkeypatch):
         def fake_solve(*args, **kwargs):
             raise IllConditionedSystemError("synthetic")
@@ -257,6 +297,22 @@ class TestBench:
         assert all(("bits" in line) == (mode == "exact") for line in levels)
         assert "measured full" in out
 
+    def test_float_report_counts_classes_solved_from_stored_factors(self, capsys):
+        import quadharm.solver
+
+        quadharm.solver._float_factors.clear()
+        argv = ("bench", "--dim", "3", "--degree", "6", "--boundary-kind", "dense",
+                "--time", "--reps", "1", "--mode", "float")
+        first, second = (run(capsys, *argv)[1] for _ in range(2))
+        quadharm.solver._float_factors.clear()
+        for out, warm in ((first, False), (second, True)):
+            levels = [line for line in out.splitlines() if "level deg" in line]
+            assert len(levels) == 4
+            for line in levels:
+                active = int(line.split(" with nonzero rhs")[0].split()[-1])
+                hits = int(line.split(" from stored factors")[0].split()[-1])
+                assert hits == (active if warm else 0)
+
     @pytest.mark.parametrize("reps", [1, 5])
     def test_time_solves_once_per_rep_plus_one(self, capsys, monkeypatch, reps):
         from quadharm.bench import solve_dirichlet
@@ -305,13 +361,16 @@ def test_cli_import_loads_no_tooling_modules():
     # Every `quadharm` command pays for what `import quadharm.cli` loads;
     # these modules cost start-up time and memory that only `bench`, or
     # nothing at all, needs.
+    # `dataclasses` brings `inspect`, `ast`, `dis` and `tokenize` with it.
     import quadharm
 
-    unwanted = ["quadharm.bench", "logging", "concurrent.futures", "numpy"]
+    unwanted = ["quadharm.bench", "logging", "concurrent.futures", "numpy",
+                "dataclasses", "inspect"]
     src = os.path.dirname(os.path.dirname(quadharm.__file__))
-    code = f"import sys, quadharm.cli; print([m for m in {unwanted!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    for module in ("quadharm", "quadharm.cli"):
+        code = f"import sys, {module}; print([m for m in {unwanted!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert (module, proc.stdout.strip()) == (module, "[]")

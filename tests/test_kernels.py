@@ -19,8 +19,10 @@ from quadharm.solver import (
     FLOAT_PIVOT_RTOL,
     _forward_eliminate,
     _integer_rows,
+    _factor_float,
     _solve_exact,
     _solve_float,
+    _substitute_float,
 )
 from quadharm.verify import _kernel_basis, _operator_matrix
 from conftest import fractions_st
@@ -327,6 +329,31 @@ def test_float_kernel_is_bit_identical_to_dense_loop(system):
         return
     got = _solve_float(sparse_rows(matrix), rhs)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@given(systems(FLOAT_ENTRIES, 0.0), st.lists(st.lists(FLOAT_ENTRIES, min_size=7, max_size=7),
+                                             min_size=3, max_size=3))
+def test_one_float_factorization_serves_three_right_hand_sides(system, right_hand_sides):
+    matrix, _ = system
+    size = len(matrix)
+    try:
+        factors = _factor_float(sparse_rows(matrix))
+    except IllConditionedSystemError as error:
+        with pytest.raises(IllConditionedSystemError) as dense_error:
+            dense_partial_pivoting(matrix, [0.0] * size)
+        assert str(error) == str(dense_error.value)
+        return
+    for rhs in right_hand_sides:
+        rhs = rhs[:size]
+        try:
+            expected = dense_partial_pivoting(matrix, rhs)
+        except IllConditionedSystemError as dense_error:
+            with pytest.raises(IllConditionedSystemError) as info:
+                _substitute_float(factors, rhs)
+            assert str(info.value) == str(dense_error)
+            continue
+        got = _substitute_float(factors, rhs)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def test_float_overflow_raises_instead_of_returning_inf():

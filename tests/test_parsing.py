@@ -15,8 +15,10 @@ from quadharm import (
     parse_surface,
 )
 from quadharm.parsing import (
+    MAX_LITERAL_DIGITS,
+    MAX_NESTING_DEPTH,
+    _scalar_from_json,
     poly_to_json_terms,
-    scalar_from_json,
     scalar_to_json,
 )
 from conftest import dimensioned_polys_st
@@ -64,6 +66,21 @@ class TestExpressionGrammar:
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("x1 x2 )")
+
+    def test_nesting_limit_counts_depth_not_groups(self):
+        depth = MAX_NESTING_DEPTH
+        assert parse_polynomial("(" * depth + "x1" + ")" * depth) == Poly.variable(1, 0)
+        assert parse_polynomial(" + ".join(["(x1)"] * (3 * depth))) == 3 * depth * Poly.variable(1, 0)
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("x1 + " + "(" * (depth + 1) + "x1" + ")" * (depth + 1))
+        assert err.value.position == 6 + depth
+
+    def test_literal_limit_is_inclusive(self):
+        digits = "1" * MAX_LITERAL_DIGITS
+        assert parse_polynomial(digits + "x1") == int(digits) * Poly.variable(1, 0)
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("x1 + 1" + digits)
+        assert err.value.position == 6
 
     @given(dimensioned_polys_st(max_n=4, max_degree=5))
     def test_format_parse_round_trip(self, p):
@@ -127,17 +144,19 @@ class TestJsonScalars:
     def test_fraction_round_trip(self, value):
         encoded = scalar_to_json(value)
         assert "/" in encoded
-        assert scalar_from_json(encoded) == value
-        assert isinstance(scalar_from_json(encoded), Fraction)
+        assert _scalar_from_json(encoded) == value
+        assert isinstance(_scalar_from_json(encoded), Fraction)
 
     @pytest.mark.parametrize("value", [0.5, -1.25e-9, 3.0, 1e300])
     def test_float_round_trip(self, value):
-        decoded = scalar_from_json(scalar_to_json(value))
-        assert isinstance(decoded, float)
-        assert decoded == value
+        # The reader takes a float's repr as the exact decimal it spells,
+        # which rounds back to the same float.
+        decoded = _scalar_from_json(scalar_to_json(value))
+        assert isinstance(decoded, Fraction)
+        assert float(decoded) == value
 
     def test_terms_round_trip(self):
         p = Poly(3, {(4, 3, 0): 1, (0, 1, 4): Fraction(236464, 60434439)})
         terms = poly_to_json_terms(p)
         assert terms[0]["e"] == [4, 3, 0]  # canonical order, top degree first
-        assert Poly(3, {tuple(t["e"]): scalar_from_json(t["c"]) for t in terms}) == p
+        assert Poly(3, {tuple(t["e"]): _scalar_from_json(t["c"]) for t in terms}) == p

@@ -9,7 +9,6 @@ import hypothesis.strategies as st
 from quadharm import (
     DimensionMismatchError,
     Poly,
-    laplacian_product,
     multi_indices,
     multi_indices_upto,
     product_diff_linear,
@@ -177,18 +176,6 @@ class TestDifferentiation:
         alpha = data.draw(
             st.lists(st.integers(0, 2), min_size=p.n, max_size=p.n).map(tuple))
         assert (p + c * q).d_alpha(alpha) == p.d_alpha(alpha) + c * q.d_alpha(alpha)
-
-
-class TestLaplacianProduct:
-    def test_known_value(self):
-        q = Poly(2, {(2, 0): 1, (0, 2): 1})
-        p = Poly(2, {(1, 1): 1})
-        assert laplacian_product(q, p) == Poly(2, {(1, 1): 12})
-
-    @given(dimensioned_polys_st(max_degree=3), st.data())
-    def test_matches_direct_laplacian_of_product(self, q, data):
-        p = data.draw(polys_st(q.n, max_degree=3))
-        assert laplacian_product(q, p) == (q * p).laplacian()
 
 
 class TestEvaluation:

@@ -37,6 +37,18 @@ class TestValidation:
         with pytest.raises(AttributeError):
             sphere().d = Fraction(2)
 
+    def test_value_semantics(self):
+        q = NonhyperbolicQuadratic(a=[1, 2], c=(0, Fraction(1, 2)), d=-1)
+        same = NonhyperbolicQuadratic((1, 2), (0, Fraction(1, 2)), Fraction(-1))
+        assert q == same and hash(q) == hash(same) and len({q, same}) == 1
+        for other in (NonhyperbolicQuadratic((1, 3), (0, Fraction(1, 2)), -1),
+                      NonhyperbolicQuadratic((1, 2), (0, 0), -1),
+                      NonhyperbolicQuadratic((1, 2), (0, Fraction(1, 2)), 0)):
+            assert q != other
+        assert q != (q.a, q.c, q.d)
+        assert repr(q) == ("NonhyperbolicQuadratic(a=(Fraction(1, 1), Fraction(2, 1)), "
+                           "c=(Fraction(0, 1), Fraction(1, 2)), d=Fraction(-1, 1))")
+
 
 class TestPolynomialViews:
     def test_to_polynomial_round_trip(self):

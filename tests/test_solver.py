@@ -1,6 +1,7 @@
 """Partitioned level systems and the degree-descending cascade."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,9 @@ from quadharm import (
     solve_dirichlet,
     solve_homogeneous,
 )
-from quadharm.bench import full_reference_solver
+import quadharm.solver as solver
+from quadharm.bench import dense_boundary, full_reference_solver
+from quadharm.polynomial import taylor_reconstruct
 from quadharm.solver import level_rows
 from conftest import all_degree, random_fraction, random_poly, random_quadric
 
@@ -354,12 +357,118 @@ class TestLevelStats:
             assert lv.carry_num_bits == max(abs(v) for v in numerators).numerator.bit_length()
             assert lv.carry_den_bits > 1 and lv.carry_num_bits > lv.carry_den_bits
 
+    def test_stats_compare_and_print_by_value(self, rng):
+        p = all_degree(rng, 3, 5)
+        first, second = SolveStats(), SolveStats()
+        solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=first)
+        solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=second)
+        untimed = [lv._replace(assemble_ms=0.0, solve_ms=0.0) for lv in first.levels]
+        assert SolveStats(untimed) == SolveStats(
+            [lv._replace(assemble_ms=0.0, solve_ms=0.0) for lv in second.levels])
+        assert SolveStats() == SolveStats([]) != SolveStats(untimed)
+        assert repr(SolveStats(untimed[:1])) == f"SolveStats(levels=[{untimed[0]!r}])"
+        assert repr(untimed[0]).startswith("LevelStats(carry_degree=5, system_order=3, ")
+
     def test_float_mode_leaves_bit_lengths_unset(self, rng):
         stats = SolveStats()
         solve_dirichlet(all_degree(rng, 3, 6).to_float(), SHIFTED_ELLIPSOID, stats=stats)
         assert stats.levels
         assert all(lv.carry_den_bits is None and lv.carry_num_bits is None
                    for lv in stats.levels)
+
+
+def uncached_float_level(ph: Poly, q2: Poly) -> Poly:
+    """One level through ``assemble_class_systems`` and ``solve_class``,
+    whose float path runs ``_solve_float`` and stores no factors."""
+    order = ph.degree() - 2
+    values = {}
+    for system in assemble_class_systems(ph.laplacian(), q2, order):
+        values.update(solve_class(system))
+    return taylor_reconstruct(order, values, ph.n)
+
+
+def float_bits(dec) -> tuple[dict, dict]:
+    return tuple({alpha: c.hex() for alpha, c in poly.terms.items()} for poly in (dec.h, dec.f))
+
+
+def factor_bytes(store) -> int:
+    return sum(sum(map(sys.getsizeof, factors)) for factors in store.entries.values())
+
+
+class TestFloatFactorCache:
+    @pytest.fixture(autouse=True)
+    def empty_store(self):
+        solver._float_factors.clear()
+        yield
+        solver._float_factors.clear()
+
+    def test_cold_and_warm_solves_match_the_uncached_kernel(self, rng):
+        p = (dense_boundary(3, 12) + all_degree(rng, 3, 9)).to_float()
+        reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=uncached_float_level)
+        assert not solver._float_factors.entries
+        cold, warm = SolveStats(), SolveStats()
+        assert float_bits(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=cold)) == float_bits(reference)
+        assert float_bits(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=warm)) == float_bits(reference)
+        assert [lv.factor_hits for lv in cold.levels] == [0] * len(cold.levels)
+        assert [lv.factor_hits for lv in warm.levels] == [
+            lv.nonzero_rhs_classes for lv in warm.levels]
+        assert sum(lv.factor_hits for lv in warm.levels) > 0
+        assert ([lv._replace(assemble_ms=0, solve_ms=0, factor_hits=0) for lv in cold.levels]
+                == [lv._replace(assemble_ms=0, solve_ms=0, factor_hits=0) for lv in warm.levels])
+
+    def test_surfaces_differing_in_one_axis_square_share_no_factors(self):
+        p = dense_boundary(3, 10).to_float()
+        first = NonhyperbolicQuadratic((1, 2, 3), (0, 0, 0), -1)
+        second = NonhyperbolicQuadratic((1, 2, Fraction(7, 2)), (0, 0, 0), -1)
+        solve_dirichlet(p, first)
+        first_keys = set(solver._float_factors.entries)
+        stats = SolveStats()
+        dec = solve_dirichlet(p, second, stats=stats)
+        second_keys = set(solver._float_factors.entries) - first_keys
+        assert sum(lv.factor_hits for lv in stats.levels) == 0
+        assert {key[0] for key in first_keys} == {(1.0, 2.0, 3.0)}
+        assert {key[0] for key in second_keys} == {(1.0, 2.0, 3.5)}
+        assert len(second_keys) == len(first_keys)
+        reference = solve_dirichlet(p, second, homogeneous_solver=uncached_float_level)
+        assert float_bits(dec) == float_bits(reference)
+
+    def test_ill_conditioned_class_raises_every_time_and_is_never_stored(self, monkeypatch):
+        p = dense_boundary(3, 8).to_float()
+        solve_dirichlet(p, sphere())
+        stored = dict(solver._float_factors.entries)
+        # No pivot reaches twice its row's largest entry, so every class
+        # that is factored raises.
+        monkeypatch.setattr(solver, "FLOAT_PIVOT_RTOL", 2.0)
+        for _ in range(3):
+            with pytest.raises(IllConditionedSystemError):
+                solve_dirichlet(p, SHIFTED_ELLIPSOID)
+            assert solver._float_factors.entries == stored
+        # Stored factors passed the test when they were made.
+        solve_dirichlet(p, sphere())
+
+    @pytest.mark.parametrize("bound", [0, 600, 3000, 1 << 20])
+    def test_stored_bytes_never_exceed_the_bound(self, monkeypatch, bound):
+        monkeypatch.setattr(solver, "FLOAT_FACTOR_CACHE_BYTES", bound)
+        store = solver._float_factors
+        stored = []
+        put = solver._FloatFactorCache.put
+
+        def checked_put(self, key, factors):
+            put(self, key, factors)
+            assert self.nbytes == factor_bytes(self) <= bound
+            if key in self.entries:
+                stored.append(key)
+
+        monkeypatch.setattr(solver._FloatFactorCache, "put", checked_put)
+        for degree in range(2, 13):
+            p = dense_boundary(3, degree).to_float()
+            dec = solve_dirichlet(p, SHIFTED_ELLIPSOID)
+            reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=uncached_float_level)
+            assert float_bits(dec) == float_bits(reference)
+        # Eviction drops the oldest factors first.
+        assert list(store.entries) == stored[len(stored) - len(store.entries):]
+        assert bool(store.entries) == (bound > 0)
+        assert (len(store.entries) < len(stored)) == (0 < bound < 1 << 20)
 
 
 def _non_integer(num: int) -> st.SearchStrategy:

@@ -8,6 +8,7 @@ from quadharm import (
     HarmonicDecomposition,
     NonhyperbolicQuadratic,
     Poly,
+    VerificationReport,
     operator_is_bijective,
     operator_kernel,
     oracle_full_system,
@@ -197,3 +198,16 @@ class TestVerifySolution:
         assert report.ok()
         assert not report.surface_nondegenerate
         assert any("degenerate" in note for note in report.notes)
+
+    def test_report_has_value_semantics(self):
+        zero = Poly.zero(2)
+        report = VerificationReport(harmonic_ok=True, residual_ok=False, residual=zero,
+                                    surface_nondegenerate=True)
+        assert (report.oracle_match, report.notes, report.ill_conditioned) == (None, [], False)
+        assert report.notes is not VerificationReport(True, True, zero, True).notes
+        assert report == VerificationReport(True, False, zero, True, None, [], False)
+        assert report != VerificationReport(True, False, zero, True, notes=["x"])
+        assert repr(report) == (
+            "VerificationReport(harmonic_ok=True, residual_ok=False, "
+            f"residual={zero!r}, surface_nondegenerate=True, oracle_match=None, "
+            "notes=[], ill_conditioned=False)")
