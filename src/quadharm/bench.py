@@ -290,7 +290,8 @@ def record_to_text(record: BenchRecord) -> str:
                 f"  level deg {lv.carry_degree}: order {lv.system_order}, "
                 f"{lv.class_count} classes {lv.class_sizes}, "
                 f"{lv.nonzero_rhs_classes} with nonzero rhs, "
-                f"assemble {lv.assemble_ms:.3f} ms, solve {lv.solve_ms:.3f} ms"
+                f"assemble {lv.assemble_ms:.3f} ms, solve {lv.solve_ms:.3f} ms, "
+                f"rebuild {lv.rebuild_ms:.3f} ms"
             )
             if lv.carry_den_bits is not None:
                 line += f", carry bits {lv.carry_num_bits} over {lv.carry_den_bits}"

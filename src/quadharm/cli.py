@@ -24,13 +24,21 @@ from .parsing import (
 )
 from .polynomial import MAX_VARIABLES, DimensionMismatchError
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
-from .solver import IllConditionedSystemError, solve_dirichlet
+from .solver import IllConditionedSystemError, descent_unknowns, solve_dirichlet
 from .verify import ORACLE_MAX_UNKNOWNS, verify_solution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 EXIT_ILL_CONDITIONED = 4
+
+# ``solve``, ``decompose`` and ``verify`` refuse a problem whose descent has
+# more unknowns over all its levels than this (``solver.descent_unknowns``),
+# before they solve.  On 2 cores (CPython 3.11) x1^60 on a surface with a
+# linear part, 35,990 unknowns, took 8 to 19 s in exact mode, and x1^100,
+# 166,650 unknowns, 3.5 to 10 s in float mode; every benchmark problem has
+# fewer than 6,000.
+SOLVE_MAX_UNKNOWNS = {"exact": 40_000, "float": 200_000}
 
 
 def _read_surface_argument(arg: str, n: int | None) -> NonhyperbolicQuadratic:
@@ -88,6 +96,13 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
                   f"{unknowns} unknowns; the limit is {ORACLE_MAX_UNKNOWNS}",
                   file=sys.stderr)
             return EXIT_INPUT
+
+    limit = SOLVE_MAX_UNKNOWNS[args.mode]
+    if descent_unknowns(p, surface, limit) > limit:
+        print(f"error: degree {p.degree()} in {n} variables needs more than {limit} "
+              f"unknowns over its levels in {args.mode} mode; the limit is {limit}",
+              file=sys.stderr)
+        return EXIT_INPUT
 
     p_solved = p.to_float() if args.mode == "float" else p
     t0 = time.perf_counter()

@@ -83,6 +83,29 @@ def multi_factorial(alpha: Iterable[int]) -> int:
     return out
 
 
+def _shifted(keys: Iterable[tuple[int, ...]], a: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """The exponent tuples a + b for b in ``keys``, in order.
+
+    Every term of a surface's q is a constant, x_j or x_j^2, so a product
+    with q mostly adds a constant or moves one axis: a constant ``a``
+    returns ``keys`` as they are, and an ``a`` in one variable raises that
+    axis of each key, which is about twice as fast as adding whole tuples.
+    """
+    axes = [j for j, e in enumerate(a) if e]
+    if not axes:
+        return keys
+    if len(axes) > 1:
+        return [tuple(map(operator.add, a, b)) for b in keys]
+    j = axes[0]
+    e = a[j]
+    out = []
+    for b in keys:
+        key = list(b)
+        key[j] += e
+        out.append(tuple(key))
+    return out
+
+
 def _coerce(c: Scalar | int) -> Scalar:
     # Bare ints are promoted so that exact division never falls back to
     # float division later on.
@@ -229,9 +252,9 @@ class Poly:
         if isinstance(other, Poly):
             self._check_dim(other)
             out: dict = {}
+            keys, values = other._terms.keys(), other._terms.values()
             for a, ca in self._terms.items():
-                for b, cb in other._terms.items():
-                    key = tuple(map(operator.add, a, b))
+                for key, cb in zip(_shifted(keys, a), values):
                     c = ca * cb
                     s = out.get(key)
                     if s is not None:
@@ -291,9 +314,12 @@ class Poly:
     def laplacian(self) -> "Poly":
         out: dict = {}
         for a, c in self._terms.items():
+            key = list(a)
             for j, e in enumerate(a):
                 if e >= 2:
-                    na = a[:j] + (e - 2,) + a[j + 1 :]
+                    key[j] = e - 2
+                    na = tuple(key)
+                    key[j] = e
                     v = c * (e * (e - 1))
                     s = out.get(na)
                     if s is not None:

@@ -42,7 +42,7 @@ import sys
 import time
 from array import array
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .polynomial import (
     DimensionMismatchError,
@@ -51,7 +51,6 @@ from .polynomial import (
     canonical_key,
     multi_factorial,
     multi_indices,
-    taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
 
@@ -101,13 +100,57 @@ def parity_class(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(e & 1 for e in alpha)
 
 
-def _parity_groups(n: int, order: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The order-m multi-indices in n variables by parity class, classes in
-    canonical order (highest first); empty classes are absent."""
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for alpha in multi_indices(n, order):
-        groups.setdefault(parity_class(alpha), []).append(alpha)
-    return {key: groups[key] for key in sorted(groups, key=canonical_key, reverse=True)}
+# A level's plan holds one (parity, members, factorials) triple per parity
+# class, classes and members in canonical order (highest first; empty
+# classes are absent), with alpha! for each member.  It depends only on n
+# and the order, so one store per process keeps the plans it builds while
+# their bytes, as ``_plan_bytes`` counts them, stay within this bound.  A
+# plan that does not fit is built, used and not kept; nothing is evicted.
+# The plans hold no surface data.
+LEVEL_PLAN_CACHE_BYTES = 1 << 22
+
+LevelPlan = "tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]"
+
+
+def _plan_bytes(plan: LevelPlan) -> int:
+    """``sys.getsizeof`` of the plan's tuples and of the members and
+    factorials they hold."""
+    size = sys.getsizeof(plan)
+    for triple in plan:
+        _, members, factorials = triple
+        size += sum(map(sys.getsizeof, (triple, *triple)))
+        size += sum(map(sys.getsizeof, members)) + sum(map(sys.getsizeof, factorials))
+    return size
+
+
+class _LevelPlans:
+    """Level plans by (n, order), kept while they fit the bound."""
+
+    def __init__(self):
+        self.entries: dict[tuple[int, int], LevelPlan] = {}
+        self.nbytes = 0
+
+    def get(self, n: int, order: int) -> LevelPlan:
+        plan = self.entries.get((n, order))
+        if plan is None:
+            groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+            for alpha in multi_indices(n, order):
+                groups.setdefault(parity_class(alpha), []).append(alpha)
+            plan = tuple((key, tuple(groups[key]), tuple(map(multi_factorial, groups[key])))
+                         for key in sorted(groups, key=canonical_key, reverse=True))
+            size = _plan_bytes(plan)
+            if self.nbytes + size <= LEVEL_PLAN_CACHE_BYTES:
+                self.entries[n, order] = plan
+                self.nbytes += size
+        return plan
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.nbytes = 0
+
+
+_level_plans = _LevelPlans()
+level_plan = _level_plans.get
 
 
 class ClassSystem(NamedTuple):
@@ -145,7 +188,8 @@ class LevelStats(NamedTuple):
     """Instrumentation for one cascade level (carry of one degree).
 
     ``assemble_ms`` covers the right-hand sides and the matrices built,
-    ``solve_ms`` the eliminations and substitutions.  ``factor_hits``
+    ``solve_ms`` the eliminations and substitutions, ``rebuild_ms`` the
+    Taylor rebuild of f from the solved constants.  ``factor_hits``
     counts the classes that float mode solved from stored factors (see
     ``_FloatFactorCache``); exact mode stores none.  In exact mode
     ``carry_den_bits`` and ``carry_num_bits`` are the bit lengths of the
@@ -161,6 +205,7 @@ class LevelStats(NamedTuple):
     rhs_is_zero: bool
     assemble_ms: float
     solve_ms: float
+    rebuild_ms: float
     carry_den_bits: int | None = None
     carry_num_bits: int | None = None
     factor_hits: int = 0
@@ -213,7 +258,7 @@ def level_rows(
     coefficients.
     """
     rows, scale, zero = _level_matrix(q2, members)
-    return rows, _level_rhs(rhs_source, members, scale, zero)
+    return rows, _level_rhs(rhs_source, members, map(multi_factorial, members), scale, zero)
 
 
 def _level_matrix(
@@ -256,15 +301,14 @@ def _level_matrix(
     return rows, scale, zero
 
 
-def _level_rhs(rhs_source: Poly, members: Sequence[tuple[int, ...]], scale: int,
-               zero: Scalar) -> list[Scalar]:
+def _level_rhs(rhs_source: Poly, members: Sequence[tuple[int, ...]], factorials: Iterable[int],
+               scale: int, zero: Scalar) -> list[Scalar]:
     """D^alpha(rhs_source) at the origin times ``scale`` for each alpha in
-    ``members``: alpha! times the x^alpha coefficient; adding ``zero``
-    makes float mode's values floats.  A zero coefficient gives ``zero``
-    without the factorial."""
+    ``members``: alpha!, given in ``factorials``, times the x^alpha
+    coefficient; adding ``zero`` makes float mode's values floats."""
     coefficient = rhs_source.terms.get
-    return [c * (multi_factorial(alpha) * scale) + zero if (c := coefficient(alpha)) else zero
-            for alpha in members]
+    return [c * (fact * scale) + zero if (c := coefficient(alpha)) else zero
+            for alpha, fact in zip(members, factorials)]
 
 
 def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[ClassSystem]:
@@ -280,9 +324,10 @@ def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[Class
             f"operands have dimensions {rhs_source.n} and {q2.n}"
         )
     systems = []
-    for key, members in _parity_groups(q2.n, order).items():
-        rows, rhs = level_rows(rhs_source, q2, members)
-        systems.append(ClassSystem(parity=key, members=tuple(members), matrix=rows, rhs=tuple(rhs)))
+    for parity, members, factorials in level_plan(q2.n, order):
+        rows, scale, zero = _level_matrix(q2, members)
+        rhs = _level_rhs(rhs_source, members, factorials, scale, zero)
+        systems.append(ClassSystem(parity=parity, members=members, matrix=rows, rhs=tuple(rhs)))
     return systems
 
 
@@ -600,6 +645,8 @@ def solve_homogeneous(
     q2) reads each class's right-hand side alone and solves only the
     nonzero ones, with the factors stored for its (axis squares, order,
     parity class), or assembled, factored and stored when there are none.
+    Both rebuild f as the sum of D^alpha f * x^alpha / alpha! over the
+    level plan's members, skipping zeros.
     """
     if ph.n != q2.n:
         raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
@@ -611,55 +658,61 @@ def solve_homogeneous(
     order = deg - 2
 
     t0 = time.perf_counter()
+    plan = level_plan(ph.n, order)
     rhs_source = ph.laplacian()
-    values: dict[tuple[int, ...], Scalar] = {}
+    # (members, factorials, solved constants in member order) per class.
+    solved: list[tuple[tuple, tuple, Iterable[Scalar]]] = []
     hits = 0
     if q2.is_float():
-        # Zero-rhs classes solve to zeros, which the Taylor rebuild drops.
-        groups = _parity_groups(q2.n, order)
+        # Zero-rhs classes solve to zeros, which the rebuild drops.
         a = tuple(_axis_squares(q2, 0.0))
         active = []
-        for parity, members in groups.items():
-            rhs = _level_rhs(rhs_source, members, 1, 0.0)
+        for parity, members, factorials in plan:
+            rhs = _level_rhs(rhs_source, members, factorials, 1, 0.0)
             if any(rhs):
                 key = (a, order, parity)
                 factors = _float_factors.entries.get(key)
                 rows = _level_matrix(q2, members)[0] if factors is None else None
-                active.append((members, rhs, key, factors, rows))
+                active.append((members, factorials, rhs, key, factors, rows))
         t1 = time.perf_counter()
-        for members, rhs, key, factors, rows in active:
+        for members, factorials, rhs, key, factors, rows in active:
             if factors is None:
                 factors = _factor_float(rows)
                 _float_factors.put(key, factors)
             else:
                 hits += 1
-            values.update(zip(members, _substitute_float(factors, rhs)))
-        sizes = [len(members) for members in groups.values()]
+            solved.append((members, factorials, _substitute_float(factors, rhs)))
         nonzero = len(active)
     else:
         systems = assemble_class_systems(rhs_source, q2, order)
         t1 = time.perf_counter()
-        for system in systems:
-            values.update(solve_class(system))
-        sizes = [len(s.members) for s in systems]
+        solved = [(members, factorials, solve_class(system).values())
+                  for (_, members, factorials), system in zip(plan, systems)]
         nonzero = sum(1 for s in systems if s.has_nonzero_rhs())
     t2 = time.perf_counter()
+    terms = {}
+    for members, factorials, values in solved:
+        for alpha, fact, v in zip(members, factorials, values):
+            if v:
+                terms[alpha] = v / fact
+    t3 = time.perf_counter()
 
     if stats is not None:
         stats.levels.append(
             LevelStats(
                 carry_degree=deg,
                 system_order=order,
-                class_count=len(sizes),
-                class_sizes=sizes,
+                class_count=len(plan),
+                class_sizes=[len(members) for _, members, _ in plan],
                 nonzero_rhs_classes=nonzero,
                 rhs_is_zero=rhs_source.is_zero(),
                 assemble_ms=(t1 - t0) * 1000.0,
                 solve_ms=(t2 - t1) * 1000.0,
+                rebuild_ms=(t3 - t2) * 1000.0,
                 factor_hits=hits,
             )
         )
-    return taylor_reconstruct(order, values, ph.n)
+    return Poly._raw(ph.n, terms)
 
 
 HomogeneousSolver = Callable[[Poly, Poly], Poly]
@@ -689,6 +742,41 @@ def _times(poly: Poly, m: int) -> Poly:
 def _fractions(num: Poly, den: int) -> dict[tuple[int, ...], Fraction]:
     """The coefficients of num/den, one ``Fraction`` each."""
     return {a: Fraction(c, den) for a, c in num.terms.items()}
+
+
+def descent_unknowns(p: Poly, quadric: NonhyperbolicQuadratic, limit: int) -> int:
+    """Unknowns over every level that ``solve_dirichlet``'s descent may
+    solve for p on the quadric, from closed forms: no multi-index is listed.
+
+    The level of degree k has comb(k - 2 + n - 1, n - 1) unknowns, the
+    class sizes of ``bench.class_census`` summed.  It runs when its carry
+    may be nonzero: when p_k is nonzero, or q has a linear part and level
+    k + 1 ran, or a constant and level k + 2 ran.  With a linear part every
+    degree from the top down to 2 runs, comb(top - 2 + n, n) unknowns in
+    all.  Otherwise the levels are summed one by one, and the sum stops at
+    the first level that takes it past ``limit``; every level adds at least
+    one unknown, so at most limit + 1 levels are summed.
+    """
+    n = p.n
+    degrees = {sum(alpha) for alpha in p.terms}
+    top = max(degrees, default=0)
+    if top < 2:
+        return 0
+    _, q1, q0 = quadric.parts()
+    if not q1.is_zero():
+        return math.comb(top - 2 + n, n)
+    if q0.is_zero():
+        levels = (k for k in degrees if k >= 2)
+    else:
+        # One chain of every other degree per parity, from p's highest degree of it.
+        heads = [max((k for k in degrees if k % 2 == r), default=0) for r in (0, 1)]
+        levels = (k for head in heads for k in range(head, 1, -2))
+    total = 0
+    for k in levels:
+        total += math.comb(k - 2 + n - 1, n - 1)
+        if total > limit:
+            break
+    return total
 
 
 def solve_dirichlet(

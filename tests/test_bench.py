@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quadharm import NonhyperbolicQuadratic, Poly
-from quadharm.solver import _parity_groups
+from quadharm.solver import level_plan
 from quadharm.bench import (
     CSV_HEADER,
     BenchRecord,
@@ -60,7 +60,7 @@ class TestCensus:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_closed_form_matches_enumeration(self, n):
         for m in range(0, 11):
-            enumerated = {key: len(members) for key, members in _parity_groups(n, m).items()}
+            enumerated = {parity: len(members) for parity, members, _ in level_plan(n, m)}
             assert list(class_census(n, m).items()) == list(enumerated.items())
             assert class_count(n, m) == len(enumerated)
 

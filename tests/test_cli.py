@@ -14,6 +14,7 @@ from quadharm.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
+    SOLVE_MAX_UNKNOWNS,
     main,
 )
 from quadharm.parsing import MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH
@@ -207,6 +208,35 @@ class TestExitCodes:
         assert (code, out) == (EXIT_INPUT, "")
         assert f"past the limit of {MAX_VARIABLES} variables" in err
 
+    def refused_before_solving(self, capsys, monkeypatch, mode, *argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an input over the limit")
+
+        monkeypatch.setattr("quadharm.cli.solve_dirichlet", forbidden)
+        code, out, err = run(capsys, "solve", "--mode", mode, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"unknowns over its levels in {mode} mode; the limit is {SOLVE_MAX_UNKNOWNS[mode]}" in err
+
+    def test_huge_exponent_exits_two_before_any_work(self, capsys, monkeypatch):
+        # Its top level alone has comb(99999999998, 2) unknowns.
+        self.refused_before_solving(capsys, monkeypatch, "float", "--boundary", "x1^99999999999",
+                                    "--surface", "x1^2+x2^2+x3^2-1")
+
+    def test_small_degree_in_many_variables_exits_two_before_any_work(self, capsys, monkeypatch):
+        # Its top level alone has comb(259, 4) = 183,181,376 unknowns.
+        self.refused_before_solving(capsys, monkeypatch, "exact", "--boundary", "x1^6",
+                                    "--dim", "256", "--surface", "x1^2+x2^2+x3^2-1")
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_unknown_limit_is_inclusive(self, capsys, monkeypatch, mode):
+        # x1^6 on a surface with a linear part runs every level from 6 down
+        # to 2: comb(6 - 2 + 3, 3) = 35 unknowns.
+        argv = ("--boundary", "x1^6", "--surface", "x1^2+x2^2+x3^2+x1-1")
+        monkeypatch.setitem(SOLVE_MAX_UNKNOWNS, mode, 35)
+        assert run(capsys, "solve", "--mode", mode, *argv)[0] == EXIT_OK
+        monkeypatch.setitem(SOLVE_MAX_UNKNOWNS, mode, 34)
+        self.refused_before_solving(capsys, monkeypatch, mode, *argv)
+
     @pytest.mark.parametrize("surface", [
         "x1^2 + x2^2 + x3^2 - 1",
         '{"a": [1, 1, 1], "c": [0, 0, 0], "d": -1}',
@@ -295,6 +325,7 @@ class TestBench:
             "level deg 6", "level deg 4", "level deg 2"]
         # Carry bit lengths exist in exact mode only.
         assert all(("bits" in line) == (mode == "exact") for line in levels)
+        assert all(" ms, rebuild " in line for line in levels)
         assert "measured full" in out
 
     def test_float_report_counts_classes_solved_from_stored_factors(self, capsys):

@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic and differential operators."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,131 @@ class TestArithmetic:
         q = data.draw(polys_st(p.n, max_degree=3))
         r = data.draw(polys_st(p.n, max_degree=3))
         assert p * (q + r) == p * q + p * r
+
+
+def reference_product(p: Poly, q: Poly) -> dict:
+    """``Poly.__mul__`` as first written, adding whole exponent tuples."""
+    out: dict = {}
+    for a, ca in p.terms.items():
+        for b, cb in q.terms.items():
+            key = tuple(map(operator.add, a, b))
+            c = ca * cb
+            s = out.get(key)
+            if s is not None:
+                c = s + c
+            if c == 0:
+                out.pop(key, None)
+            else:
+                out[key] = c
+    return out
+
+
+def reference_laplacian(p: Poly) -> dict:
+    """``Poly.laplacian`` as first written, slicing each key."""
+    out: dict = {}
+    for a, c in p.terms.items():
+        for j, e in enumerate(a):
+            if e >= 2:
+                na = a[:j] + (e - 2,) + a[j + 1 :]
+                v = c * (e * (e - 1))
+                s = out.get(na)
+                if s is not None:
+                    v = s + v
+                if v == 0:
+                    out.pop(na, None)
+                else:
+                    out[na] = v
+    return out
+
+
+def bits(terms) -> list:
+    """Terms in their stored order, floats by ``float.hex``, others by type and value."""
+    return [(a, c.hex() if isinstance(c, float) else (type(c), c)) for a, c in terms.items()]
+
+
+# Values that cancel in pairs, and products that underflow to +-0.0.
+FLOATS = st.one_of(
+    st.sampled_from([1.0, -1.0, 1.5, -1.5, 0.1, -0.3, 1e-200, -1e-200, 3e-170, 2.5e-160]),
+    st.floats(-1e6, 1e6).filter(bool))
+EXACT = st.one_of(st.integers(-4, 4).filter(bool),
+                  st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)))
+
+
+@st.composite
+def exponents_of_kind(draw, n: int, kind: str) -> tuple:
+    """A constant, a power of one variable, or a monomial in several."""
+    if kind == "constant":
+        return (0,) * n
+    if kind == "one variable":
+        alpha = [0] * n
+        alpha[draw(st.integers(0, n - 1))] = draw(st.integers(1, 3))
+        return tuple(alpha)
+    alpha = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    axes = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    for j in axes:
+        alpha[j] = max(alpha[j], 1)
+    return tuple(alpha)
+
+
+def polys_of(n: int, exponents: st.SearchStrategy, values: st.SearchStrategy,
+             max_terms: int = 6) -> st.SearchStrategy:
+    return st.dictionaries(exponents, values, max_size=max_terms).map(lambda d: Poly._raw(n, d))
+
+
+class TestAxisShiftArithmetic:
+    """The product and the Laplacian move one axis of each key instead of
+    adding or slicing whole tuples; they must give the first versions'
+    terms, in the same order, to the bit."""
+
+    @pytest.mark.parametrize("values", [FLOATS, EXACT], ids=["float", "exact"])
+    @pytest.mark.parametrize("kind", ["constant", "one variable", "several variables", "mixed"])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_product_matches_the_reference(self, kind, values, data):
+        n = data.draw(st.integers(2, 4))
+        kinds = ["constant", "one variable", "several variables"] if kind == "mixed" else [kind]
+        outer = data.draw(polys_of(
+            n, st.one_of(*[exponents_of_kind(n, k) for k in kinds]), values, max_terms=4))
+        inner = data.draw(polys_of(n, st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                                   .map(tuple), values))
+        assert bits((outer * inner).terms) == bits(reference_product(outer, inner))
+
+    @pytest.mark.parametrize("values", [FLOATS, EXACT], ids=["float", "exact"])
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_laplacian_matches_the_reference(self, values, data):
+        n = data.draw(st.integers(1, 4))
+        p = data.draw(polys_of(n, st.lists(st.integers(0, 5), min_size=n, max_size=n)
+                               .map(tuple), values, max_terms=8))
+        assert bits(p.laplacian().terms) == bits(reference_laplacian(p))
+
+    @pytest.mark.parametrize("outer", [
+        Poly._raw(3, {(0, 0, 0): 1e-200}),
+        Poly._raw(3, {(0, 2, 0): 1e-200}),
+        Poly._raw(3, {(1, 1, 0): 1e-200}),
+    ], ids=["constant", "one variable", "several variables"])
+    def test_underflowing_products_are_not_stored(self, outer):
+        inner = Poly._raw(3, {(1, 0, 0): 1e-200, (0, 0, 1): 2.0})
+        product = outer * inner
+        assert bits(product.terms) == bits(reference_product(outer, inner))
+        assert len(product.terms) == 1 and list(product.terms.values()) == [2e-200]
+
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_cancelling_sums_are_not_stored(self, scalar):
+        # (x1 + x2) * (x1 - x2) and (x1^2 + x2^2 + 1) * (x1^2 - x2^2): the
+        # mixed terms cancel, the second product's constant ones too.
+        one = scalar(1)
+        plus = Poly._raw(2, {(1, 0): one, (0, 1): one})
+        minus = Poly._raw(2, {(1, 0): one, (0, 1): -one})
+        assert (plus * minus).terms == {(2, 0): one, (0, 2): -one}
+        squares = Poly._raw(2, {(2, 0): one, (0, 2): one, (0, 0): one})
+        difference = Poly._raw(2, {(2, 0): one, (0, 2): -one})
+        expected = {(4, 0): one, (0, 4): -one, (2, 0): one, (0, 2): -one}
+        assert (squares * difference).terms == expected
+        assert bits((squares * difference).terms) == bits(reference_product(squares, difference))
+        # x1^2 - x2^2 + x1*x2 is harmonic: its Laplacian's two terms cancel.
+        harmonic = Poly._raw(2, {(2, 0): one, (0, 2): -one, (1, 1): one})
+        assert harmonic.laplacian().terms == {} == reference_laplacian(harmonic)
 
 
 class TestDifferentiation:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from quadharm import (
 )
 import quadharm.solver as solver
 from quadharm.bench import dense_boundary, full_reference_solver
-from quadharm.polynomial import taylor_reconstruct
+from quadharm.polynomial import multi_factorial, taylor_reconstruct
 from quadharm.solver import level_rows
 from conftest import all_degree, random_fraction, random_poly, random_quadric
 
@@ -362,9 +363,9 @@ class TestLevelStats:
         first, second = SolveStats(), SolveStats()
         solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=first)
         solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=second)
-        untimed = [lv._replace(assemble_ms=0.0, solve_ms=0.0) for lv in first.levels]
+        untimed = [lv._replace(assemble_ms=0.0, solve_ms=0.0, rebuild_ms=0.0) for lv in first.levels]
         assert SolveStats(untimed) == SolveStats(
-            [lv._replace(assemble_ms=0.0, solve_ms=0.0) for lv in second.levels])
+            [lv._replace(assemble_ms=0.0, solve_ms=0.0, rebuild_ms=0.0) for lv in second.levels])
         assert SolveStats() == SolveStats([]) != SolveStats(untimed)
         assert repr(SolveStats(untimed[:1])) == f"SolveStats(levels=[{untimed[0]!r}])"
         assert repr(untimed[0]).startswith("LevelStats(carry_degree=5, system_order=3, ")
@@ -377,9 +378,10 @@ class TestLevelStats:
                    for lv in stats.levels)
 
 
-def uncached_float_level(ph: Poly, q2: Poly) -> Poly:
-    """One level through ``assemble_class_systems`` and ``solve_class``,
-    whose float path runs ``_solve_float`` and stores no factors."""
+def class_system_level(ph: Poly, q2: Poly) -> Poly:
+    """One level through ``assemble_class_systems``, ``solve_class`` and
+    ``taylor_reconstruct``: float mode runs ``_solve_float`` and stores no
+    factors, and f is rebuilt by the polynomial module."""
     order = ph.degree() - 2
     values = {}
     for system in assemble_class_systems(ph.laplacian(), q2, order):
@@ -404,7 +406,7 @@ class TestFloatFactorCache:
 
     def test_cold_and_warm_solves_match_the_uncached_kernel(self, rng):
         p = (dense_boundary(3, 12) + all_degree(rng, 3, 9)).to_float()
-        reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=uncached_float_level)
+        reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
         assert not solver._float_factors.entries
         cold, warm = SolveStats(), SolveStats()
         assert float_bits(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=cold)) == float_bits(reference)
@@ -413,8 +415,9 @@ class TestFloatFactorCache:
         assert [lv.factor_hits for lv in warm.levels] == [
             lv.nonzero_rhs_classes for lv in warm.levels]
         assert sum(lv.factor_hits for lv in warm.levels) > 0
-        assert ([lv._replace(assemble_ms=0, solve_ms=0, factor_hits=0) for lv in cold.levels]
-                == [lv._replace(assemble_ms=0, solve_ms=0, factor_hits=0) for lv in warm.levels])
+        untimed = {"assemble_ms": 0, "solve_ms": 0, "rebuild_ms": 0, "factor_hits": 0}
+        assert ([lv._replace(**untimed) for lv in cold.levels]
+                == [lv._replace(**untimed) for lv in warm.levels])
 
     def test_surfaces_differing_in_one_axis_square_share_no_factors(self):
         p = dense_boundary(3, 10).to_float()
@@ -429,7 +432,7 @@ class TestFloatFactorCache:
         assert {key[0] for key in first_keys} == {(1.0, 2.0, 3.0)}
         assert {key[0] for key in second_keys} == {(1.0, 2.0, 3.5)}
         assert len(second_keys) == len(first_keys)
-        reference = solve_dirichlet(p, second, homogeneous_solver=uncached_float_level)
+        reference = solve_dirichlet(p, second, homogeneous_solver=class_system_level)
         assert float_bits(dec) == float_bits(reference)
 
     def test_ill_conditioned_class_raises_every_time_and_is_never_stored(self, monkeypatch):
@@ -463,12 +466,135 @@ class TestFloatFactorCache:
         for degree in range(2, 13):
             p = dense_boundary(3, degree).to_float()
             dec = solve_dirichlet(p, SHIFTED_ELLIPSOID)
-            reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=uncached_float_level)
+            reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
             assert float_bits(dec) == float_bits(reference)
         # Eviction drops the oldest factors first.
         assert list(store.entries) == stored[len(stored) - len(store.entries):]
         assert bool(store.entries) == (bound > 0)
         assert (len(store.entries) < len(stored)) == (0 < bound < 1 << 20)
+
+
+class TestLevelPlan:
+    @pytest.fixture(autouse=True)
+    def empty_stores(self):
+        solver._level_plans.clear()
+        solver._float_factors.clear()
+        yield
+        solver._level_plans.clear()
+        solver._float_factors.clear()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_classes_members_and_factorials_match_the_enumeration(self, n):
+        for order in range(13):
+            groups: dict = {}
+            for alpha in multi_indices(n, order):
+                groups.setdefault(parity_class(alpha), []).append(alpha)
+            keys = sorted(groups, key=lambda e: (sum(e), e), reverse=True)
+            plan = solver.level_plan(n, order)
+            assert [parity for parity, _, _ in plan] == keys
+            assert [members for _, members, _ in plan] == [tuple(groups[key]) for key in keys]
+            for _, members, factorials in plan:
+                assert factorials == tuple(map(multi_factorial, members))
+            assert solver.level_plan(n, order) is plan
+
+    @pytest.mark.parametrize("bound", [0, 2000, 20000])
+    def test_retained_bytes_never_exceed_the_bound(self, monkeypatch, bound):
+        monkeypatch.setattr(solver, "LEVEL_PLAN_CACHE_BYTES", bound)
+        store = solver._level_plans
+        kept, dropped = 0, 0
+        for order in range(16):
+            plan = solver.level_plan(3, order)
+            stored = store.entries.get((3, order))
+            assert store.nbytes == sum(map(solver._plan_bytes, store.entries.values())) <= bound
+            if stored is None:
+                dropped += 1
+                # Used though not kept: a fresh copy equals it.
+                assert solver.level_plan(3, order) == plan
+                assert (3, order) not in store.entries
+            else:
+                kept += 1
+                assert stored is plan
+        assert (kept > 0) == (bound > 0) and dropped > 0
+        # A solve reads plans that do not fit and keeps none of them.
+        p = dense_boundary(3, 12)
+        assert solve_dirichlet(p, SHIFTED_ELLIPSOID) == solve_dirichlet(
+            p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
+        assert store.nbytes <= bound
+
+    @pytest.mark.parametrize("n, order", [(3, 30), (4, 12), (2, 200)])
+    def test_counted_bytes_match_the_allocations(self, monkeypatch, n, order):
+        monkeypatch.setattr(solver, "LEVEL_PLAN_CACHE_BYTES", 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = solver.level_plan(n, order)
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * traced <= solver._plan_bytes(plan) <= 1.1 * traced
+
+    def test_plans_hold_no_surface_data(self):
+        # Every level from 9 down to 2 runs on a surface with a linear part.
+        p = dense_boundary(3, 9)
+        solve_dirichlet(p, SHIFTED_ELLIPSOID)
+        plans = dict(solver._level_plans.entries)
+        assert list(plans) == [(3, order) for order in range(7, -1, -1)]
+        solve_dirichlet(p, sphere())
+        solve_dirichlet(p.to_float(), NON_INTEGER_AXES)
+        assert solver._level_plans.entries == plans
+        assert all(solver._level_plans.entries[key] is plan for key, plan in plans.items())
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_cold_and_warm_solves_match_the_class_system_route(self, rng, mode):
+        # The monomial leaves most classes with a zero right-hand side.
+        for p in (dense_boundary(3, 12) + all_degree(rng, 3, 9), Poly.monomial(3, (12, 1, 0))):
+            if mode == "float":
+                p = p.to_float()
+            reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
+            solver._level_plans.clear()
+            solver._float_factors.clear()
+            for _ in ("cold", "warm"):
+                dec = solve_dirichlet(p, SHIFTED_ELLIPSOID)
+                if mode == "float":
+                    assert float_bits(dec) == float_bits(reference)
+                else:
+                    assert dec.h == reference.h and dec.f == reference.f
+                    for c in (*dec.h.terms.values(), *dec.f.terms.values()):
+                        assert type(c) is Fraction
+                assert set(solver._level_plans.entries) == {(3, m) for m in range(p.degree() - 1)}
+
+    def test_rebuild_is_timed_per_level(self):
+        stats = SolveStats()
+        solve_dirichlet(dense_boundary(3, 8), SHIFTED_ELLIPSOID, stats=stats)
+        assert len(stats.levels) == 7
+        assert all(lv.rebuild_ms >= 0.0 for lv in stats.levels)
+
+
+class TestDescentUnknowns:
+    @pytest.mark.parametrize("q", [
+        SHIFTED_ELLIPSOID, PARABOLOID, sphere(),
+        NonhyperbolicQuadratic((1, 2, 3), (0, 0, 0), 0),
+    ], ids=["linear part", "paraboloid", "constant only", "squares only"])
+    def test_counts_the_unknowns_the_descent_solves(self, rng, q):
+        boundaries = [all_degree(rng, 3, 7), dense_boundary(3, 8), Poly.monomial(3, (9, 0, 0)),
+                      dense_boundary(3, 9) + dense_boundary(3, 4), random_poly(rng, 3, 8, terms=3)]
+        for p in boundaries:
+            stats = SolveStats()
+            solve_dirichlet(p, q, stats=stats)
+            solved = sum(sum(lv.class_sizes) for lv in stats.levels)
+            assert solver.descent_unknowns(p, q, 10**6) == solved
+
+    def test_below_degree_two_there_is_nothing_to_solve(self):
+        assert solver.descent_unknowns(Poly.zero(3), sphere(), 0) == 0
+        assert solver.descent_unknowns(Poly.monomial(3, (0, 1, 0)), SHIFTED_ELLIPSOID, 0) == 0
+
+    @pytest.mark.parametrize("q", [sphere(2), NonhyperbolicQuadratic((1, 2), (0, 0), 0),
+                                   NonhyperbolicQuadratic((1, 2), (1, 0), 0)])
+    def test_huge_degrees_are_counted_without_listing_their_levels(self, q):
+        # Levels of degree k in 2 variables have k - 1 unknowns, so the
+        # sum passes the limit within a few hundred levels.
+        p = Poly.monomial(2, (10**11, 0)) + Poly.monomial(2, (0, 10**11 - 1))
+        assert solver.descent_unknowns(p, q, 200_000) > 200_000
 
 
 def _non_integer(num: int) -> st.SearchStrategy:
