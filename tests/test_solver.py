@@ -515,7 +515,7 @@ class TestLevelPlan:
                 kept += 1
                 assert stored is plan
         assert (kept > 0) == (bound > 0) and dropped > 0
-        # A solve reads plans that do not fit and keeps none of them.
+        # A solve that meets plans over the bound still answers right and keeps to it.
         p = dense_boundary(3, 12)
         assert solve_dirichlet(p, SHIFTED_ELLIPSOID) == solve_dirichlet(
             p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
