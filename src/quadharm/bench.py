@@ -72,9 +72,11 @@ def monomial_combined_factor(n: int) -> int:
     return 2 ** (3 * n - 3)
 
 
-# ``quadharm bench`` refuses an (n, m) with more inhabited parity classes
-# than this, before it builds anything: the text report lists every class.
+# ``quadharm bench`` refuses, before it builds anything, an (n, m) with more
+# inhabited parity classes than this, as the text report lists each, or an
+# m whose predicted operation counts could overflow a float.
 CENSUS_MAX_CLASSES = 4096
+CENSUS_MAX_DEGREE = 10**6
 
 
 def class_count(n: int, order: int) -> int:

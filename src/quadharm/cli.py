@@ -17,14 +17,20 @@ import time
 
 from .parsing import (
     ParseError,
+    exceeds_digit_limit,
     format_polynomial,
     parse_polynomial,
     parse_surface,
     poly_to_json_terms,
 )
-from .polynomial import MAX_VARIABLES, DimensionMismatchError
+from .polynomial import MAX_VARIABLES, DimensionMismatchError, Poly
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
-from .solver import IllConditionedSystemError, descent_unknowns, solve_dirichlet
+from .solver import (
+    IllConditionedSystemError,
+    descent_unknowns,
+    largest_class_work,
+    solve_dirichlet,
+)
 from .verify import ORACLE_MAX_UNKNOWNS, verify_solution
 
 EXIT_OK = 0
@@ -40,12 +46,50 @@ EXIT_ILL_CONDITIONED = 4
 # fewer than 6,000.
 SOLVE_MAX_UNKNOWNS = {"exact": 40_000, "float": 200_000}
 
+# They also refuse a problem whose largest parity class needs more work
+# than this (``solver.largest_class_work``), which the unknown count does
+# not bound: float x1^632 on x1^2+x2^2+x3^2 has one level, one class of
+# 50,086.  The slowest accepted class took about 1.5 s exact, 0.35 s float.
+SOLVE_MAX_CLASS_WORK = 4_000_000
+
+# ``bench --compare-full`` refuses a larger unpartitioned top level: one
+# dense exact solve of 120 unknowns took 4.5 s, a float one of 378 2.7 s.
+BENCH_FULL_MAX_UNKNOWNS = {"exact": 120, "float": 400}
+
 
 def _read_surface_argument(arg: str, n: int | None) -> NonhyperbolicQuadratic:
     if os.path.isfile(arg):
         with open(arg, "r", encoding="utf-8") as handle:
             arg = handle.read()
     return parse_surface(arg, n)
+
+
+def _refusal(p: Poly, surface: NonhyperbolicQuadratic, mode: str, oracle: bool = False
+             ) -> str | None:
+    """Why p on the surface is refused before any solve, or None: a size
+    limit passed, from closed forms, or a coefficient float mode cannot hold."""
+    n, degree = p.n, p.degree() or 0
+    if oracle:
+        if mode == "float":
+            return "--oracle requires --mode exact"
+        unknowns = math.comb(degree - 2 + n, n) if degree >= 2 else 0
+        if unknowns > ORACLE_MAX_UNKNOWNS:
+            return (f"--oracle on degree {degree} in {n} variables needs {unknowns} "
+                    f"unknowns; the limit is {ORACLE_MAX_UNKNOWNS}")
+    limit = SOLVE_MAX_UNKNOWNS[mode]
+    if descent_unknowns(p, surface, limit) > limit:
+        return (f"degree {degree} in {n} variables needs more than {limit} "
+                f"unknowns over its levels in {mode} mode; the limit is {limit}")
+    work = largest_class_work(n, degree - 2)
+    if work > SOLVE_MAX_CLASS_WORK:
+        return (f"degree {degree} in {n} variables has a parity class of work {work}; "
+                f"the limit is {SOLVE_MAX_CLASS_WORK}")
+    if mode == "float":
+        try:
+            p.to_float(), surface.to_polynomial().to_float()
+        except OverflowError:
+            return "a coefficient is too large for float mode"
+    return None
 
 
 def _solution_document(n, mode, dec, report, timing_ms):
@@ -69,39 +113,14 @@ def _solution_document(n, mode, dec, report, timing_ms):
 
 
 def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=False) -> int:
-    try:
-        p = parse_polynomial(args.boundary)
-        surface = _read_surface_argument(args.surface, None)
-    except (ParseError, InvalidQuadricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    # Parse and surface errors reach ``main``, which exits 2.
+    p = parse_polynomial(args.boundary)
+    surface = _read_surface_argument(args.surface, None)
     n = max(p.n, surface.n, args.dim or 0)
-    try:
-        surface = surface.extend(n)
-        p = p.extend(n)
-    except InvalidQuadricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    run_verify = force_verify or args.verify or args.oracle
-    if args.oracle:
-        if args.mode == "float":
-            print("error: --oracle requires --mode exact", file=sys.stderr)
-            return EXIT_INPUT
-        degree = p.degree() or 0
-        unknowns = math.comb(degree - 2 + n, n) if degree >= 2 else 0
-        if unknowns > ORACLE_MAX_UNKNOWNS:
-            print(f"error: --oracle on degree {degree} in {n} variables needs "
-                  f"{unknowns} unknowns; the limit is {ORACLE_MAX_UNKNOWNS}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-
-    limit = SOLVE_MAX_UNKNOWNS[args.mode]
-    if descent_unknowns(p, surface, limit) > limit:
-        print(f"error: degree {p.degree()} in {n} variables needs more than {limit} "
-              f"unknowns over its levels in {args.mode} mode; the limit is {limit}",
-              file=sys.stderr)
+    surface, p = surface.extend(n), p.extend(n)
+    error = _refusal(p, surface, args.mode, args.oracle)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
 
     p_solved = p.to_float() if args.mode == "float" else p
@@ -113,11 +132,18 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
         return EXIT_ILL_CONDITIONED
     timing_ms = (time.perf_counter() - t0) * 1000.0
 
+    show_f = force_show_f or args.show_f
+    printed = (dec.h, dec.f) if show_f or args.format == "json" else (dec.h,)
+    if any(map(exceeds_digit_limit, printed)):
+        print(f"error: the answer has a number of more than {sys.get_int_max_str_digits()} "
+              "digits, which Python will not print; PYTHONINTMAXSTRDIGITS raises the limit",
+              file=sys.stderr)
+        return EXIT_INPUT
+
     report = None
-    if run_verify:
+    if force_verify or args.verify or args.oracle:
         report = verify_solution(p_solved, surface, dec, check_oracle=args.oracle)
 
-    show_f = force_show_f or args.show_f
     if args.format == "json":
         # f is part of the document schema whether or not --show-f is given.
         doc = _solution_document(n, args.mode, dec, report, timing_ms)
@@ -151,6 +177,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Imported here so that solve, decompose and verify do not load it.
     from .bench import (
         CENSUS_MAX_CLASSES,
+        CENSUS_MAX_DEGREE,
         BenchRecord,
         class_count,
         dense_boundary,
@@ -161,27 +188,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     n, m = args.dim, args.degree
+    error = None
     if n < 2:
-        print("error: --dim must be at least 2", file=sys.stderr)
-        return EXIT_INPUT
-    if m < 0:
-        print("error: --degree must be nonnegative", file=sys.stderr)
-        return EXIT_INPUT
-    if args.reps < 1:
-        print("error: --reps must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    classes = class_count(n, m)
-    if classes > CENSUS_MAX_CLASSES:
-        print(f"error: --dim {n} --degree {m} has {classes} parity classes; "
-              f"bench reports at most {CENSUS_MAX_CLASSES}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.surface:
-            surface = _read_surface_argument(args.surface, n).extend(n)
-        else:
-            surface = NonhyperbolicQuadratic((1,) * n, (0,) * n, -1)
-    except (ParseError, InvalidQuadricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        error = "--dim must be at least 2"
+    elif not 0 <= m <= CENSUS_MAX_DEGREE:
+        error = f"--degree must be from 0 to {CENSUS_MAX_DEGREE}"
+    elif args.reps < 1:
+        error = "--reps must be at least 1"
+    elif (classes := class_count(n, m)) > CENSUS_MAX_CLASSES:
+        error = (f"--dim {n} --degree {m} has {classes} parity classes; "
+                 f"bench reports at most {CENSUS_MAX_CLASSES}")
+    elif args.surface:
+        surface = _read_surface_argument(args.surface, n).extend(n)
+    else:
+        surface = NonhyperbolicQuadratic((1,) * n, (0,) * n, -1)
+    if error is None and (args.compare_full or args.time):
+        # Both kinds are homogeneous of degree m + 2, which is all the
+        # limits read, so the monomial stands in before the boundary is built.
+        error = _refusal(monomial_boundary(n, m + 2), surface, args.mode)
+        full = math.comb(m + n - 1, n - 1)
+        if error is None and args.compare_full and full > BENCH_FULL_MAX_UNKNOWNS[args.mode]:
+            error = (f"--compare-full on order {m} in {n} variables needs {full} unknowns "
+                     f"in one system; the limit is {BENCH_FULL_MAX_UNKNOWNS[args.mode]}")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
 
     record = BenchRecord(n, m, args.boundary_kind)
@@ -191,12 +221,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if args.mode == "float":
             p = p.to_float()
         try:
-            record = run_comparison(
-                p,
-                surface,
-                repetitions=args.reps,
-                compare_full=args.compare_full,
-            )
+            record = run_comparison(p, surface, repetitions=args.reps,
+                                    compare_full=args.compare_full)
         except IllConditionedSystemError as exc:
             print(f"error: ill-conditioned system in float mode: {exc}", file=sys.stderr)
             return EXIT_ILL_CONDITIONED
@@ -220,27 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--boundary", required=True, help="boundary polynomial p")
-    common.add_argument(
-        "--surface",
-        required=True,
-        help="surface q: an expression, a JSON document, or a path to either",
-    )
+    common.add_argument("--surface", required=True,
+                        help="surface q: an expression, a JSON document, or a path to either")
     common.add_argument("--mode", choices=("exact", "float"), default="exact")
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--dim", type=int, default=None, help="raise the working dimension"
-    )
-    common.add_argument(
-        "--show-f", action="store_true", help="also print the multiplier f"
-    )
-    common.add_argument(
-        "--verify", action="store_true", help="check the result before printing"
-    )
-    common.add_argument(
-        "--oracle",
-        action="store_true",
-        help="verify, and also compare with the operator-matrix oracle (exact mode)",
-    )
+    common.add_argument("--dim", type=int, default=None, help="raise the working dimension")
+    common.add_argument("--show-f", action="store_true", help="also print the multiplier f")
+    common.add_argument("--verify", action="store_true", help="check the result before printing")
+    common.add_argument("--oracle", action="store_true", help="verify, and also compare "
+                        "with the operator-matrix oracle (exact mode)")
 
     sub.add_parser("solve", parents=[common], help="print the harmonic solution h")
     sub.add_parser("decompose", parents=[common], help="print both h and f")
@@ -248,25 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="class census, predicted ops, timings")
     bench.add_argument("--dim", type=int, required=True)
-    bench.add_argument(
-        "--degree",
-        type=int,
-        required=True,
-        help="order m of the top-level system (boundary degree is m + 2)",
-    )
+    bench.add_argument("--degree", type=int, required=True,
+                       help="order m of the top-level system (boundary degree is m + 2)")
     bench.add_argument("--surface", default=None)
-    bench.add_argument(
-        "--boundary-kind", choices=("monomial", "dense"), default="monomial"
-    )
+    bench.add_argument("--boundary-kind", choices=("monomial", "dense"), default="monomial")
     bench.add_argument("--mode", choices=("exact", "float"), default="exact")
-    bench.add_argument(
-        "--compare-full",
-        action="store_true",
-        help="also time the unpartitioned solver",
-    )
-    bench.add_argument(
-        "--time", action="store_true", help="time the partitioned solver"
-    )
+    bench.add_argument("--compare-full", action="store_true",
+                       help="also time the unpartitioned solver")
+    bench.add_argument("--time", action="store_true", help="time the partitioned solver")
     bench.add_argument("--reps", type=int, default=5)
     bench.add_argument("--format", choices=("text", "csv"), default="text")
     return parser

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -228,6 +229,11 @@ def _scalar_from_json(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction would compute 10**exponent, however large.
+        exponent = re.search(r"e[-+]?([\d_]+)", value, re.IGNORECASE)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 9 or int(digits or 0) > MAX_LITERAL_DIGITS:
+            raise ParseError(f"exponent in {value[:40]!r} is past {MAX_LITERAL_DIGITS}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -339,6 +345,17 @@ def scalar_to_json(c: Scalar) -> str:
     if isinstance(c, float):
         return repr(c)
     return f"{c.numerator}/{c.denominator}"
+
+
+def exceeds_digit_limit(p: Poly) -> bool:
+    """Whether printing p would raise: a numerator or denominator has more
+    digits than ``sys.get_int_max_str_digits()`` (0 for no limit) allows."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before CPython 3.10.7
+    if not limit or p.is_float():
+        return False
+    safe_bits = limit * 3321928 // 1000000  # below limit * log2(10)
+    return any(v.bit_length() > safe_bits and abs(v) >= 10**limit
+               for c in p.terms.values() for v in (c.numerator, c.denominator))
 
 
 def poly_to_json_terms(p: Poly) -> list[dict]:

@@ -12,27 +12,23 @@ condition laplacian(p - q2*f) = 0 yields, per multi-index alpha,
     D^alpha(lap p) = (2*S + 4*sum_j alpha_j a_j) * D^alpha f
                    + sum_j alpha_j (alpha_j - 1) a_j * sum_k D^(alpha + 2e_k - 2e_j) f
 
-where a_j are the square coefficients of q2 and S = sum_j a_j.  The
-unknowns are the constants D^alpha f over all alpha of order m.  Every
-multi-index reachable from alpha differs from it by an even amount in each
-coordinate, so the system splits into independent blocks indexed by the
-coordinatewise parity of alpha; blocks whose right-hand side is zero
-contribute only zeros and are skipped.  The right-hand side D^alpha(lap p)
-is a constant, alpha! times the x^alpha coefficient of lap p, so it is read
-off directly.  The solved constants determine f through its Taylor
-expansion.
+where a_j are the square coefficients of q2 and S = sum_j a_j.  An
+equation couples only multi-indices of one coordinatewise parity, so the
+unknowns D^alpha f split into one block per parity class.  The right-hand
+side, alpha! times the x^alpha coefficient of lap p, is read off directly,
+blocks where it is zero are skipped, and f is rebuilt from its Taylor
+constants.  Lower degrees follow by one descending pass: the degree-k part
+of p = h + q*f reads p_k = h_k + q2*f_(k-2) + q1*f_(k-1) + q0*f_k, so the
+carry p_k - q1*f_(k-1) - q0*f_k is split by one level solve, from the top
+degree down to 2.
 
-Lower degrees follow by one descending pass over the whole of p: the
-degree-k equation of p = h + q*f reads p_k = h_k + q2*f_(k-2) + q1*f_(k-1)
-+ q0*f_k, so once f_(k-1) and f_k are known the carry p_k - q1*f_(k-1) -
-q0*f_k is split by one level solve, from the top degree down to 2.
-
-The pass only differentiates and multiplies, never integrates, so exact
-mode works on integer numerators over one denominator per homogeneous
-part: the carry, its Laplacian, the right-hand sides, the elimination and
-the q2*f product are integer arithmetic, and ``Fraction``s are formed only
-for the coefficients of h and f (and by the kernel's back-substitution and
-the Taylor rebuild).  Float mode runs the same pass with denominator 1.
+The pass differentiates and multiplies but never integrates, so exact mode
+is integer work throughout.  Every part is int numerators over one
+denominator; a level eliminates int rows, back-substitutes to reduced int
+(numerator, denominator) pairs, folds alpha! into the denominators and
+returns f_(k-2) as int numerators over one denominator.  ``Fraction``s are
+formed only for the coefficients of h and f.  Float mode runs the same pass
+with denominator 1.
 """
 
 from __future__ import annotations
@@ -56,12 +52,15 @@ from .quadric import NonhyperbolicQuadratic
 
 FLOAT_PIVOT_RTOL = 1e-12
 
+# Float mode holds each D^alpha f = alpha! * (x^alpha coefficient) as a
+# float, and alpha! reaches order!: 170! is the last factorial below the
+# largest float, so float levels of higher order raise before any work.
+FLOAT_MAX_ORDER = 170
+
 
 class SingularSystemError(ArithmeticError):
-    """A class system was singular in exact mode (internal invariant breach).
-
-    ``column`` is the elimination column left without a nonzero pivot.
-    """
+    """A class system was singular in exact mode (internal invariant
+    breach); ``column`` is the first column left without a pivot."""
 
     def __init__(self, message: str, *, column: int | None = None):
         super().__init__(message)
@@ -69,25 +68,17 @@ class SingularSystemError(ArithmeticError):
 
 
 class IllConditionedSystemError(ArithmeticError):
-    """Float-mode elimination met a pivot below the conditioning threshold,
-    or back-substitution overflowed.
+    """Float mode met a pivot below the conditioning threshold, an unknown
+    that overflowed, or an order whose alpha! overflows a float.
 
-    ``column`` is the elimination column, ``pivot`` the chosen pivot,
-    ``row_max`` the largest magnitude in the pivot row from that column on,
-    and ``ratio`` = |pivot| / row_max (0.0 for an all-zero row).  An
-    unknown that comes out infinite or NaN raises with its ``column`` and
-    ``pivot`` only.
+    A small pivot gives its ``column``, the ``pivot``, ``row_max``, the
+    largest magnitude in the pivot row from that column on, and ``ratio`` =
+    |pivot| / row_max (0.0 for an all-zero row); an overflowed unknown its
+    ``column`` and ``pivot`` only.
     """
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        column: int | None = None,
-        pivot: float | None = None,
-        row_max: float | None = None,
-        ratio: float | None = None,
-    ):
+    def __init__(self, message: str, *, column: int | None = None, pivot: float | None = None,
+                 row_max: float | None = None, ratio: float | None = None):
         super().__init__(message)
         self.column = column
         self.pivot = pivot
@@ -100,13 +91,10 @@ def parity_class(alpha: Sequence[int]) -> tuple[int, ...]:
     return tuple(e & 1 for e in alpha)
 
 
-# A level's plan holds one (parity, members, factorials) triple per parity
-# class, classes and members in canonical order (highest first; empty
-# classes are absent), with alpha! for each member.  It depends only on n
-# and the order, so one store per process keeps the plans it builds while
-# their bytes, as ``_plan_bytes`` counts them, stay within this bound.  A
-# plan that does not fit is built, used and not kept; nothing is evicted.
-# The plans hold no surface data.
+# A level's plan holds one (parity, members, factorials) triple per inhabited
+# parity class, classes and members in canonical order, with alpha! for each
+# member.  It depends only on n and the order; one store per process keeps
+# plans while their bytes (``_plan_bytes``) fit this bound, and evicts none.
 LEVEL_PLAN_CACHE_BYTES = 1 << 22
 
 LevelPlan = "tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]"
@@ -154,17 +142,10 @@ level_plan = _level_plans.get
 
 
 class ClassSystem(NamedTuple):
-    """One parity block of the level-m linear system.
-
-    Rows and columns follow ``members`` (canonical order, highest first).
-    ``matrix`` holds one sparse row ``{column: nonzero entry}`` per member,
-    as ``level_rows`` made it; the kernels read it and never change it.
-    In exact mode every equation is multiplied by L, the lcm of the
-    denominators of the axis squares a_j: the entries are Python ints and
-    ``rhs`` holds L * D^alpha(rhs source), so the solution is unchanged;
-    the solver's own rhs sources have int coefficients, which makes ``rhs``
-    ints too.  Float mode is unscaled.
-    """
+    """One parity block of the level-m linear system, as ``level_rows``
+    makes its rows: ``matrix`` holds one sparse row ``{column: nonzero
+    entry}`` per member of ``members`` (canonical order), which the kernels
+    never change, and ``rhs`` the right-hand sides."""
 
     parity: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
@@ -189,12 +170,10 @@ class LevelStats(NamedTuple):
 
     ``assemble_ms`` covers the right-hand sides and the matrices built,
     ``solve_ms`` the eliminations and substitutions, ``rebuild_ms`` the
-    Taylor rebuild of f from the solved constants.  ``factor_hits``
-    counts the classes that float mode solved from stored factors (see
-    ``_FloatFactorCache``); exact mode stores none.  In exact mode
-    ``carry_den_bits`` and ``carry_num_bits`` are the bit lengths of the
-    denominator the carry is held over and of its largest integer
-    numerator; they stay None in float mode.
+    rebuild of f.  ``factor_hits`` counts the classes float mode solved
+    from stored factors.  Exact mode fills ``carry_den_bits`` and
+    ``carry_num_bits``, the bit lengths of the carry's denominator and of
+    its largest numerator.
     """
 
     carry_degree: int
@@ -229,52 +208,49 @@ class SolveStats:
         return max((lv.nonzero_rhs_classes for lv in self.levels), default=0)
 
 
-def _axis_squares(q2: Poly, zero: Scalar) -> list[Scalar]:
-    """Extract the diagonal coefficients a_j from q2 = sum a_j x_j^2."""
-    a: list[Scalar] = [zero] * q2.n
+def _axis_squares(q2: Poly) -> tuple[list[Scalar], int, Scalar]:
+    """The diagonal coefficients a_j of q2 = sum a_j x_j^2 as the level
+    equations use them, with the scale L and the zero of the mode.  Float
+    mode gives the floats a_j and L = 1; exact mode gives the ints L * a_j,
+    where L is the lcm of the denominators of the a_j."""
+    float_mode = q2.is_float()
+    zero: Scalar = 0.0 if float_mode else 0
+    a = [zero] * q2.n
     for alpha, c in q2.terms.items():
         if sum(alpha) != 2 or max(alpha) != 2:
             raise ValueError(f"quadratic part has a non-diagonal term at {alpha}")
         a[alpha.index(2)] = c
-    return a
+    if float_mode:
+        return a, 1, zero
+    scale = math.lcm(*[aj.denominator for aj in a])
+    return [aj.numerator * (scale // aj.denominator) for aj in a], scale, zero
 
 
 def level_rows(
     rhs_source: Poly, q2: Poly, members: Sequence[tuple[int, ...]]
 ) -> tuple[list[dict[int, Scalar | int]], list[Scalar]]:
-    """Sparse matrix rows and right-hand sides of the level equations for
-    ``members``.
+    """Sparse rows and right-hand sides of the level equations for
+    ``members``, which must hold every alpha - 2e_j + 2e_k a member
+    reaches: one parity class, or all multi-indices of one order.
 
-    Row i is ``{column: entry}`` for the equation of ``members[i]``, with
-    columns numbered by position in ``members``, which must hold every
-    multi-index alpha - 2e_j + 2e_k that a member's equation reaches: one
-    parity class, or all multi-indices of one order.  For a_j >= 0 (some
-    a_j > 0) every entry is a sum of positive terms, so none is stored as
-    0.  The right-hand side of row alpha is D^alpha(rhs_source) at the
-    origin, alpha! times the x^alpha coefficient.  In exact mode each row
-    is scaled by L, the lcm of the denominators of the a_j, which makes
-    every matrix entry an int; the right-hand sides are scaled by L too
-    (see ``ClassSystem``), and are ints when ``rhs_source`` has int
-    coefficients.
+    Row i is ``{column: entry}`` for ``members[i]``, columns numbered by
+    position; for a_j >= 0 every entry is a sum of positive terms, so none
+    is 0.  The right-hand side of row alpha is D^alpha(rhs_source), alpha!
+    times the x^alpha coefficient.  In exact mode rows and right-hand sides
+    are scaled by L, the lcm of the denominators of the a_j, which makes
+    the entries ints, and the right-hand sides too for an int rhs_source.
     """
-    rows, scale, zero = _level_matrix(q2, members)
-    return rows, _level_rhs(rhs_source, members, map(multi_factorial, members), scale, zero)
+    a, scale, zero = _axis_squares(q2)
+    rhs = _level_rhs(rhs_source, members, map(multi_factorial, members), scale, zero)
+    return _level_matrix(a, zero, members), rhs
 
 
 def _level_matrix(
-    q2: Poly, members: Sequence[tuple[int, ...]]
-) -> tuple[list[dict[int, Scalar | int]], int, Scalar]:
-    """The rows of ``level_rows``, the scale L of its exact mode (1 in
-    float mode) and the zero of its mode."""
-    n = q2.n
-    if q2.is_float():
-        zero, scale = 0.0, 1
-        a = _axis_squares(q2, zero)
-    else:
-        zero = 0
-        a = _axis_squares(q2, Fraction(0))
-        scale = math.lcm(*[aj.denominator for aj in a])
-        a = [aj.numerator * (scale // aj.denominator) for aj in a]
+    a: Sequence[Scalar], zero: Scalar, members: Sequence[tuple[int, ...]]
+) -> list[dict[int, Scalar | int]]:
+    """The rows of ``level_rows`` for the axis squares ``a`` and the zero of
+    the mode, as ``_axis_squares`` gives them."""
+    n = len(a)
     two_s = 2 * sum(a, zero)
     col = {alpha: i for i, alpha in enumerate(members)}
     rows = []
@@ -298,7 +274,7 @@ def _level_matrix(
                     row[col[tuple(beta)]] = w
         row[i] = diag
         rows.append(row)
-    return rows, scale, zero
+    return rows
 
 
 def _level_rhs(rhs_source: Poly, members: Sequence[tuple[int, ...]], factorials: Iterable[int],
@@ -312,32 +288,22 @@ def _level_rhs(rhs_source: Poly, members: Sequence[tuple[int, ...]], factorials:
 
 
 def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[ClassSystem]:
-    """Build every parity block of the order-m system.
-
-    ``rhs_source`` is the polynomial whose D^alpha values (constants, since
-    it is homogeneous of degree m) form the right-hand sides.  All blocks
-    are assembled even when their right-hand side vanishes, so the census
-    of classes is complete.
-    """
+    """Every parity block of the order-m system, zero right-hand sides
+    included; the D^alpha of the homogeneous ``rhs_source`` are the
+    right-hand sides."""
     if rhs_source.n != q2.n:
-        raise DimensionMismatchError(
-            f"operands have dimensions {rhs_source.n} and {q2.n}"
-        )
-    systems = []
-    for parity, members, factorials in level_plan(q2.n, order):
-        rows, scale, zero = _level_matrix(q2, members)
-        rhs = _level_rhs(rhs_source, members, factorials, scale, zero)
-        systems.append(ClassSystem(parity=parity, members=members, matrix=rows, rhs=tuple(rhs)))
-    return systems
+        raise DimensionMismatchError(f"operands have dimensions {rhs_source.n} and {q2.n}")
+    a, scale, zero = _axis_squares(q2)
+    return [ClassSystem(parity=parity, members=members, matrix=_level_matrix(a, zero, members),
+                        rhs=tuple(_level_rhs(rhs_source, members, factorials, scale, zero)))
+            for parity, members, factorials in level_plan(q2.n, order)]
 
 
 def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]:
     """Lower bandwidth of the sparse ``rows`` and the column of each row's
-    last stored entry (-1 for an empty row), read from the row keys.
-
-    Elimination with row swaps keeps both bounds: a row more than ``lower``
-    below the pivot row still holds a zero in the pivot column, and an
-    updated row ends no later than itself or the pivot row.
+    last stored entry (-1 for none).  Elimination with row swaps keeps both
+    bounds: rows more than ``lower`` below the pivot row hold a zero in its
+    column, and an updated row ends no later than itself or the pivot row.
     """
     lower = max((i - min(row) for i, row in enumerate(rows) if row), default=0)
     return lower, [max(row, default=-1) for row in rows]
@@ -364,20 +330,16 @@ def _integer_rows(
 
 
 def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
-    """Gaussian elimination in place on primitive sparse int rows
-    ``{column: nonzero int}``, as ``_integer_rows`` makes them.
+    """Gaussian elimination in place on sparse int rows ``{column: nonzero
+    int}``, such as ``_level_matrix`` or ``_integer_rows`` makes.
 
-    Each column pivots on the stored entry of fewest bits among the rows
-    not yet used as pivots; the first such row wins ties.  Each later row
-    that stores the pivot column becomes (p/g)*row - (v/g)*pivot_row, where
-    p is the pivot, v the row's entry and g = gcd(p, v); then the content
-    of the new row and its right-hand side is divided out, so entries stay
-    small, and an entry that cancels to 0 is deleted.  Updates touch only
-    stored entries, so a banded system fills in only within its band.  A
-    column with no stored entry at or below the next pivot row stays free.
-    Returns the pivot columns: row i holds its pivot in column pivots[i]
-    and no entry left of it.  Pivot and free columns do not depend on the
-    pivot rule; the rule keeps the entries of the level systems small.
+    Each column pivots on the stored entry of fewest bits among the unused
+    rows, the first winning ties.  Each later row storing the pivot column
+    becomes (p/g)*row - (v/g)*pivot_row with g = gcd(p, v), its content and
+    right-hand side's is divided out, and cancelled entries are deleted, so
+    a banded system fills in only within its band.  Returns the pivot
+    columns: row i holds its pivot in column pivots[i] and nothing left of
+    it.  A column with no stored entry left to pivot on stays free.
     """
     size = len(rows)
     pivots: list[int] = []
@@ -424,56 +386,63 @@ def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
 
 
 def _back_substitute(
-    rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[Fraction]
-) -> list[Fraction]:
-    """Fill the pivot unknowns of ``out`` bottom up; free unknowns keep their value.
+    rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Fill the pivot unknowns of ``out`` bottom up, each a reduced (numerator,
+    positive denominator) pair; free unknowns keep the pair they hold.
 
     Each row's sum is kept as an int numerator over the lcm of the
-    denominators it has met, and reduced once, into the unknown's
-    ``Fraction``.
+    denominators it has met, and reduced once.
     """
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
+        row = rows[r]
         num, den = rhs[r], 1
-        for c, v in rows[r].items():
-            x = out[c]
-            if c != col and x:
-                d = x.denominator
+        for c, v in row.items():
+            x, d = out[c]
+            if x and c != col:
                 if d != den:
                     lcm = den // math.gcd(den, d) * d
                     num *= lcm // den
                     den = lcm
-                num -= v * x.numerator * (den // d)
-        out[col] = Fraction(num, den * rows[r][col])
+                num -= v * x * (den // d)
+        den *= row[col]
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        out[col] = (num // g, den // g)
     return out
+
+
+def _solve_int(rows: list[dict[int, int]], rhs: list[int]) -> list[tuple[int, int]]:
+    """Solve sparse int rows in place: the reduced (numerator, denominator)
+    of each unknown.  A singular system raises with its first free column."""
+    pivots = _forward_eliminate(rows, rhs)
+    if len(pivots) < len(rhs):
+        col = min(set(range(len(rhs))).difference(pivots))
+        raise SingularSystemError(
+            f"singular system at column {col}; the operator should be bijective",
+            column=col,
+        )
+    return _back_substitute(rows, rhs, pivots, [(0, 1)] * len(rhs))
 
 
 def _solve_exact(
     matrix: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
 ) -> list[Fraction]:
-    """Solve sparse exact rows ``{column: nonzero entry}``: the class
-    systems, the full-system oracle and the operator-matrix oracle all come
-    here.  A singular system raises with its first free column."""
-    rows, b = _integer_rows(matrix, rhs)
-    pivots = _forward_eliminate(rows, b)
-    if len(pivots) < len(b):
-        col = min(set(range(len(b))).difference(pivots))
-        raise SingularSystemError(
-            f"singular system at column {col}; the operator should be bijective",
-            column=col,
-        )
-    return _back_substitute(rows, b, pivots, [Fraction(0)] * len(b))
+    """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
+    leaving them unchanged: ``solve_class`` and both oracles come here."""
+    return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))]
 
 
 def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
     """Partial-pivoting LU factors of sparse float rows; small pivots raise
     instead of smearing.
 
-    Expands each sparse row into a private dense working row and keeps to
-    the band like ``_solve_exact``.  The entries it skips are exact zeros,
-    so it performs, in the same order, every floating-point operation of a
-    dense partial-pivoting loop that can change a finite value.  Returns
-    six arrays, each of exactly its length:
+    Expands each row into a dense working row and keeps to the band; the
+    entries it skips are exact zeros, so it performs every floating-point
+    operation of a dense partial-pivoting loop that can change a finite
+    value, in the same order.  Returns six arrays of exactly their length:
 
     * ``pivot_rows``: column col swapped rows col and pivot_rows[col];
     * ``l_start``, ``l_rows``, ``l_factors``: then, for i from l_start[col]
@@ -537,13 +506,11 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
 
 
 def _substitute_float(factors: tuple[array, ...], rhs: Sequence[float]) -> list[float]:
-    """Solve for one right-hand side with the factors of ``_factor_float``.
-
-    Replays the elimination's swaps and updates on ``rhs`` in their order,
-    then back-substitutes, so the answer has the bits of a dense
-    partial-pivoting loop.  An unknown that overflows (a subnormal pivot
-    passes the relative test) raises: past it the dense loop's 0 * inf
-    products turn other unknowns into NaN where the band skips them.
+    """Solve for one right-hand side with the factors of ``_factor_float``,
+    replaying the swaps and updates in order, so the answer has the bits of
+    a dense partial-pivoting loop.  An unknown that overflows (a subnormal
+    pivot passes the relative test) raises, since past it the dense loop's
+    0 * inf products would give NaN where the band skips them.
     """
     pivot_rows, l_start, l_rows, l_factors, u_start, u_values = factors
     rhs = list(rhs)
@@ -582,10 +549,9 @@ def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) ->
 
 
 # The float factors of a class system depend only on the axis squares, the
-# order and the parity class, so float mode keeps them in one store per
-# process and later solves on the same surface only substitute their
-# right-hand sides.  The store holds at most this many bytes of arrays,
-# dropping the oldest factors first; factors larger than it are not kept.
+# order and the parity class, so one store per process keeps them for later
+# solves on the same surface, within this many bytes of arrays, dropping the
+# oldest first; factors larger than the bound are not kept.
 FLOAT_FACTOR_CACHE_BYTES = 1 << 22
 
 
@@ -618,11 +584,8 @@ _float_factors = _FloatFactorCache()
 
 
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
-    """Solve one parity block, mapping each member to its D^alpha f constant.
-
-    A block with an all-zero right-hand side is returned as all zeros
-    without elimination; this is what makes sparse boundaries cheap.
-    """
+    """Solve one parity block, mapping each member to its D^alpha f
+    constant; an all-zero right-hand side gives zeros without elimination."""
     is_float = isinstance(system.rhs[0], float)
     if not system.has_nonzero_rhs():
         zero: Scalar = 0.0 if is_float else Fraction(0)
@@ -640,13 +603,9 @@ def solve_homogeneous(
 ) -> Poly:
     """Find homogeneous f of degree deg(ph) - 2 with lap(q2*f) = lap(ph).
 
-    For ph of degree below 2 (already harmonic) the answer is zero.  Exact
-    mode assembles and solves every ``ClassSystem``.  Float mode (a float
-    q2) reads each class's right-hand side alone and solves only the
-    nonzero ones, with the factors stored for its (axis squares, order,
-    parity class), or assembled, factored and stored when there are none.
-    Both rebuild f as the sum of D^alpha f * x^alpha / alpha! over the
-    level plan's members, skipping zeros.
+    For ph of degree below 2 (already harmonic) the answer is zero.  Float
+    mode (a float ph or q2) is ``_solve_level`` on ph; exact mode runs it on
+    the int numerators of ph and turns its answer into ``Fraction``s.
     """
     if ph.n != q2.n:
         raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
@@ -655,80 +614,94 @@ def solve_homogeneous(
     deg = ph.degree()
     if deg is None or deg < 2:
         return Poly.zero(ph.n)
-    order = deg - 2
+    if q2.is_float() or ph.is_float():
+        return Poly._raw(ph.n, _solve_level(ph, 1, q2.to_float(), stats)[0])
+    terms, den = _solve_level(*_numerators(ph), q2, stats)
+    return Poly._raw(ph.n, _fractions(terms, den))
 
+
+def _solve_level(
+    carry: Poly, den: int, q2: Poly, stats: SolveStats | None
+) -> tuple[dict[tuple[int, ...], Scalar | int], int]:
+    """f with lap(q2*f) = lap(carry/den) for a homogeneous carry of degree
+    k >= 2, as its terms and their denominator.
+
+    Only classes with a nonzero right-hand side are assembled and solved.
+    Float mode (a float q2, den 1) uses the factors stored for the class or
+    stores new ones, and rebuilds f as the sum of D^alpha f * x^alpha /
+    alpha!.  Exact mode takes int numerators; each D^alpha f comes out as a
+    reduced int pair, alpha! and den join its denominator, and f comes back
+    as int numerators over their lcm, divided by one gcd.
+    """
+    order = carry.degree() - 2
+    float_mode = q2.is_float()
+    if float_mode and order > FLOAT_MAX_ORDER:
+        raise IllConditionedSystemError(
+            f"order {order} is past {FLOAT_MAX_ORDER}, where alpha! overflows a float")
     t0 = time.perf_counter()
-    plan = level_plan(ph.n, order)
-    rhs_source = ph.laplacian()
-    # (members, factorials, solved constants in member order) per class.
-    solved: list[tuple[tuple, tuple, Iterable[Scalar]]] = []
+    plan = level_plan(carry.n, order)
+    rhs_source = carry.laplacian()
+    a, scale, zero = _axis_squares(q2)
+    stored = _float_factors.entries if float_mode else {}
+    active = []
+    for parity, members, factorials in plan:
+        rhs = _level_rhs(rhs_source, members, factorials, scale, zero)
+        if any(rhs):
+            key = (tuple(a), order, parity)
+            factors = stored.get(key)
+            rows = _level_matrix(a, zero, members) if factors is None else None
+            active.append((members, factorials, rows, rhs, key, factors))
+    t1 = time.perf_counter()
+    solved = []
     hits = 0
-    if q2.is_float():
-        # Zero-rhs classes solve to zeros, which the rebuild drops.
-        a = tuple(_axis_squares(q2, 0.0))
-        active = []
-        for parity, members, factorials in plan:
-            rhs = _level_rhs(rhs_source, members, factorials, 1, 0.0)
-            if any(rhs):
-                key = (a, order, parity)
-                factors = _float_factors.entries.get(key)
-                rows = _level_matrix(q2, members)[0] if factors is None else None
-                active.append((members, factorials, rhs, key, factors, rows))
-        t1 = time.perf_counter()
-        for members, factorials, rhs, key, factors, rows in active:
+    for members, factorials, rows, rhs, key, factors in active:
+        if not float_mode:
+            values = _solve_int(rows, rhs)
+        else:
             if factors is None:
                 factors = _factor_float(rows)
                 _float_factors.put(key, factors)
             else:
                 hits += 1
-            solved.append((members, factorials, _substitute_float(factors, rhs)))
-        nonzero = len(active)
-    else:
-        systems = assemble_class_systems(rhs_source, q2, order)
-        t1 = time.perf_counter()
-        solved = [(members, factorials, solve_class(system).values())
-                  for (_, members, factorials), system in zip(plan, systems)]
-        nonzero = sum(1 for s in systems if s.has_nonzero_rhs())
+            values = _substitute_float(factors, rhs)
+        solved.append((members, factorials, values))
     t2 = time.perf_counter()
-    terms = {}
-    for members, factorials, values in solved:
-        for alpha, fact, v in zip(members, factorials, values):
-            if v:
-                terms[alpha] = v / fact
+    if float_mode:
+        terms = {alpha: v / fact for members, factorials, values in solved
+                 for alpha, fact, v in zip(members, factorials, values) if v}
+        f_den = 1
+    else:
+        pairs = [(alpha, num, d * fact) for members, factorials, values in solved
+                 for alpha, fact, (num, d) in zip(members, factorials, values) if num]
+        lcm = math.lcm(*[d for _, _, d in pairs])
+        nums = [num * (lcm // d) for _, num, d in pairs]
+        g = math.gcd(*nums, den * lcm)
+        terms = {alpha: v // g for (alpha, _, _), v in zip(pairs, nums)}
+        f_den = den * lcm // g
     t3 = time.perf_counter()
 
     if stats is not None:
-        stats.levels.append(
-            LevelStats(
-                carry_degree=deg,
-                system_order=order,
-                class_count=len(plan),
-                class_sizes=[len(members) for _, members, _ in plan],
-                nonzero_rhs_classes=nonzero,
-                rhs_is_zero=rhs_source.is_zero(),
-                assemble_ms=(t1 - t0) * 1000.0,
-                solve_ms=(t2 - t1) * 1000.0,
-                rebuild_ms=(t3 - t2) * 1000.0,
-                factor_hits=hits,
-            )
-        )
-    return Poly._raw(ph.n, terms)
+        den_bits, num_bits = (None, None) if float_mode else (
+            den.bit_length(), max(map(abs, carry.terms.values())).bit_length())
+        stats.levels.append(LevelStats(
+            carry_degree=order + 2, system_order=order, class_count=len(plan),
+            class_sizes=[len(members) for _, members, _ in plan],
+            nonzero_rhs_classes=len(active), rhs_is_zero=rhs_source.is_zero(),
+            assemble_ms=(t1 - t0) * 1000.0, solve_ms=(t2 - t1) * 1000.0,
+            rebuild_ms=(t3 - t2) * 1000.0, carry_den_bits=den_bits, carry_num_bits=num_bits,
+            factor_hits=hits))
+    return terms, f_den
 
 
 HomogeneousSolver = Callable[[Poly, Poly], Poly]
 
 
-def _numerators(poly: Poly, den: int = 1) -> tuple[Poly, int]:
-    """Integer numerators of the exact polynomial poly/den, over the lcm of
-    the denominators of its coefficients."""
+def _numerators(poly: Poly) -> tuple[Poly, int]:
+    """Integer numerators of the exact polynomial poly, over the lcm of the
+    denominators of its coefficients."""
     coefficients = poly.terms.values()
-    lcm = math.lcm(*[c.denominator for c in coefficients])
-    nums = [c.numerator * (lcm // c.denominator) for c in coefficients]
-    den *= lcm
-    g = math.gcd(*nums, den)
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
+    den = math.lcm(*[c.denominator for c in coefficients])
+    nums = [c.numerator * (den // c.denominator) for c in coefficients]
     return Poly._raw(poly.n, dict(zip(poly.terms, nums))), den
 
 
@@ -739,23 +712,20 @@ def _times(poly: Poly, m: int) -> Poly:
     return Poly._raw(poly.n, {a: c * m for a, c in poly.terms.items()})
 
 
-def _fractions(num: Poly, den: int) -> dict[tuple[int, ...], Fraction]:
-    """The coefficients of num/den, one ``Fraction`` each."""
-    return {a: Fraction(c, den) for a, c in num.terms.items()}
+def _fractions(terms: Mapping[tuple[int, ...], int], den: int) -> dict[tuple[int, ...], Fraction]:
+    """The int numerators ``terms`` over den, one ``Fraction`` each."""
+    return {a: Fraction(c, den) for a, c in terms.items()}
 
 
 def descent_unknowns(p: Poly, quadric: NonhyperbolicQuadratic, limit: int) -> int:
     """Unknowns over every level that ``solve_dirichlet``'s descent may
-    solve for p on the quadric, from closed forms: no multi-index is listed.
+    solve for p on the quadric, from closed forms.
 
-    The level of degree k has comb(k - 2 + n - 1, n - 1) unknowns, the
-    class sizes of ``bench.class_census`` summed.  It runs when its carry
-    may be nonzero: when p_k is nonzero, or q has a linear part and level
-    k + 1 ran, or a constant and level k + 2 ran.  With a linear part every
-    degree from the top down to 2 runs, comb(top - 2 + n, n) unknowns in
-    all.  Otherwise the levels are summed one by one, and the sum stops at
-    the first level that takes it past ``limit``; every level adds at least
-    one unknown, so at most limit + 1 levels are summed.
+    The level of degree k has comb(k - 2 + n - 1, n - 1) unknowns and runs
+    when p_k is nonzero, or q has a linear part and level k + 1 ran, or a
+    constant and level k + 2 ran; with a linear part that is every degree
+    from the top down to 2, comb(top - 2 + n, n) in all.  Otherwise the sum
+    stops at the first level past ``limit``, after at most limit + 1 levels.
     """
     n = p.n
     degrees = {sum(alpha) for alpha in p.terms}
@@ -779,6 +749,24 @@ def descent_unknowns(p: Poly, quadric: NonhyperbolicQuadratic, limit: int) -> in
     return total
 
 
+def largest_class_work(n: int, order: int) -> int:
+    """Work of the largest parity class of the order, in closed form: its
+    size s times the larger of s and the square of its bandwidth w.
+
+    The class of parity e holds the e + 2*beta with |beta| = (order - |e|)/2,
+    so the largest has b = order // 2, s = comb(b + n - 1, n - 1), and both
+    bandwidths w = comb(b + n - 2, n - 2), or less where an a_j is 0.  Its
+    elimination takes about s * w^2 steps, float mode's working rows s^2
+    entries.  A descent's top level has its largest class.
+    """
+    if order < 0:
+        return 0
+    b = order // 2
+    size = math.comb(b + n - 1, n - 1)
+    band = math.comb(b + n - 2, n - 2) if n > 1 else 0
+    return size * max(size, band * band)
+
+
 def solve_dirichlet(
     p: Poly,
     quadric: NonhyperbolicQuadratic,
@@ -788,30 +776,21 @@ def solve_dirichlet(
 ) -> HarmonicDecomposition:
     """Full decomposition p = h + q*f with h harmonic.
 
-    The restriction of h to the zero set of q equals that of p, so h solves
-    the Dirichlet problem there.  One pass runs from the top degree of p
-    down to 0.  Writing q = q2 + q1 + q0 and p_k, h_k, f_k for the
-    degree-k parts, the degree-k part of p = h + q*f reads
+    One pass runs from the top degree of p down to 0.  With q = q2 + q1 +
+    q0 and p_k, h_k, f_k the degree-k parts, the degree-k part of p = h +
+    q*f reads
 
         carry_k = p_k - q1 * f_(k-1) - q0 * f_k = h_k + q2 * f_(k-2)
 
-    f_(k-1) and f_k come from the two levels above, so each carry of degree
-    k >= 2 is split by one level solve for f_(k-2).  Below degree 2 there
-    is nothing left to solve and h_k = carry_k.
-
-    Exact mode keeps every part as integer numerators over one denominator:
-    q over qden, p_k and f_k over the lcm of their own denominators, and
-    carry_k over lcm(den p_k, qden * den f_(k-1), qden * den f_k).  The
-    numerators of the carry go to the level solve as they are; its answer
-    over the carry's denominator is f_(k-2).  Only h and f are turned into
-    ``Fraction``s.  Float mode runs the same loop with every denominator 1.
-    A ``homogeneous_solver`` receives the carry as a ``Fraction`` (or
-    float) polynomial and returns f_(k-2) itself.
+    so each carry of degree k >= 2 is split by one level solve for
+    f_(k-2), and below degree 2 h_k = carry_k.  Exact mode holds q, p_k,
+    f_k and carry_k as int numerators over one denominator each and forms
+    ``Fraction``s only for h and f; float mode runs the same loop with
+    every denominator 1.  A ``homogeneous_solver`` receives the carry as a
+    ``Fraction`` (or float) polynomial and returns f_(k-2).
     """
     if p.n != quadric.n:
-        raise DimensionMismatchError(
-            f"operands have dimensions {p.n} and {quadric.n}"
-        )
+        raise DimensionMismatchError(f"operands have dimensions {p.n} and {quadric.n}")
     n = p.n
     zero = Poly.zero(n)
     exact = not p.is_float()
@@ -824,22 +803,17 @@ def solve_dirichlet(
     q_parts = dict(q_poly.homogeneous_components())
     q2n, q1n, q0n = (q_parts.get(d, zero) for d in (2, 1, 0))
 
-    def split(poly: Poly, den: int = 1) -> tuple[Poly, int]:
-        return _numerators(poly, den) if exact else (poly, den)
+    def split(poly: Poly) -> tuple[Poly, int]:
+        return _numerators(poly) if exact else (poly, 1)
 
     def level(carry: Poly, den: int) -> tuple[Poly, int]:
         """f_(k-2), as numerators and denominator, for the carry carry/den."""
-        if homogeneous_solver is not None:
-            if exact:
-                carry = Poly._raw(n, _fractions(carry, den))
-            return split(homogeneous_solver(carry, q2))
-        f = solve_homogeneous(carry, q2, stats=stats)
-        if stats is not None and exact:
-            stats.levels[-1] = stats.levels[-1]._replace(
-                carry_den_bits=den.bit_length(),
-                carry_num_bits=max(abs(c) for c in carry.terms.values()).bit_length(),
-            )
-        return split(f, den)
+        if homogeneous_solver is None:
+            terms, f_den = _solve_level(carry, den, q2, stats)
+            return Poly._raw(n, terms), f_den
+        if exact:
+            carry = Poly._raw(n, _fractions(carry.terms, den))
+        return split(homogeneous_solver(carry, q2))
 
     zero_part = (zero, 1)
     parts = {k: split(part) for k, part in p.homogeneous_components()}
@@ -851,18 +825,20 @@ def solve_dirichlet(
         f1, d1 = f_parts.get(k - 1, zero_part)
         f0, d0 = f_parts.get(k, zero_part)
         den = math.lcm(p_den, qden * d1, qden * d0)
-        carry = (_times(p_k, den // p_den) - _times(q1n * f1, den // (qden * d1))
-                 - _times(q0n * f0, den // (qden * d0)))
+        # q's parts have at most n terms each, so they are scaled instead of
+        # the products.
+        carry = (_times(p_k, den // p_den) - _times(q1n, den // (qden * d1)) * f1
+                 - _times(q0n, den // (qden * d0)) * f0)
         # The carry is homogeneous of degree k or identically zero; zero
         # carries occur whenever p skips a degree and q has no linear part,
         # so skip the solver rather than make every solver handle them.
         if k >= 2 and not carry.is_zero():
             f_k2, f_den = f_parts[k - 2] = level(carry, den)
-            f_terms.update(_fractions(f_k2, f_den) if exact else f_k2.terms)
+            f_terms.update(_fractions(f_k2.terms, f_den) if exact else f_k2.terms)
             h_den = math.lcm(den, qden * f_den)
-            carry = _times(carry, h_den // den) - _times(q2n * f_k2, h_den // (qden * f_den))
+            carry = _times(carry, h_den // den) - _times(q2n, h_den // (qden * f_den)) * f_k2
             den = h_den
         # Degrees are disjoint, so h and f are gathered without arithmetic.
-        h_terms.update(_fractions(carry, den) if exact else carry.terms)
+        h_terms.update(_fractions(carry.terms, den) if exact else carry.terms)
     return HarmonicDecomposition(h=Poly._raw(n, h_terms), f=Poly._raw(n, f_terms), p=p, q=quadric)
 

@@ -1,23 +1,17 @@
 """Independent checks for computed decompositions.
 
-Two cross-check routes exist beside the production solver:
-
-* ``oracle_full_system`` assembles the level system over all multi-indices
-  of one order as a single matrix, skipping the parity partition, so it
-  exercises the same row equations through a different layout.
-* ``oracle_operator_matrix`` never differentiates products at all: it
-  builds the matrix of the map f -> laplacian(q * f) on the full monomial
-  basis of degree <= deg(p) - 2, column by column from plain polynomial
-  products, and solves that.  Agreement with the production path is strong
-  evidence against a shared derivation bug.
+* ``oracle_full_system`` solves the level equations over all multi-indices
+  of one order as one matrix, skipping the parity partition.
+* ``oracle_operator_matrix`` never differentiates products: it solves the
+  matrix of f -> laplacian(q * f) on the monomials of degree <= deg(p) - 2,
+  built column by column from polynomial products.  Agreement with the
+  solver is strong evidence against a shared derivation bug.
 
 Both oracles and the kernel probe ``operator_kernel`` eliminate with the
-solver's own exact routine, on sparse primitive integer rows.  The exact
-answer does not depend on how it is eliminated, so the operator-matrix
-oracle's independence lies in its matrix, which is built from polynomial
-products and never from ``level_rows``.  ``verify_solution`` itself
-eliminates nothing: the split p = h + q*f is unique, so laplacian(h) = 0
-and p - h - q*f = 0 certify an exact answer.
+solver's own exact routine; the exact answer does not depend on how it is
+eliminated, so an oracle's independence lies in its matrix.
+``verify_solution`` eliminates nothing: the split is unique, so
+laplacian(h) = 0 and p - h - q*f = 0 certify an exact answer.
 """
 
 from __future__ import annotations
@@ -107,8 +101,8 @@ def _kernel_basis(rows: list[dict[int, Scalar | int]]) -> list[list[Fraction]]:
     pivots = _forward_eliminate(rows, zeros)
     basis = []
     for col in sorted(set(range(size)).difference(pivots)):
-        unit = [Fraction(c == col) for c in range(size)]
-        basis.append(_back_substitute(rows, zeros, pivots, unit))
+        unit = [(int(c == col), 1) for c in range(size)]
+        basis.append([Fraction(*x) for x in _back_substitute(rows, zeros, pivots, unit)])
     return basis
 
 

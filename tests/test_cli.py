@@ -14,6 +14,7 @@ from quadharm.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY,
+    SOLVE_MAX_CLASS_WORK,
     SOLVE_MAX_UNKNOWNS,
     main,
 )
@@ -256,6 +257,62 @@ class TestExitCodes:
         assert (code, out) == (EXIT_INPUT, "")
         assert f"past the limit of {MAX_LITERAL_DIGITS} digits" in err
 
+    def test_largest_class_over_the_limit_exits_two_before_any_work(self, capsys, monkeypatch):
+        # One level runs, 199,396 unknowns, under the float limit; its
+        # largest class of 50,086 would need 2.5e9 float working entries.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an input over the limit")
+
+        monkeypatch.setattr("quadharm.cli.solve_dirichlet", forbidden)
+        code, out, err = run(capsys, "solve", "--mode", "float", "--boundary", "x1^632",
+                             "--surface", "x1^2+x2^2+x3^2")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"has a parity class of work 5001387616; the limit is {SOLVE_MAX_CLASS_WORK}" in err
+
+    def test_class_work_limit_is_inclusive(self, capsys, monkeypatch):
+        # Order 4 in 3 variables: a class of 6 with bandwidth 3, work 6 * 9.
+        argv = ("solve", "--boundary", "x1^6", "--surface", "x1^2+x2^2+x3^2-1")
+        monkeypatch.setattr("quadharm.cli.SOLVE_MAX_CLASS_WORK", 54)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        monkeypatch.setattr("quadharm.cli.SOLVE_MAX_CLASS_WORK", 53)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "") and "parity class of work 54" in err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_answer_past_the_digit_limit_exits_two(self, capsys, fmt):
+        big = "7" * MAX_LITERAL_DIGITS
+        code, out, err = run(capsys, "solve", "--boundary", "*".join([big] * 5) + "*x1^2",
+                             "--surface", "x1^2+x2^2+x3^2-1", "--format", fmt)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
+        # Below the limit the answer prints.
+        code, out, _ = run(capsys, "solve", "--boundary", "*".join([big] * 4) + "*x1^2",
+                           "--surface", "x1^2+x2^2+x3^2-1", "--format", fmt)
+        assert code == EXIT_OK and len(out) > 4 * MAX_LITERAL_DIGITS
+
+    def test_float_order_past_the_factorials_exits_four(self, capsys):
+        # A tiny coefficient keeps order 170 in range: D^alpha f is about
+        # 170! / 10^300.
+        tiny = "1/1" + "0" * 300
+        argv = ("solve", "--mode", "float", "--surface", "x1^2+x2^2", "--boundary")
+        assert run(capsys, *argv, f"{tiny}*x1^172")[0] == EXIT_OK
+        code, out, err = run(capsys, *argv, f"{tiny}*x1^173")
+        assert (code, out) == (EXIT_ILL_CONDITIONED, "")
+        assert "order 171 is past 170, where alpha! overflows a float" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--boundary", "%s*%s*x1^2" % ("9" * 200, "9" * 200), "--surface", "x1^2+x2^2-1"),
+        ("--boundary", "x1^2", "--surface", "%s*%s*x1^2+x2^2-1" % ("9" * 200, "9" * 200)),
+    ], ids=["boundary", "surface"])
+    def test_coefficient_past_the_float_range_exits_two(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an input float mode cannot hold")
+
+        monkeypatch.setattr("quadharm.cli.solve_dirichlet", forbidden)
+        code, out, err = run(capsys, "solve", "--mode", "float", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "too large for float mode" in err
+
     def test_long_number_in_a_surface_document_exits_two(self, capsys):
         surface = '{"a": [1, %s], "c": [0, 0], "d": -1}' % ("9" * 5000)
         code, out, err = run(capsys, "solve", "--boundary", "x1^2", "--surface", surface)
@@ -371,6 +428,26 @@ class TestBench:
         monkeypatch.setattr("quadharm.bench.class_census", forbidden)
         code, out, err = run(capsys, "bench", "--dim", "40", "--degree", "40")
         assert (code, out) == (EXIT_INPUT, "") and "parity classes" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # x1^502 on the unit sphere: more than 40,000 unknowns in exact mode.
+        (("--dim", "3", "--degree", "500", "--time"), "unknowns over its levels"),
+        (("--dim", "3", "--degree", "500", "--compare-full"), "unknowns over its levels"),
+        # x1^632 on a surface with no constant: one level, one huge class.
+        (("--dim", "3", "--degree", "630", "--time", "--mode", "float",
+          "--surface", "x1^2+x2^2+x3^2"), "parity class of work"),
+        # 153 unknowns in the unpartitioned top level, past 120.
+        (("--dim", "3", "--degree", "16", "--compare-full"), "needs 153 unknowns in one system"),
+    ])
+    def test_timed_bench_over_a_limit_exits_two_before_any_work(self, capsys, monkeypatch,
+                                                                argv, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bench timed a problem over the limit")
+
+        for name in ("run_comparison", "dense_boundary"):
+            monkeypatch.setattr(f"quadharm.bench.{name}", forbidden)
+        code, out, err = run(capsys, "bench", *argv)
+        assert (code, out) == (EXIT_INPUT, "") and message in err
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_two(self, capsys, reps):

@@ -22,6 +22,7 @@ from quadharm.solver import (
     _factor_float,
     _solve_exact,
     _solve_float,
+    _solve_int,
     _substitute_float,
 )
 from quadharm.verify import _kernel_basis, _operator_matrix
@@ -305,6 +306,12 @@ def test_oracle_elimination_keeps_primitive_int_rows(kind, data):
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
     for r, col in enumerate(pivots):
         assert min(rows[r]) == col
+
+
+def test_int_solve_gives_reduced_pairs_with_positive_denominators():
+    # x1 = -3/6 and x0 = (2 - 2 * x1) / -4, each reduced once.
+    assert _solve_int([{0: -4, 1: 2}, {1: 6}], [2, -3]) == [(-3, 4), (-1, 2)]
+    assert _solve_int([{0: 5}], [0]) == [(0, 1)]
 
 
 def test_pivot_is_the_entry_of_fewest_bits():

@@ -1,5 +1,7 @@
 """Expression grammar, surface documents, and JSON round-trips."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from quadharm.parsing import (
     MAX_LITERAL_DIGITS,
     MAX_NESTING_DEPTH,
     _scalar_from_json,
+    exceeds_digit_limit,
     poly_to_json_terms,
     scalar_to_json,
 )
@@ -133,6 +136,17 @@ class TestSurfaceParsing:
             parse_surface('{"a": [1, 1], "d": 0}')
         assert "missing" in str(err.value)
 
+    @pytest.mark.parametrize("value", ["1e100000000", "-2.5E+0001_001", "1e" + "9" * 5000])
+    def test_huge_exponent_is_refused_before_it_is_computed(self, value):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match=f"is past {MAX_LITERAL_DIGITS}"):
+            _scalar_from_json(value)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_exponent_at_the_limit_is_read_exactly(self):
+        assert _scalar_from_json(f"1e{MAX_LITERAL_DIGITS}") == 10**MAX_LITERAL_DIGITS
+        assert _scalar_from_json(f"3e-00{MAX_LITERAL_DIGITS}") == Fraction(3, 10**MAX_LITERAL_DIGITS)
+
     def test_malformed_json_reported(self):
         with pytest.raises(ParseError):
             parse_surface('{"a": [1, 1],')
@@ -160,3 +174,27 @@ class TestJsonScalars:
         terms = poly_to_json_terms(p)
         assert terms[0]["e"] == [4, 3, 0]  # canonical order, top degree first
         assert Poly(3, {tuple(t["e"]): _scalar_from_json(t["c"]) for t in terms}) == p
+
+
+class TestDigitLimit:
+    def test_agrees_with_str_at_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        for value in (10**limit - 1, 10**limit, -(10**limit), 2**50):
+            for c in (Fraction(value), Fraction(1, abs(value))):
+                p = Poly.constant(2, c)
+                try:
+                    format_polynomial(p)
+                    poly_to_json_terms(p)
+                except ValueError:
+                    assert exceeds_digit_limit(p)
+                else:
+                    assert not exceeds_digit_limit(p)
+        assert not exceeds_digit_limit(Poly.constant(2, 1e300))
+
+    def test_no_limit_means_nothing_exceeds_it(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert not exceeds_digit_limit(Poly.constant(2, 10**(limit + 10)))
+        finally:
+            sys.set_int_max_str_digits(limit)

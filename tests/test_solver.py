@@ -638,3 +638,43 @@ class TestIntegerDescent:
         for c in (*dec.h.terms.values(), *dec.f.terms.values()):
             assert type(c) is Fraction and c != 0
         assert (p - dec.h - q.to_polynomial() * dec.f).is_zero()
+
+    def test_fractions_are_formed_only_for_the_output(self, monkeypatch, rng):
+        # The levels solve, rebuild and carry in ints; each coefficient of
+        # h and f is the one Fraction the descent forms for it.
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(solver, "Fraction", counting)
+        p = all_degree(rng, 3, 9) + dense_boundary(3, 9)
+        stats = SolveStats()
+        dec = solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=stats)
+        assert len(stats.levels) == 8 and len(dec.f.terms) > 100
+        assert len(made) <= len(dec.h.terms) + len(dec.f.terms) + 2 * len(stats.levels)
+        monkeypatch.undo()
+        assert dec == solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
+
+
+class TestLargestClassWork:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_closed_form_matches_the_assembled_rows(self, n):
+        for order in range(10):
+            members = max((m for _, m, _ in solver.level_plan(n, order)), key=len)
+            lower, last = solver._band_profile(solver._level_matrix([1] * n, 0, members))
+            upper = max(end - i for i, end in enumerate(last))
+            size = len(members)
+            assert lower == upper
+            assert solver.largest_class_work(n, order) == size * max(size, lower**2)
+
+    def test_a_zero_axis_square_only_narrows_the_band(self):
+        for order in range(10):
+            members = max((m for _, m, _ in solver.level_plan(3, order)), key=len)
+            lower, _ = solver._band_profile(solver._level_matrix([1, 0, 2], 0, members))
+            assert len(members) * max(len(members), lower**2) <= solver.largest_class_work(3, order)
+
+    def test_below_order_zero_there_is_no_class(self):
+        assert solver.largest_class_work(3, -1) == solver.largest_class_work(3, -2) == 0
+        assert solver.largest_class_work(1, 7) == 1
