@@ -49,7 +49,7 @@ SOLVE_MAX_UNKNOWNS = {"exact": 40_000, "float": 200_000}
 # They also refuse a problem whose largest parity class needs more work
 # than this (``solver.largest_class_work``), which the unknown count does
 # not bound: float x1^632 on x1^2+x2^2+x3^2 has one level, one class of
-# 50,086.  The slowest accepted class took about 1.5 s exact, 0.35 s float.
+# 50,086.  The slowest accepted class measured took 1.5 s exact, 0.2 s float.
 SOLVE_MAX_CLASS_WORK = 4_000_000
 
 # ``bench --compare-full`` refuses a larger unpartitioned top level: one

@@ -388,8 +388,9 @@ def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
 def _back_substitute(
     rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[tuple[int, int]]
 ) -> list[tuple[int, int]]:
-    """Fill the pivot unknowns of ``out`` bottom up, each a reduced (numerator,
-    positive denominator) pair; free unknowns keep the pair they hold.
+    """Fill the pivot unknowns of ``out``, which enter as (0, 1), bottom up,
+    each a reduced (numerator, positive denominator) pair; free unknowns
+    keep the pair they hold.
 
     Each row's sum is kept as an int numerator over the lcm of the
     denominators it has met, and reduced once.
@@ -400,7 +401,7 @@ def _back_substitute(
         num, den = rhs[r], 1
         for c, v in row.items():
             x, d = out[c]
-            if x and c != col:
+            if x:
                 if d != den:
                     lcm = den // math.gcd(den, d) * d
                     num *= lcm // den

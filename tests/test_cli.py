@@ -290,6 +290,17 @@ class TestExitCodes:
                            "--surface", "x1^2+x2^2+x3^2-1", "--format", fmt)
         assert code == EXIT_OK and len(out) > 4 * MAX_LITERAL_DIGITS
 
+    @pytest.mark.parametrize("flags, code", [((), EXIT_OK), (("--show-f",), EXIT_INPUT),
+                                             (("--format", "json"), EXIT_INPUT)])
+    def test_multiplier_past_the_digit_limit_exits_two_only_when_printed(self, capsys, flags,
+                                                                        code):
+        # p = N^5 * q on the unit sphere: h = 0 and f = N^5, past 4,300 digits.
+        big = "*".join(["7" * MAX_LITERAL_DIGITS] * 5)
+        result = run(capsys, "solve", "--boundary", f"{big}*(x1^2+x2^2+x3^2-1)",
+                     "--surface", "x1^2+x2^2+x3^2-1", *flags)
+        assert result[0] == code
+        assert result[1] == ("h = 0\n" if code == EXIT_OK else "")
+
     def test_float_order_past_the_factorials_exits_four(self, capsys):
         # A tiny coefficient keeps order 170 in range: D^alpha f is about
         # 170! / 10^300.
