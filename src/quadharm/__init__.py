@@ -8,6 +8,7 @@ boundary data p.  This package computes (h, f) in exact rational
 arithmetic, or in floats for speed.
 """
 
+from .elimination import SingularSystemError
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -22,7 +23,6 @@ from .solver import (
     ClassSystem,
     HarmonicDecomposition,
     IllConditionedSystemError,
-    SingularSystemError,
     SolveStats,
     assemble_class_systems,
     parity_class,

@@ -25,9 +25,9 @@ from typing import Callable
 
 from .polynomial import Poly, Scalar, multi_indices, taylor_reconstruct
 from .quadric import NonhyperbolicQuadratic
+from .elimination import SingularSystemError
 from .solver import (
     IllConditionedSystemError,
-    SingularSystemError,
     SolveStats,
     level_rows,
     solve_dirichlet,
@@ -297,7 +297,5 @@ def record_to_text(record: BenchRecord) -> str:
             )
             if lv.carry_den_bits is not None:
                 line += f", carry bits {lv.carry_num_bits} over {lv.carry_den_bits}"
-            else:
-                line += f", {lv.factor_hits} from stored factors"
-            lines.append(line)
+            lines.append(f"{line}, {lv.factor_hits} from stored factors")
     return "\n".join(lines)

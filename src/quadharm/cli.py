@@ -56,6 +56,10 @@ SOLVE_MAX_CLASS_WORK = 4_000_000
 # dense exact solve of 120 unknowns took 4.5 s, a float one of 378 2.7 s.
 BENCH_FULL_MAX_UNKNOWNS = {"exact": 120, "float": 400}
 
+# ``bench`` refuses more repetitions: ``--time`` solves 1 + reps times, and
+# ``--compare-full`` twice that, each solve up to the limits above.
+BENCH_MAX_REPS = 100
+
 
 def _read_surface_argument(arg: str, n: int | None) -> NonhyperbolicQuadratic:
     if os.path.isfile(arg):
@@ -195,6 +199,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         error = f"--degree must be from 0 to {CENSUS_MAX_DEGREE}"
     elif args.reps < 1:
         error = "--reps must be at least 1"
+    elif args.reps > BENCH_MAX_REPS:
+        error = f"--reps {args.reps} is too many; the limit is {BENCH_MAX_REPS}"
     elif (classes := class_count(n, m)) > CENSUS_MAX_CLASSES:
         error = (f"--dim {n} --degree {m} has {classes} parity classes; "
                  f"bench reports at most {CENSUS_MAX_CLASSES}")

@@ -1,0 +1,341 @@
+"""Exact elimination of sparse int rows, and the store of recorded
+eliminations.
+
+Every exact system is eliminated here: the level solve, both oracles and
+the kernel probe.  ``_forward_eliminate`` eliminates a system together with
+its right-hand side, dividing out each new row's content.  The level solve
+runs it on a class it has not seen before.  On a class's second sighting it
+records the elimination instead (``_record_int``), which reads no
+right-hand side, keeps the recording in ``_exact_factors`` when it fits,
+and replays it (``_replay_int``) on every later right-hand side of that
+class.  Both paths end in ``_back_substitute``.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from array import array
+from fractions import Fraction
+from itertools import islice
+from typing import Mapping, Sequence
+
+from .polynomial import Scalar
+
+
+class SingularSystemError(ArithmeticError):
+    """A class system was singular in exact mode (internal invariant
+    breach); ``column`` is the first column left without a pivot."""
+
+    def __init__(self, message: str, *, column: int | None = None):
+        super().__init__(message)
+        self.column = column
+
+
+def _integer_rows(
+    rows: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Exact sparse rows as primitive int rows: each row and its right-hand
+    side times the lcm of their denominators, over the gcd of the results.
+    The system keeps its solutions, and the given rows are not changed."""
+    out_rows: list[dict[int, int]] = []
+    out_rhs: list[int] = []
+    for row, b in zip(rows, rhs):
+        values = [*row.values(), b]
+        den = math.lcm(*[v.denominator for v in values])
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        g = math.gcd(*nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+        out_rhs.append(nums.pop())
+        out_rows.append(dict(zip(row, nums)))
+    return out_rows, out_rhs
+
+
+def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
+    """Gaussian elimination in place on sparse int rows ``{column: nonzero
+    int}``, such as ``_level_matrix`` or ``_integer_rows`` makes.
+
+    Each column pivots on the stored entry of fewest bits among the unused
+    rows, the first winning ties.  Each later row storing the pivot column
+    becomes (p/g)*row - (v/g)*pivot_row with g = gcd(p, v), its content and
+    right-hand side's is divided out, and cancelled entries are deleted, so
+    a banded system fills in only within its band.  Returns the pivot
+    columns: row i holds its pivot in column pivots[i] and nothing left of
+    it.  A column with no stored entry left to pivot on stays free.
+    """
+    size = len(rows)
+    pivots: list[int] = []
+    for col in range(size):
+        top = len(pivots)
+        pivot_row, bits = -1, 0
+        for r in range(top, size):
+            v = rows[r].get(col)
+            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
+                pivot_row, bits = r, v.bit_length()
+        if pivot_row < 0:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
+        prow = rows[top]
+        pivot = prow[col]
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        top_rhs = rhs[top]
+        for r in range(top + 1, size):
+            row = rows[r]
+            v = row.pop(col, None)
+            if v is None:
+                continue
+            g = math.gcd(pivot, v)
+            a, b = pivot // g, v // g
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, pv in tail:
+                new = row.get(c, 0) - b * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            b_r = a * rhs[r] - b * top_rhs
+            g = math.gcd(*row.values(), b_r)
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+                b_r //= g
+            rows[r] = row
+            rhs[r] = b_r
+        pivots.append(col)
+    return pivots
+
+
+def _back_substitute(
+    rows: list[dict[int, int]], rhs: list[int], pivots: Sequence[int], out: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Fill the pivot unknowns of ``out``, which enter as (0, 1), bottom up,
+    each a reduced (numerator, positive denominator) pair; free unknowns
+    keep the pair they hold.
+
+    Each row's sum is kept as an int numerator over the lcm of the
+    denominators it has met, and reduced once.
+    """
+    for r in range(len(pivots) - 1, -1, -1):
+        col = pivots[r]
+        row = rows[r]
+        num, den = rhs[r], 1
+        for c, v in row.items():
+            x, d = out[c]
+            if x:
+                if d != den:
+                    lcm = den // math.gcd(den, d) * d
+                    num *= lcm // den
+                    den = lcm
+                num -= v * x * (den // d)
+        den *= row[col]
+        g = math.gcd(num, den)
+        if den < 0:
+            g = -g
+        out[col] = (num // g, den // g)
+    return out
+
+
+# A stored elimination: the steps of ``_record_int`` in one array, and the
+# position and value of each int set apart because it is too large for the
+# array's items; the array holds 0 there (``_packed``).
+IntFactors = "tuple[array | list[int], tuple[int, ...]]"
+
+# About what an int set apart costs: two tuple slots and two int objects.
+_SPILL_BYTES = 80
+
+
+def _packed(values: list[int]) -> IntFactors:
+    """The ints in an array of 2-, 4- or 8-byte items, whichever takes the
+    fewest bytes with the ints too large for its items set apart."""
+    bits = [v.bit_length() for v in values]
+    _, code, limit = min((item * len(values) + _SPILL_BYTES * sum(b > limit for b in bits), code, limit)
+                         for code, item, limit in (("h", 2, 15), ("i", 4, 31), ("q", 8, 63)))
+    spill = tuple(x for i, v in enumerate(values) if bits[i] > limit for x in (i, v))
+    for i in spill[::2]:
+        values[i] = 0
+    return array(code, values), spill
+
+
+def _record_int(rows: list[dict[int, int]]) -> list[int]:
+    """Eliminate sparse int rows in place by the rule of
+    ``_forward_eliminate``, but without dividing out any row's content, so
+    that no step reads a right-hand side, and record the steps for
+    ``_replay_int``.
+
+    Returns the steps.  For each column top in turn they hold p, k and k
+    triples (r, a, b): rows top and p were swapped, then rhs[r] =
+    a*rhs[r] - b*rhs[top] for each triple; then row top of the result, which
+    pivots in column top, as its entry count and (column, entry) pairs.  A
+    singular system raises with its first free column.
+    """
+    size = len(rows)
+    steps: list[int] = []
+    for col in range(size):
+        pivot_row, bits = -1, 0
+        for r in range(col, size):
+            v = rows[r].get(col)
+            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
+                pivot_row, bits = r, v.bit_length()
+        if pivot_row < 0:
+            raise SingularSystemError(
+                f"singular system at column {col}; the operator should be bijective",
+                column=col,
+            )
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        prow = rows[col]
+        pivot = prow[col]
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        ops = []
+        for r in range(col + 1, size):
+            row = rows[r]
+            v = row.pop(col, None)
+            if v is None:
+                continue
+            g = math.gcd(pivot, v)
+            a, b = pivot // g, v // g
+            if a != 1:
+                row = rows[r] = {c: a * x for c, x in row.items()}
+            for c, pv in tail:
+                new = row.get(c, 0) - b * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            ops += (r, a, b)
+        steps += (pivot_row, len(ops) // 3, *ops, len(prow))
+        for item in prow.items():
+            steps += item
+    return steps
+
+
+def _replay_int(steps: Sequence[int], spill: tuple[int, ...], rhs: list[int]
+                ) -> list[tuple[int, int]]:
+    """Solve for one int right-hand side, changed in place, with the steps
+    of ``_record_int``, or the ``_packed`` steps and their ints set apart,
+    then ``_back_substitute``: the reduced (numerator, denominator) of each
+    unknown."""
+    if spill:
+        steps = list(steps)
+        for i in range(0, len(spill), 2):
+            steps[spill[i]] = spill[i + 1]
+    steps = iter(steps)
+    size = len(rhs)
+    rows = []
+    for top in range(size):
+        p, k = next(steps), next(steps)
+        if p != top:
+            rhs[top], rhs[p] = rhs[p], rhs[top]
+        b_top = rhs[top]
+        ops = islice(steps, 3 * k)
+        for r, a, b in zip(ops, ops, ops):
+            rhs[r] = a * rhs[r] - b * b_top
+        entries = islice(steps, 2 * next(steps))
+        rows.append(dict(zip(entries, entries)))
+    return _back_substitute(rows, rhs, range(size), [(0, 1)] * size)
+
+
+def _solve_int(rows: list[dict[int, int]], rhs: list[int]) -> list[tuple[int, int]]:
+    """Solve sparse int rows in place: the reduced (numerator, denominator)
+    of each unknown.  A singular system raises with its first free column."""
+    pivots = _forward_eliminate(rows, rhs)
+    if len(pivots) < len(rhs):
+        col = min(set(range(len(rhs))).difference(pivots))
+        raise SingularSystemError(
+            f"singular system at column {col}; the operator should be bijective",
+            column=col,
+        )
+    return _back_substitute(rows, rhs, pivots, [(0, 1)] * len(rhs))
+
+
+def _solve_exact(
+    matrix: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
+) -> list[Fraction]:
+    """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
+    leaving them unchanged: ``solve_class`` and both oracles come here."""
+    return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))]
+
+
+# Exact mode keeps the recorded eliminations of ``_record_int`` by (order,
+# parity class, primitive int axis squares), flattened into one tuple, within
+# this many bytes, keys and first-sighting marks included.  The 151 classes
+# of the exact benchmark's five fixed surfaces take 281 KB, and 146 of them
+# fit.
+EXACT_FACTOR_STORE_BYTES = 1 << 18
+
+
+# About what a key adds to the table of the dict or set that holds it.
+_SLOT_BYTES = 64
+
+
+def _int_bytes(values: tuple[int, ...]) -> int:
+    """``sys.getsizeof`` of the tuple and of the ints it holds that are not
+    the interpreter's shared small ints."""
+    return sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values if not -5 <= v <= 256)
+
+
+def _int_factor_bytes(factors: IntFactors) -> int:
+    return sys.getsizeof(factors) + sys.getsizeof(factors[0]) + _int_bytes(factors[1])
+
+
+class _ExactFactorStore:
+    """``_record_int`` results by key, admitted on a key's second sighting.
+
+    A first sighting only marks the key, so a one-off solve runs the fused
+    ``_forward_eliminate``; the second records and the later ones replay.
+    Stored factors are never evicted: the working set of a repeated workload
+    is cyclic, and oldest-first eviction under a smaller bound would miss on
+    every solve.  Factors that do not fit are dropped and their key kept
+    with None, so it never records again.  When a mark does not fit, the
+    marks (never the factors) are dropped.
+    """
+
+    def __init__(self):
+        self.entries: dict[tuple[int, ...], IntFactors | None] = {}
+        self.seen: set[tuple[int, ...]] = set()
+        self.nbytes = 0
+        self.seen_bytes = 0
+
+    def admit(self, key: tuple[int, ...], rows: list[dict[int, int]]) -> IntFactors | None:
+        """The factors of ``rows`` if this sighting of the key records them,
+        kept or not, else None and the rows are left for ``_solve_int``."""
+        if key in self.entries:
+            return None
+        size = _int_bytes(key) + _SLOT_BYTES
+        if key not in self.seen:
+            if self.nbytes + self.seen_bytes + size > EXACT_FACTOR_STORE_BYTES:
+                self.seen.clear()
+                self.seen_bytes = 0
+            if self.nbytes + size <= EXACT_FACTOR_STORE_BYTES:
+                self.seen.add(key)
+                self.seen_bytes += size
+            return None
+        self.seen.remove(key)
+        self.seen_bytes -= size
+        steps = _record_int(rows)
+        factors: IntFactors = (steps, ())
+        room = EXACT_FACTOR_STORE_BYTES - self.nbytes - self.seen_bytes
+        # A packed int takes 2 bytes or more, so the count alone can rule
+        # the steps out before they are packed.
+        if 2 * len(steps) < room:
+            factors = _packed(steps)
+            kept = size + _int_factor_bytes(factors)
+            if kept <= room:
+                self.entries[key] = factors
+                self.nbytes += kept
+                return factors
+        # The key's own mark fits: it was just freed.
+        self.entries[key] = None
+        self.nbytes += size
+        return factors
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.seen.clear()
+        self.nbytes = self.seen_bytes = 0
+
+
+_exact_factors = _ExactFactorStore()

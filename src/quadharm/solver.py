@@ -40,6 +40,7 @@ from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
+from .elimination import _exact_factors, _replay_int, _solve_exact, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -56,15 +57,6 @@ FLOAT_PIVOT_RTOL = 1e-12
 # float, and alpha! reaches order!: 170! is the last factorial below the
 # largest float, so float levels of higher order raise before any work.
 FLOAT_MAX_ORDER = 170
-
-
-class SingularSystemError(ArithmeticError):
-    """A class system was singular in exact mode (internal invariant
-    breach); ``column`` is the first column left without a pivot."""
-
-    def __init__(self, message: str, *, column: int | None = None):
-        super().__init__(message)
-        self.column = column
 
 
 class IllConditionedSystemError(ArithmeticError):
@@ -170,10 +162,10 @@ class LevelStats(NamedTuple):
 
     ``assemble_ms`` covers the right-hand sides and the matrices built,
     ``solve_ms`` the eliminations and substitutions, ``rebuild_ms`` the
-    rebuild of f.  ``factor_hits`` counts the classes float mode solved
-    from stored factors.  Exact mode fills ``carry_den_bits`` and
-    ``carry_num_bits``, the bit lengths of the carry's denominator and of
-    its largest numerator.
+    rebuild of f.  ``factor_hits`` counts the classes solved from factors
+    that an earlier solve stored, in either mode.  Exact mode fills
+    ``carry_den_bits`` and ``carry_num_bits``, the bit lengths of the
+    carry's denominator and of its largest numerator.
     """
 
     carry_degree: int
@@ -307,133 +299,6 @@ def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]
     """
     lower = max((i - min(row) for i, row in enumerate(rows) if row), default=0)
     return lower, [max(row, default=-1) for row in rows]
-
-
-def _integer_rows(
-    rows: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Exact sparse rows as primitive int rows: each row and its right-hand
-    side times the lcm of their denominators, over the gcd of the results.
-    The system keeps its solutions, and the given rows are not changed."""
-    out_rows: list[dict[int, int]] = []
-    out_rhs: list[int] = []
-    for row, b in zip(rows, rhs):
-        values = [*row.values(), b]
-        den = math.lcm(*[v.denominator for v in values])
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        g = math.gcd(*nums)
-        if g > 1:
-            nums = [v // g for v in nums]
-        out_rhs.append(nums.pop())
-        out_rows.append(dict(zip(row, nums)))
-    return out_rows, out_rhs
-
-
-def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
-    """Gaussian elimination in place on sparse int rows ``{column: nonzero
-    int}``, such as ``_level_matrix`` or ``_integer_rows`` makes.
-
-    Each column pivots on the stored entry of fewest bits among the unused
-    rows, the first winning ties.  Each later row storing the pivot column
-    becomes (p/g)*row - (v/g)*pivot_row with g = gcd(p, v), its content and
-    right-hand side's is divided out, and cancelled entries are deleted, so
-    a banded system fills in only within its band.  Returns the pivot
-    columns: row i holds its pivot in column pivots[i] and nothing left of
-    it.  A column with no stored entry left to pivot on stays free.
-    """
-    size = len(rows)
-    pivots: list[int] = []
-    for col in range(size):
-        top = len(pivots)
-        pivot_row, bits = -1, 0
-        for r in range(top, size):
-            v = rows[r].get(col)
-            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
-                pivot_row, bits = r, v.bit_length()
-        if pivot_row < 0:
-            continue
-        if pivot_row != top:
-            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
-            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
-        prow = rows[top]
-        pivot = prow[col]
-        tail = [(c, v) for c, v in prow.items() if c != col]
-        top_rhs = rhs[top]
-        for r in range(top + 1, size):
-            row = rows[r]
-            v = row.pop(col, None)
-            if v is None:
-                continue
-            g = math.gcd(pivot, v)
-            a, b = pivot // g, v // g
-            if a != 1:
-                row = {c: a * x for c, x in row.items()}
-            for c, pv in tail:
-                new = row.get(c, 0) - b * pv
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
-            b_r = a * rhs[r] - b * top_rhs
-            g = math.gcd(*row.values(), b_r)
-            if g > 1:
-                row = {c: x // g for c, x in row.items()}
-                b_r //= g
-            rows[r] = row
-            rhs[r] = b_r
-        pivots.append(col)
-    return pivots
-
-
-def _back_substitute(
-    rows: list[dict[int, int]], rhs: list[int], pivots: list[int], out: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Fill the pivot unknowns of ``out``, which enter as (0, 1), bottom up,
-    each a reduced (numerator, positive denominator) pair; free unknowns
-    keep the pair they hold.
-
-    Each row's sum is kept as an int numerator over the lcm of the
-    denominators it has met, and reduced once.
-    """
-    for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        row = rows[r]
-        num, den = rhs[r], 1
-        for c, v in row.items():
-            x, d = out[c]
-            if x:
-                if d != den:
-                    lcm = den // math.gcd(den, d) * d
-                    num *= lcm // den
-                    den = lcm
-                num -= v * x * (den // d)
-        den *= row[col]
-        g = math.gcd(num, den)
-        if den < 0:
-            g = -g
-        out[col] = (num // g, den // g)
-    return out
-
-
-def _solve_int(rows: list[dict[int, int]], rhs: list[int]) -> list[tuple[int, int]]:
-    """Solve sparse int rows in place: the reduced (numerator, denominator)
-    of each unknown.  A singular system raises with its first free column."""
-    pivots = _forward_eliminate(rows, rhs)
-    if len(pivots) < len(rhs):
-        col = min(set(range(len(rhs))).difference(pivots))
-        raise SingularSystemError(
-            f"singular system at column {col}; the operator should be bijective",
-            column=col,
-        )
-    return _back_substitute(rows, rhs, pivots, [(0, 1)] * len(rhs))
-
-
-def _solve_exact(
-    matrix: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
-) -> list[Fraction]:
-    """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
-    leaving them unchanged: ``solve_class`` and both oracles come here."""
-    return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))]
 
 
 def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
@@ -584,6 +449,14 @@ class _FloatFactorCache:
 _float_factors = _FloatFactorCache()
 
 
+def clear_stores() -> None:
+    """Empty the level plans, the float factors and the exact factors, so
+    that the next solve runs as in a fresh process."""
+    _level_plans.clear()
+    _float_factors.clear()
+    _exact_factors.clear()
+
+
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     """Solve one parity block, mapping each member to its D^alpha f
     constant; an all-zero right-hand side gives zeros without elimination."""
@@ -630,7 +503,8 @@ def _solve_level(
     Only classes with a nonzero right-hand side are assembled and solved.
     Float mode (a float q2, den 1) uses the factors stored for the class or
     stores new ones, and rebuilds f as the sum of D^alpha f * x^alpha /
-    alpha!.  Exact mode takes int numerators; each D^alpha f comes out as a
+    alpha!.  Exact mode takes int numerators and replays stored factors, or
+    lets ``_exact_factors`` admit the class; each D^alpha f comes out as a
     reduced int pair, alpha! and den join its denominator, and f comes back
     as int numerators over their lcm, divided by one gcd.
     """
@@ -643,12 +517,19 @@ def _solve_level(
     plan = level_plan(carry.n, order)
     rhs_source = carry.laplacian()
     a, scale, zero = _axis_squares(q2)
-    stored = _float_factors.entries if float_mode else {}
+    # Exact rows are built on the axis squares over their gcd, so that
+    # proportional surfaces share stored factors; the unknowns then come out
+    # content times too large.
+    content = 1 if float_mode else math.gcd(*a) or 1
+    if content > 1:
+        a = [aj // content for aj in a]
+    stored = (_float_factors if float_mode else _exact_factors).entries
     active = []
     for parity, members, factorials in plan:
         rhs = _level_rhs(rhs_source, members, factorials, scale, zero)
         if any(rhs):
-            key = (tuple(a), order, parity)
+            # An exact key is one flat tuple of ints, so its bytes are counted exactly.
+            key = (tuple(a), order, parity) if float_mode else (order, *parity, *a)
             factors = stored.get(key)
             rows = _level_matrix(a, zero, members) if factors is None else None
             active.append((members, factorials, rows, rhs, key, factors))
@@ -656,15 +537,16 @@ def _solve_level(
     solved = []
     hits = 0
     for members, factorials, rows, rhs, key, factors in active:
-        if not float_mode:
-            values = _solve_int(rows, rhs)
-        else:
-            if factors is None:
-                factors = _factor_float(rows)
-                _float_factors.put(key, factors)
-            else:
-                hits += 1
+        if factors is not None:
+            hits += 1
+            values = _substitute_float(factors, rhs) if float_mode else _replay_int(*factors, rhs)
+        elif float_mode:
+            factors = _factor_float(rows)
+            _float_factors.put(key, factors)
             values = _substitute_float(factors, rhs)
+        else:
+            factors = _exact_factors.admit(key, rows)
+            values = _solve_int(rows, rhs) if factors is None else _replay_int(*factors, rhs)
         solved.append((members, factorials, values))
     t2 = time.perf_counter()
     if float_mode:
@@ -676,9 +558,10 @@ def _solve_level(
                  for alpha, fact, (num, d) in zip(members, factorials, values) if num]
         lcm = math.lcm(*[d for _, _, d in pairs])
         nums = [num * (lcm // d) for _, num, d in pairs]
-        g = math.gcd(*nums, den * lcm)
+        f_den = den * lcm * content
+        g = math.gcd(*nums, f_den)
         terms = {alpha: v // g for (alpha, _, _), v in zip(pairs, nums)}
-        f_den = den * lcm // g
+        f_den //= g
     t3 = time.perf_counter()
 
     if stats is not None:

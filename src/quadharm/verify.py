@@ -19,6 +19,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+from .elimination import _back_substitute, _forward_eliminate, _integer_rows, _solve_exact
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -28,15 +29,7 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import (
-    HarmonicDecomposition,
-    _back_substitute,
-    _forward_eliminate,
-    _integer_rows,
-    _numerators,
-    _solve_exact,
-    level_rows,
-)
+from .solver import HarmonicDecomposition, _numerators, level_rows
 
 # Float checks allow this many units of rounding per coefficient, times
 # (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a

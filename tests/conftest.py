@@ -14,6 +14,7 @@ from quadharm import NonhyperbolicQuadratic, Poly, multi_indices_upto
 # so without them a run of one file would draw other examples than the suite.
 import quadharm.bench  # noqa: F401
 import quadharm.cli  # noqa: F401
+import quadharm.solver
 
 SEED = 20260815
 
@@ -24,6 +25,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def fresh_stores():
+    """Every test starts with the solver's stores empty, as in a fresh
+    process, so that none depends on what an earlier test stored."""
+    quadharm.solver.clear_stores()
 
 
 @pytest.fixture

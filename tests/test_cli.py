@@ -412,6 +412,20 @@ class TestBench:
                 hits = int(line.split(" from stored factors")[0].split()[-1])
                 assert hits == (active if warm else 0)
 
+    def test_exact_report_counts_classes_replayed_from_stored_factors(self, capsys):
+        # The untimed solve of the first call sees each class first, its one
+        # timed repetition records it, and the second call replays it.
+        argv = ("bench", "--dim", "3", "--degree", "6", "--boundary-kind", "dense",
+                "--time", "--reps", "1")
+        first, second = (run(capsys, *argv)[1] for _ in range(2))
+        for out, warm in ((first, False), (second, True)):
+            levels = [line for line in out.splitlines() if "level deg" in line]
+            assert len(levels) == 4
+            for line in levels:
+                active = int(line.split(" with nonzero rhs")[0].split()[-1])
+                hits = int(line.split(" from stored factors")[0].split()[-1])
+                assert hits == (active if warm else 0)
+
     @pytest.mark.parametrize("reps", [1, 5])
     def test_time_solves_once_per_rep_plus_one(self, capsys, monkeypatch, reps):
         from quadharm.bench import solve_dirichlet
@@ -459,6 +473,23 @@ class TestBench:
             monkeypatch.setattr(f"quadharm.bench.{name}", forbidden)
         code, out, err = run(capsys, "bench", *argv)
         assert (code, out) == (EXIT_INPUT, "") and message in err
+
+    def test_reps_over_the_limit_exit_two_before_any_solve(self, capsys, monkeypatch):
+        from quadharm.cli import BENCH_MAX_REPS
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("bench timed a problem with too many repetitions")
+
+        monkeypatch.setattr("quadharm.bench.run_comparison", forbidden)
+        for reps in ("1000000", str(BENCH_MAX_REPS + 1)):
+            code, out, err = run(
+                capsys, "bench", "--dim", "2", "--degree", "2", "--time", "--reps", reps)
+            assert (code, out) == (EXIT_INPUT, "")
+            assert f"the limit is {BENCH_MAX_REPS}" in err
+        monkeypatch.undo()
+        code, _, _ = run(capsys, "bench", "--dim", "2", "--degree", "2", "--time",
+                         "--reps", str(BENCH_MAX_REPS))
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_two(self, capsys, reps):

@@ -15,16 +15,16 @@ from quadharm import (
     operator_is_bijective,
     operator_kernel,
 )
-from quadharm.solver import (
-    FLOAT_PIVOT_RTOL,
+from quadharm.elimination import (
     _forward_eliminate,
     _integer_rows,
-    _factor_float,
+    _packed,
+    _record_int,
+    _replay_int,
     _solve_exact,
-    _solve_float,
     _solve_int,
-    _substitute_float,
 )
+from quadharm.solver import FLOAT_PIVOT_RTOL, _factor_float, _solve_float, _substitute_float
 from quadharm.verify import _kernel_basis, _operator_matrix
 from conftest import fractions_st
 
@@ -322,6 +322,66 @@ def test_pivot_is_the_entry_of_fewest_bits():
     rows, rhs = [{0: 3, 1: 1}, {0: -2, 1: 1}], [1, 2]
     assert _forward_eliminate(rows, rhs) == [0, 1]
     assert (rows, rhs) == ([{0: 3, 1: 1}, {1: 5}], [1, 8])
+
+
+def replayed(steps, spill, rhs):
+    """The replay's answer for a copy of rhs, as ``Fraction``s."""
+    return [Fraction(*pair) for pair in _replay_int(steps, spill, list(rhs))]
+
+
+@given(data=st.data())
+def test_one_recorded_elimination_serves_every_right_hand_side(data):
+    # Drawn systems may have a zero diagonal, which forces row swaps.
+    matrix, first = data.draw(systems(EXACT_ENTRIES["int"]))
+    assume(reference_exact(matrix, first) is not None)
+    size = len(first)
+    others = data.draw(st.lists(st.lists(EXACT_ENTRIES["int"], min_size=size, max_size=size),
+                                min_size=1, max_size=3))
+    steps = _record_int(sparse_rows(matrix))
+    recorded = list(steps)
+    values, spill = _packed(list(steps))
+    stored = values.tolist()
+    for rhs in (first, [0] * size, *others):
+        expected = fraction_solve(*as_fractions(matrix, rhs))
+        assert replayed(steps, (), rhs) == expected
+        assert replayed(values, spill, rhs) == expected
+    assert steps == recorded and values.tolist() == stored
+
+
+def test_recording_keeps_its_row_swaps():
+    matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
+    steps = _record_int(sparse_rows(matrix))
+    # Column 0 pivots on row 1, the only one storing it, and updates no row.
+    assert steps[:2] == [1, 0]
+    for rhs in ((1, 1, -3), (0, 0, 0), (0, 7, 0)):
+        assert replayed(steps, (), rhs) == reference_exact(matrix, rhs)
+
+
+def test_packing_sets_apart_the_ints_too_large_for_its_items():
+    values, spill = _packed([5] * 100 + [2**70, -7])
+    assert (values.typecode, spill) == ("h", (100, 2**70))
+    assert values.tolist() == [5] * 100 + [0, -7]
+    # Three ints: 8-byte items cost less than one set apart.
+    values, spill = _packed([1, 2**40, -3])
+    assert (values.typecode, spill, values.tolist()) == ("q", (), [1, 2**40, -3])
+    # A system with entries past 63 bits replays from its packed steps.
+    matrix = ((2**70 + 1, 3, 0), (5, 2**66 - 1, 7), (0, 11, 2**64 + 13))
+    steps = _record_int(sparse_rows(matrix))
+    values, spill = _packed(list(steps))
+    assert spill
+    for rhs in ((1, 2, 3), (2**80, 0, -1)):
+        assert replayed(values, spill, rhs) == reference_exact(matrix, rhs)
+
+
+@given(data=st.data())
+def test_recording_names_the_first_free_column_of_a_singular_system(data):
+    matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES["int"]))
+    with pytest.raises(SingularSystemError) as reference:
+        fraction_solve(*as_fractions(matrix, rhs))
+    with pytest.raises(SingularSystemError) as info:
+        _record_int(sparse_rows(matrix))
+    assert info.value.column == reference.value.column
+    assert f"column {info.value.column}" in str(info.value)
 
 
 @given(systems(FLOAT_ENTRIES, 0.0))

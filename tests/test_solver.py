@@ -1,5 +1,6 @@
 """Partitioned level systems and the degree-descending cascade."""
 
+import gc
 import math
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from quadharm import (
     solve_dirichlet,
     solve_homogeneous,
 )
+import quadharm.elimination as elimination
 import quadharm.solver as solver
 from quadharm.bench import dense_boundary, full_reference_solver
 from quadharm.polynomial import multi_factorial, taylor_reconstruct
@@ -398,12 +400,6 @@ def factor_bytes(store) -> int:
 
 
 class TestFloatFactorCache:
-    @pytest.fixture(autouse=True)
-    def empty_store(self):
-        solver._float_factors.clear()
-        yield
-        solver._float_factors.clear()
-
     def test_cold_and_warm_solves_match_the_uncached_kernel(self, rng):
         p = (dense_boundary(3, 12) + all_degree(rng, 3, 9)).to_float()
         reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
@@ -474,15 +470,150 @@ class TestFloatFactorCache:
         assert (len(store.entries) < len(stored)) == (0 < bound < 1 << 20)
 
 
-class TestLevelPlan:
-    @pytest.fixture(autouse=True)
-    def empty_stores(self):
-        solver._level_plans.clear()
-        solver._float_factors.clear()
-        yield
-        solver._level_plans.clear()
-        solver._float_factors.clear()
+def store_bytes(store) -> tuple[int, int]:
+    """The bytes of the exact store's entries and of its marks, counted
+    afresh."""
+    def key_bytes(key):
+        return elimination._int_bytes(key) + elimination._SLOT_BYTES
 
+    entries = sum(key_bytes(key) + (0 if factors is None else elimination._int_factor_bytes(factors))
+                  for key, factors in store.entries.items())
+    return entries, sum(map(key_bytes, store.seen))
+
+
+def counting_records(monkeypatch) -> list[int]:
+    """Patch the recording kernel to log the size of each system it records."""
+    calls = []
+    record = elimination._record_int
+
+    def counting(rows):
+        calls.append(len(rows))
+        return record(rows)
+
+    monkeypatch.setattr(elimination, "_record_int", counting)
+    return calls
+
+
+def exact_answer(dec) -> tuple[dict, dict]:
+    assert all(type(c) is Fraction for c in (*dec.h.terms.values(), *dec.f.terms.values()))
+    return dec.h.terms, dec.f.terms
+
+
+class TestExactFactorStore:
+    def test_records_on_the_second_sighting_and_replays_after(self, monkeypatch):
+        calls = counting_records(monkeypatch)
+        p = dense_boundary(3, 10)
+        reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID,
+                                                 homogeneous_solver=class_system_level))
+        seen = []
+        for _ in range(4):
+            stats = SolveStats()
+            assert exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=stats)) == reference
+            seen.append((len(calls), sum(lv.factor_hits for lv in stats.levels)))
+        # Every level has its own order, so no key repeats within a solve.
+        active = sum(lv.nonzero_rhs_classes for lv in stats.levels)
+        assert active > 0
+        assert seen == [(0, 0), (active, 0), (active, active), (active, active)]
+
+    def test_factors_over_the_bound_are_recorded_once(self, monkeypatch):
+        p = dense_boundary(3, 8)
+        reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID))
+        marks = elimination._exact_factors.seen_bytes
+        solver.clear_stores()
+        # Room for every mark, and so for no factors.
+        monkeypatch.setattr(elimination, "EXACT_FACTOR_STORE_BYTES", marks)
+        calls = counting_records(monkeypatch)
+        counts = []
+        for _ in range(4):
+            assert exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID)) == reference
+            counts.append(len(calls))
+        store = elimination._exact_factors
+        assert counts == [0] + [len(store.entries)] * 3
+        assert store.entries and all(factors is None for factors in store.entries.values())
+        assert store.nbytes == store_bytes(store)[0] == marks
+
+    @pytest.mark.parametrize("bound", [0, 5000, 20000, 1 << 22])
+    def test_kept_bytes_never_exceed_the_bound_and_nothing_is_evicted(self, monkeypatch, bound):
+        monkeypatch.setattr(elimination, "EXACT_FACTOR_STORE_BYTES", bound)
+        store = elimination._exact_factors
+        kept = {}
+        admit = elimination._ExactFactorStore.admit
+
+        def checked_admit(self, key, rows):
+            factors = admit(self, key, rows)
+            assert (self.nbytes, self.seen_bytes) == store_bytes(self)
+            assert self.nbytes + self.seen_bytes <= bound
+            assert all(self.entries[k] is f for k, f in kept.items())
+            kept.update(self.entries)
+            return factors
+
+        monkeypatch.setattr(elimination._ExactFactorStore, "admit", checked_admit)
+        for degree in (6, 8, 10, 12):
+            p = dense_boundary(3, degree)
+            reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID,
+                                                     homogeneous_solver=class_system_level))
+            for _ in range(3):
+                assert exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID)) == reference
+        if bound == 0:
+            assert not store.entries and not store.seen
+        else:
+            # Only the largest bound holds every factorization it recorded.
+            assert any(store.entries.values())
+            assert (None in store.entries.values()) == (bound < 1 << 22)
+
+    @pytest.mark.parametrize("degree", [12, 16])
+    def test_counted_bytes_match_the_allocations(self, degree):
+        p = dense_boundary(3, degree)
+        # A float solve makes the level plans, which this store does not hold.
+        solve_dirichlet(p.to_float(), SHIFTED_ELLIPSOID)
+        solver._float_factors.clear()
+        store = elimination._exact_factors
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                solve_dirichlet(p, SHIFTED_ELLIPSOID)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert store.entries and not store.seen
+        assert 0.9 * traced <= store.nbytes <= 1.1 * traced
+
+    def test_proportional_surfaces_share_factors(self):
+        p = dense_boundary(3, 9)
+        first = NonhyperbolicQuadratic((1, 2, 3), (1, -1, Fraction(1, 2)), -2)
+        scaled = NonhyperbolicQuadratic((Fraction(1, 3), Fraction(2, 3), 1),
+                                        (Fraction(1, 3), Fraction(-1, 3), Fraction(1, 6)),
+                                        Fraction(-2, 3))
+        cold = exact_answer(solve_dirichlet(p, scaled))
+        solver.clear_stores()
+        for _ in range(2):
+            solve_dirichlet(p, first)
+        stats = SolveStats()
+        assert exact_answer(solve_dirichlet(p, scaled, stats=stats)) == cold
+        assert [lv.factor_hits for lv in stats.levels] == [
+            lv.nonzero_rhs_classes for lv in stats.levels]
+
+    def test_exact_and_float_factors_never_share_a_key(self):
+        # (1, 2, 3) == (1.0, 2.0, 3.0): one dict for both modes would hand
+        # float factors to an exact solve on this integral surface.
+        q = NonhyperbolicQuadratic((1, 2, 3), (0, 0, 0), -1)
+        p = dense_boundary(3, 10)
+        cold = exact_answer(solve_dirichlet(p, q))
+        solver.clear_stores()
+        floats = float_bits(solve_dirichlet(p.to_float(), q))
+        hits = 0
+        for _ in range(3):
+            stats = SolveStats()
+            assert exact_answer(solve_dirichlet(p, q, stats=stats)) == cold
+            hits += sum(lv.factor_hits for lv in stats.levels)
+        assert hits > 0
+        assert float_bits(solve_dirichlet(p.to_float(), q)) == floats
+
+
+class TestLevelPlan:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_classes_members_and_factorials_match_the_enumeration(self, n):
         for order in range(13):
@@ -551,8 +682,7 @@ class TestLevelPlan:
             if mode == "float":
                 p = p.to_float()
             reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
-            solver._level_plans.clear()
-            solver._float_factors.clear()
+            solver.clear_stores()
             for _ in ("cold", "warm"):
                 dec = solve_dirichlet(p, SHIFTED_ELLIPSOID)
                 if mode == "float":
