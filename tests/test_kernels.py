@@ -357,6 +357,13 @@ def test_recording_keeps_its_row_swaps():
         assert replayed(steps, (), rhs) == reference_exact(matrix, rhs)
 
 
+def test_recording_pivots_on_the_entry_of_fewest_bits():
+    # The rule of _forward_eliminate: 1 has fewer bits than 12, and of 3
+    # and -2, both of two bits, the first row keeps the pivot.
+    assert _record_int([{0: 12, 1: 1}, {0: 1, 1: 1}])[:2] == [1, 1]
+    assert _record_int([{0: 3, 1: 1}, {0: -2, 1: 1}])[:2] == [0, 1]
+
+
 def test_packing_sets_apart_the_ints_too_large_for_its_items():
     values, spill = _packed([5] * 100 + [2**70, -7])
     assert (values.typecode, spill) == ("h", (100, 2**70))
