@@ -1,20 +1,18 @@
-"""Exact elimination of sparse int rows, and the store of recorded
-eliminations.
+"""Exact elimination of sparse int rows.
 
 Every exact system is eliminated here: the level solve, both oracles and
 the kernel probe.  ``_forward_eliminate`` eliminates a system together with
-its right-hand side, dividing out each new row's content.  The level solve
-runs it on a class it has not seen before.  On a class's second sighting it
-records the elimination instead (``_record_int``), which reads no
-right-hand side, keeps the recording in ``_exact_factors`` when it fits,
-and replays it (``_replay_int``) on every later right-hand side of that
-class.  Both paths end in ``_back_substitute``.
+its right-hand side, dividing out each new row's content.
+``_record_int`` eliminates a system alone and records the steps, which
+read no right-hand side, and ``_replay_int`` applies a recording to any
+right-hand side; ``_packed`` holds a recording in few bytes.  Both paths
+end in ``_back_substitute``.  Which classes are recorded, and which
+recordings are kept, is the level solve's store policy (``solver``).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from fractions import Fraction
 from itertools import islice
@@ -159,7 +157,7 @@ def _packed(values: list[int]) -> IntFactors:
     return array(code, values), spill
 
 
-def _record_int(rows: list[dict[int, int]]) -> list[int]:
+def _record_int(rows: list[dict[int, int]], limit: float) -> list[int] | None:
     """Eliminate sparse int rows in place by the rule of
     ``_forward_eliminate``, but without dividing out any row's content, so
     that no step reads a right-hand side, and record the steps for
@@ -168,8 +166,10 @@ def _record_int(rows: list[dict[int, int]]) -> list[int]:
     Returns the steps.  For each column top in turn they hold p, k and k
     triples (r, a, b): rows top and p were swapped, then rhs[r] =
     a*rhs[r] - b*rhs[top] for each triple; then row top of the result, which
-    pivots in column top, as its entry count and (column, entry) pairs.  A
-    singular system raises with its first free column.
+    pivots in column top, as its entry count and (column, entry) pairs.
+    Returns None instead, with the rows part eliminated, as soon as the
+    steps of the columns done pass ``limit``.  A singular system raises with
+    its first free column.
     """
     size = len(rows)
     steps: list[int] = []
@@ -209,6 +209,8 @@ def _record_int(rows: list[dict[int, int]]) -> list[int]:
         steps += (pivot_row, len(ops) // 3, *ops, len(prow))
         for item in prow.items():
             steps += item
+        if len(steps) > limit:
+            return None
     return steps
 
 
@@ -257,85 +259,3 @@ def _solve_exact(
     """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
     leaving them unchanged: ``solve_class`` and both oracles come here."""
     return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))]
-
-
-# Exact mode keeps the recorded eliminations of ``_record_int`` by (order,
-# parity class, primitive int axis squares), flattened into one tuple, within
-# this many bytes, keys and first-sighting marks included.  The 151 classes
-# of the exact benchmark's five fixed surfaces take 281 KB, and 146 of them
-# fit.
-EXACT_FACTOR_STORE_BYTES = 1 << 18
-
-
-# About what a key adds to the table of the dict or set that holds it.
-_SLOT_BYTES = 64
-
-
-def _int_bytes(values: tuple[int, ...]) -> int:
-    """``sys.getsizeof`` of the tuple and of the ints it holds that are not
-    the interpreter's shared small ints."""
-    return sys.getsizeof(values) + sum(sys.getsizeof(v) for v in values if not -5 <= v <= 256)
-
-
-def _int_factor_bytes(factors: IntFactors) -> int:
-    return sys.getsizeof(factors) + sys.getsizeof(factors[0]) + _int_bytes(factors[1])
-
-
-class _ExactFactorStore:
-    """``_record_int`` results by key, admitted on a key's second sighting.
-
-    A first sighting only marks the key, so a one-off solve runs the fused
-    ``_forward_eliminate``; the second records and the later ones replay.
-    Stored factors are never evicted: the working set of a repeated workload
-    is cyclic, and oldest-first eviction under a smaller bound would miss on
-    every solve.  Factors that do not fit are dropped and their key kept
-    with None, so it never records again.  When a mark does not fit, the
-    marks (never the factors) are dropped.
-    """
-
-    def __init__(self):
-        self.entries: dict[tuple[int, ...], IntFactors | None] = {}
-        self.seen: set[tuple[int, ...]] = set()
-        self.nbytes = 0
-        self.seen_bytes = 0
-
-    def admit(self, key: tuple[int, ...], rows: list[dict[int, int]]) -> IntFactors | None:
-        """The factors of ``rows`` if this sighting of the key records them,
-        kept or not, else None and the rows are left for ``_solve_int``."""
-        if key in self.entries:
-            return None
-        size = _int_bytes(key) + _SLOT_BYTES
-        if key not in self.seen:
-            if self.nbytes + self.seen_bytes + size > EXACT_FACTOR_STORE_BYTES:
-                self.seen.clear()
-                self.seen_bytes = 0
-            if self.nbytes + size <= EXACT_FACTOR_STORE_BYTES:
-                self.seen.add(key)
-                self.seen_bytes += size
-            return None
-        self.seen.remove(key)
-        self.seen_bytes -= size
-        steps = _record_int(rows)
-        factors: IntFactors = (steps, ())
-        room = EXACT_FACTOR_STORE_BYTES - self.nbytes - self.seen_bytes
-        # A packed int takes 2 bytes or more, so the count alone can rule
-        # the steps out before they are packed.
-        if 2 * len(steps) < room:
-            factors = _packed(steps)
-            kept = size + _int_factor_bytes(factors)
-            if kept <= room:
-                self.entries[key] = factors
-                self.nbytes += kept
-                return factors
-        # The key's own mark fits: it was just freed.
-        self.entries[key] = None
-        self.nbytes += size
-        return factors
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.seen.clear()
-        self.nbytes = self.seen_bytes = 0
-
-
-_exact_factors = _ExactFactorStore()

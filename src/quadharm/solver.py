@@ -40,7 +40,7 @@ from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .elimination import _exact_factors, _replay_int, _solve_exact, _solve_int
+from .elimination import IntFactors, _packed, _record_int, _replay_int, _solve_exact, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -81,56 +81,6 @@ class IllConditionedSystemError(ArithmeticError):
 def parity_class(alpha: Sequence[int]) -> tuple[int, ...]:
     """Coordinatewise parity signature of a multi-index."""
     return tuple(e & 1 for e in alpha)
-
-
-# A level's plan holds one (parity, members, factorials) triple per inhabited
-# parity class, classes and members in canonical order, with alpha! for each
-# member.  It depends only on n and the order; one store per process keeps
-# plans while their bytes (``_plan_bytes``) fit this bound, and evicts none.
-LEVEL_PLAN_CACHE_BYTES = 1 << 22
-
-LevelPlan = "tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]"
-
-
-def _plan_bytes(plan: LevelPlan) -> int:
-    """``sys.getsizeof`` of the plan's tuples and of the members and
-    factorials they hold."""
-    size = sys.getsizeof(plan)
-    for triple in plan:
-        _, members, factorials = triple
-        size += sum(map(sys.getsizeof, (triple, *triple)))
-        size += sum(map(sys.getsizeof, members)) + sum(map(sys.getsizeof, factorials))
-    return size
-
-
-class _LevelPlans:
-    """Level plans by (n, order), kept while they fit the bound."""
-
-    def __init__(self):
-        self.entries: dict[tuple[int, int], LevelPlan] = {}
-        self.nbytes = 0
-
-    def get(self, n: int, order: int) -> LevelPlan:
-        plan = self.entries.get((n, order))
-        if plan is None:
-            groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for alpha in multi_indices(n, order):
-                groups.setdefault(parity_class(alpha), []).append(alpha)
-            plan = tuple((key, tuple(groups[key]), tuple(map(multi_factorial, groups[key])))
-                         for key in sorted(groups, key=canonical_key, reverse=True))
-            size = _plan_bytes(plan)
-            if self.nbytes + size <= LEVEL_PLAN_CACHE_BYTES:
-                self.entries[n, order] = plan
-                self.nbytes += size
-        return plan
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.nbytes = 0
-
-
-_level_plans = _LevelPlans()
-level_plan = _level_plans.get
 
 
 class ClassSystem(NamedTuple):
@@ -414,47 +364,126 @@ def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) ->
     return _substitute_float(_factor_float(matrix), rhs)
 
 
-# The float factors of a class system depend only on the axis squares, the
-# order and the parity class, so one store per process keeps them for later
-# solves on the same surface, within this many bytes of arrays, dropping the
-# oldest first; factors larger than the bound are not kept.
-FLOAT_FACTOR_CACHE_BYTES = 1 << 22
+# Every store charges sys.getsizeof of what it holds (``_nbytes``) and about
+# what a key adds to the table of the dict or set that holds it.
+_SLOT_BYTES = 64
+
+# Level plans by (n, order) and float factors by (order, parity class, axis
+# squares) share one store of this many bytes.
+LEVEL_STORE_BYTES = 1 << 22
+
+# Exact mode keeps the recordings of ``_record_int`` by (order, parity
+# class, primitive int axis squares), flattened into one tuple, within this
+# many bytes, first-sighting marks included.  The 151 classes of the exact
+# benchmark's five fixed surfaces take 281 KB, and 146 of them fit.
+EXACT_STORE_BYTES = 1 << 18
 
 
-def _factor_bytes(factors: tuple[array, ...]) -> int:
-    return sum(map(sys.getsizeof, factors))
+def _nbytes(value: object) -> int:
+    """``sys.getsizeof`` of the value and, through tuples, of everything
+    it holds, the interpreter's shared None and small ints excepted."""
+    if type(value) is tuple:
+        return sys.getsizeof(value) + sum(map(_nbytes, value))
+    if value is None or type(value) is int and -5 <= value <= 256:
+        return 0
+    return sys.getsizeof(value)
 
 
-class _FloatFactorCache:
-    """``_factor_float`` results by (axis squares, order, parity class)."""
+class _Store:
+    """Values by key, each kept while its key, slot and value fit the bound
+    with what is kept already.
 
-    def __init__(self):
-        self.entries: dict[tuple, tuple[array, ...]] = {}
-        self.nbytes = 0
+    Nothing is evicted: a repeated workload's working set is cyclic, and
+    oldest-first eviction under a smaller bound would miss on every solve.
+    """
 
-    def put(self, key: tuple, factors: tuple[array, ...]) -> None:
-        size = _factor_bytes(factors)
-        if size > FLOAT_FACTOR_CACHE_BYTES:
-            return
-        while self.nbytes + size > FLOAT_FACTOR_CACHE_BYTES:
-            self.nbytes -= _factor_bytes(self.entries.pop(next(iter(self.entries))))
-        self.entries[key] = factors
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.clear()
+
+    def keep(self, key: tuple, value: object) -> bool:
+        size = _nbytes(key) + _SLOT_BYTES + _nbytes(value)
+        if self.nbytes + size > self.bound:
+            return False
+        self.entries[key] = value
         self.nbytes += size
+        return True
 
     def clear(self) -> None:
-        self.entries.clear()
+        self.entries: dict[tuple, object] = {}
         self.nbytes = 0
 
 
-_float_factors = _FloatFactorCache()
+class _ExactStore(_Store):
+    """``_record_int`` recordings, made on a key's second sighting.
+
+    A first sighting only marks the key, so a one-off solve runs the fused
+    ``_solve_int``; the second records and the later ones replay.  A
+    recording that does not fit is stopped or dropped, and its key kept
+    with None, so it never records again.  Marks count toward ``nbytes``;
+    when a mark does not fit, the marks (never the recordings) are dropped.
+    """
+
+    def admit(self, key: tuple[int, ...], rows: list[dict[int, int]]) -> IntFactors | None:
+        """The recording of ``rows`` if this sighting of the key makes one,
+        kept or not, else None; ``rows`` are left unchanged for
+        ``_solve_int``."""
+        if key in self.entries:
+            return None
+        size = _nbytes(key) + _SLOT_BYTES
+        if key not in self.seen:
+            if self.nbytes + size > self.bound:
+                self.nbytes -= sum(_nbytes(mark) + _SLOT_BYTES for mark in self.seen)
+                self.seen.clear()
+            if self.nbytes + size <= self.bound:
+                self.seen.add(key)
+                self.nbytes += size
+            return None
+        self.seen.remove(key)
+        self.nbytes -= size
+        # A packed int takes 2 bytes or more, so the count alone can rule
+        # the steps out before they are all made.
+        steps = _record_int(list(map(dict.copy, rows)), (self.bound - self.nbytes) // 2)
+        factors = None if steps is None else _packed(steps)
+        if factors is None or not self.keep(key, factors):
+            # The key's own mark fits: it was just freed.
+            self.keep(key, None)
+        return factors
+
+    def clear(self) -> None:
+        super().clear()
+        self.seen: set[tuple[int, ...]] = set()
+
+
+_level_store = _Store(LEVEL_STORE_BYTES)
+_exact_store = _ExactStore(EXACT_STORE_BYTES)
 
 
 def clear_stores() -> None:
-    """Empty the level plans, the float factors and the exact factors, so
-    that the next solve runs as in a fresh process."""
-    _level_plans.clear()
-    _float_factors.clear()
-    _exact_factors.clear()
+    """Empty the level plans, the float factors and the exact recordings,
+    so that the next solve runs as in a fresh process."""
+    _level_store.clear()
+    _exact_store.clear()
+
+
+# A level's plan holds one (parity, members, factorials) triple per inhabited
+# parity class, classes and members in canonical order, with alpha! for each
+# member.
+LevelPlan = "tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]], ...]"
+
+
+def level_plan(n: int, order: int) -> LevelPlan:
+    """The plan of the order-``order`` level in n variables, from the level
+    store or made and offered to it."""
+    plan = _level_store.entries.get((n, order))
+    if plan is None:
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for alpha in multi_indices(n, order):
+            groups.setdefault(parity_class(alpha), []).append(alpha)
+        plan = tuple((key, tuple(groups[key]), tuple(map(multi_factorial, groups[key])))
+                     for key in sorted(groups, key=canonical_key, reverse=True))
+        _level_store.keep((n, order), plan)
+    return plan
 
 
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
@@ -504,7 +533,7 @@ def _solve_level(
     Float mode (a float q2, den 1) uses the factors stored for the class or
     stores new ones, and rebuilds f as the sum of D^alpha f * x^alpha /
     alpha!.  Exact mode takes int numerators and replays stored factors, or
-    lets ``_exact_factors`` admit the class; each D^alpha f comes out as a
+    lets ``_exact_store`` admit the class; each D^alpha f comes out as a
     reduced int pair, alpha! and den join its denominator, and f comes back
     as int numerators over their lcm, divided by one gcd.
     """
@@ -523,13 +552,13 @@ def _solve_level(
     content = 1 if float_mode else math.gcd(*a) or 1
     if content > 1:
         a = [aj // content for aj in a]
-    stored = (_float_factors if float_mode else _exact_factors).entries
+    stored = (_level_store if float_mode else _exact_store).entries
     active = []
     for parity, members, factorials in plan:
         rhs = _level_rhs(rhs_source, members, factorials, scale, zero)
         if any(rhs):
-            # An exact key is one flat tuple of ints, so its bytes are counted exactly.
-            key = (tuple(a), order, parity) if float_mode else (order, *parity, *a)
+            # One flat tuple is the smallest key, and longer than a plan's (n, order).
+            key = (order, *parity, *a)
             factors = stored.get(key)
             rows = _level_matrix(a, zero, members) if factors is None else None
             active.append((members, factorials, rows, rhs, key, factors))
@@ -542,10 +571,10 @@ def _solve_level(
             values = _substitute_float(factors, rhs) if float_mode else _replay_int(*factors, rhs)
         elif float_mode:
             factors = _factor_float(rows)
-            _float_factors.put(key, factors)
+            _level_store.keep(key, factors)
             values = _substitute_float(factors, rhs)
         else:
-            factors = _exact_factors.admit(key, rows)
+            factors = _exact_store.admit(key, rows)
             values = _solve_int(rows, rhs) if factors is None else _replay_int(*factors, rhs)
         solved.append((members, factorials, values))
     t2 = time.perf_counter()

@@ -397,13 +397,9 @@ class TestBench:
         assert "measured full" in out
 
     def test_float_report_counts_classes_solved_from_stored_factors(self, capsys):
-        import quadharm.solver
-
-        quadharm.solver._float_factors.clear()
         argv = ("bench", "--dim", "3", "--degree", "6", "--boundary-kind", "dense",
                 "--time", "--reps", "1", "--mode", "float")
         first, second = (run(capsys, *argv)[1] for _ in range(2))
-        quadharm.solver._float_factors.clear()
         for out, warm in ((first, False), (second, True)):
             levels = [line for line in out.splitlines() if "level deg" in line]
             assert len(levels) == 4

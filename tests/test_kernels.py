@@ -337,7 +337,7 @@ def test_one_recorded_elimination_serves_every_right_hand_side(data):
     size = len(first)
     others = data.draw(st.lists(st.lists(EXACT_ENTRIES["int"], min_size=size, max_size=size),
                                 min_size=1, max_size=3))
-    steps = _record_int(sparse_rows(matrix))
+    steps = _record_int(sparse_rows(matrix), math.inf)
     recorded = list(steps)
     values, spill = _packed(list(steps))
     stored = values.tolist()
@@ -346,11 +346,14 @@ def test_one_recorded_elimination_serves_every_right_hand_side(data):
         assert replayed(steps, (), rhs) == expected
         assert replayed(values, spill, rhs) == expected
     assert steps == recorded and values.tolist() == stored
+    # A limit below the steps' count stops the recording; one at it does not.
+    assert _record_int(sparse_rows(matrix), len(steps)) == steps
+    assert _record_int(sparse_rows(matrix), len(steps) - 1) is None
 
 
 def test_recording_keeps_its_row_swaps():
     matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
-    steps = _record_int(sparse_rows(matrix))
+    steps = _record_int(sparse_rows(matrix), math.inf)
     # Column 0 pivots on row 1, the only one storing it, and updates no row.
     assert steps[:2] == [1, 0]
     for rhs in ((1, 1, -3), (0, 0, 0), (0, 7, 0)):
@@ -360,8 +363,8 @@ def test_recording_keeps_its_row_swaps():
 def test_recording_pivots_on_the_entry_of_fewest_bits():
     # The rule of _forward_eliminate: 1 has fewer bits than 12, and of 3
     # and -2, both of two bits, the first row keeps the pivot.
-    assert _record_int([{0: 12, 1: 1}, {0: 1, 1: 1}])[:2] == [1, 1]
-    assert _record_int([{0: 3, 1: 1}, {0: -2, 1: 1}])[:2] == [0, 1]
+    assert _record_int([{0: 12, 1: 1}, {0: 1, 1: 1}], math.inf)[:2] == [1, 1]
+    assert _record_int([{0: 3, 1: 1}, {0: -2, 1: 1}], math.inf)[:2] == [0, 1]
 
 
 def test_packing_sets_apart_the_ints_too_large_for_its_items():
@@ -373,7 +376,7 @@ def test_packing_sets_apart_the_ints_too_large_for_its_items():
     assert (values.typecode, spill, values.tolist()) == ("q", (), [1, 2**40, -3])
     # A system with entries past 63 bits replays from its packed steps.
     matrix = ((2**70 + 1, 3, 0), (5, 2**66 - 1, 7), (0, 11, 2**64 + 13))
-    steps = _record_int(sparse_rows(matrix))
+    steps = _record_int(sparse_rows(matrix), math.inf)
     values, spill = _packed(list(steps))
     assert spill
     for rhs in ((1, 2, 3), (2**80, 0, -1)):
@@ -386,7 +389,7 @@ def test_recording_names_the_first_free_column_of_a_singular_system(data):
     with pytest.raises(SingularSystemError) as reference:
         fraction_solve(*as_fractions(matrix, rhs))
     with pytest.raises(SingularSystemError) as info:
-        _record_int(sparse_rows(matrix))
+        _record_int(sparse_rows(matrix), math.inf)
     assert info.value.column == reference.value.column
     assert f"column {info.value.column}" in str(info.value)
 

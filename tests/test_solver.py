@@ -28,7 +28,6 @@ from quadharm import (
     solve_dirichlet,
     solve_homogeneous,
 )
-import quadharm.elimination as elimination
 import quadharm.solver as solver
 from quadharm.bench import dense_boundary, full_reference_solver
 from quadharm.polynomial import multi_factorial, taylor_reconstruct
@@ -395,15 +394,31 @@ def float_bits(dec) -> tuple[dict, dict]:
     return tuple({alpha: c.hex() for alpha, c in poly.terms.items()} for poly in (dec.h, dec.f))
 
 
-def factor_bytes(store) -> int:
-    return sum(sum(map(sys.getsizeof, factors)) for factors in store.entries.values())
+def charge(key, value) -> int:
+    """The bytes a store charges for one entry."""
+    return solver._nbytes(key) + solver._SLOT_BYTES + solver._nbytes(value)
+
+
+def stored_bytes(store) -> int:
+    """The bytes of a store's entries, counted afresh."""
+    return sum(charge(key, value) for key, value in store.entries.items())
+
+
+def float_factors() -> dict:
+    """The float factors of the level store, keyed by (order, *parity class,
+    *axis squares); the plans beside them are keyed by (n, order)."""
+    return {key: factors for key, factors in solver._level_store.entries.items() if len(key) > 2}
+
+
+def plans() -> dict:
+    return {key: plan for key, plan in solver._level_store.entries.items() if len(key) == 2}
 
 
 class TestFloatFactorCache:
     def test_cold_and_warm_solves_match_the_uncached_kernel(self, rng):
         p = (dense_boundary(3, 12) + all_degree(rng, 3, 9)).to_float()
         reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
-        assert not solver._float_factors.entries
+        assert not float_factors()
         cold, warm = SolveStats(), SolveStats()
         assert float_bits(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=cold)) == float_bits(reference)
         assert float_bits(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=warm)) == float_bits(reference)
@@ -420,13 +435,13 @@ class TestFloatFactorCache:
         first = NonhyperbolicQuadratic((1, 2, 3), (0, 0, 0), -1)
         second = NonhyperbolicQuadratic((1, 2, Fraction(7, 2)), (0, 0, 0), -1)
         solve_dirichlet(p, first)
-        first_keys = set(solver._float_factors.entries)
+        first_keys = set(float_factors())
         stats = SolveStats()
         dec = solve_dirichlet(p, second, stats=stats)
-        second_keys = set(solver._float_factors.entries) - first_keys
+        second_keys = set(float_factors()) - first_keys
         assert sum(lv.factor_hits for lv in stats.levels) == 0
-        assert {key[0] for key in first_keys} == {(1.0, 2.0, 3.0)}
-        assert {key[0] for key in second_keys} == {(1.0, 2.0, 3.5)}
+        assert {key[-3:] for key in first_keys} == {(1.0, 2.0, 3.0)}
+        assert {key[-3:] for key in second_keys} == {(1.0, 2.0, 3.5)}
         assert len(second_keys) == len(first_keys)
         reference = solve_dirichlet(p, second, homogeneous_solver=class_system_level)
         assert float_bits(dec) == float_bits(reference)
@@ -434,69 +449,90 @@ class TestFloatFactorCache:
     def test_ill_conditioned_class_raises_every_time_and_is_never_stored(self, monkeypatch):
         p = dense_boundary(3, 8).to_float()
         solve_dirichlet(p, sphere())
-        stored = dict(solver._float_factors.entries)
+        stored = float_factors()
         # No pivot reaches twice its row's largest entry, so every class
         # that is factored raises.
         monkeypatch.setattr(solver, "FLOAT_PIVOT_RTOL", 2.0)
         for _ in range(3):
             with pytest.raises(IllConditionedSystemError):
                 solve_dirichlet(p, SHIFTED_ELLIPSOID)
-            assert solver._float_factors.entries == stored
+            assert float_factors() == stored
         # Stored factors passed the test when they were made.
         solve_dirichlet(p, sphere())
 
     @pytest.mark.parametrize("bound", [0, 600, 3000, 1 << 20])
     def test_stored_bytes_never_exceed_the_bound(self, monkeypatch, bound):
-        monkeypatch.setattr(solver, "FLOAT_FACTOR_CACHE_BYTES", bound)
-        store = solver._float_factors
-        stored = []
-        put = solver._FloatFactorCache.put
+        # The plans of every level below are made first, so ``bound`` is
+        # the room the factors have.
+        store = solver._level_store
+        for order in range(11):
+            solver.level_plan(3, order)
+        monkeypatch.setattr(store, "bound", store.nbytes + bound)
+        offered, kept = [], {}
+        keep = solver._Store.keep
 
-        def checked_put(self, key, factors):
-            put(self, key, factors)
-            assert self.nbytes == factor_bytes(self) <= bound
-            if key in self.entries:
-                stored.append(key)
+        def checked_keep(self, key, value):
+            assert len(key) > 2
+            fits = keep(self, key, value)
+            assert self.nbytes == stored_bytes(self) <= self.bound
+            # No kept entry is dropped or replaced.
+            assert all(self.entries[k] is v for k, v in kept.items())
+            kept.update(self.entries)
+            offered.append(charge(key, value))
+            return fits
 
-        monkeypatch.setattr(solver._FloatFactorCache, "put", checked_put)
+        monkeypatch.setattr(solver._Store, "keep", checked_keep)
         for degree in range(2, 13):
             p = dense_boundary(3, degree).to_float()
             dec = solve_dirichlet(p, SHIFTED_ELLIPSOID)
             reference = solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
             assert float_bits(dec) == float_bits(reference)
-        # Eviction drops the oldest factors first.
-        assert list(store.entries) == stored[len(stored) - len(store.entries):]
-        assert bool(store.entries) == (bound > 0)
-        assert (len(store.entries) < len(stored)) == (0 < bound < 1 << 20)
+        # The store keeps some factors exactly when one fits the room alone,
+        # and every factor offered only in the largest room.
+        assert bool(float_factors()) == (min(offered) <= bound)
+        assert (len(float_factors()) < len(offered)) == (bound < 1 << 20)
 
 
 def store_bytes(store) -> tuple[int, int]:
     """The bytes of the exact store's entries and of its marks, counted
     afresh."""
-    def key_bytes(key):
-        return elimination._int_bytes(key) + elimination._SLOT_BYTES
-
-    entries = sum(key_bytes(key) + (0 if factors is None else elimination._int_factor_bytes(factors))
-                  for key, factors in store.entries.items())
-    return entries, sum(map(key_bytes, store.seen))
+    return stored_bytes(store), sum(charge(mark, None) for mark in store.seen)
 
 
 def counting_records(monkeypatch) -> list[int]:
     """Patch the recording kernel to log the size of each system it records."""
     calls = []
-    record = elimination._record_int
+    record = solver._record_int
 
-    def counting(rows):
+    def counting(rows, limit):
         calls.append(len(rows))
-        return record(rows)
+        return record(rows, limit)
 
-    monkeypatch.setattr(elimination, "_record_int", counting)
+    monkeypatch.setattr(solver, "_record_int", counting)
     return calls
 
 
 def exact_answer(dec) -> tuple[dict, dict]:
     assert all(type(c) is Fraction for c in (*dec.h.terms.values(), *dec.f.terms.values()))
     return dec.h.terms, dec.f.terms
+
+
+def column_steps(steps: list[int]) -> list[int]:
+    """The number of steps ``_record_int`` wrote for each column."""
+    counts, i = [], 0
+    while i < len(steps):
+        k = steps[i + 1]
+        counts.append(3 + 3 * k + 2 * steps[i + 2 + 3 * k])
+        i += counts[-1]
+    return counts
+
+
+def eliminated_columns(rows: list[dict[int, int]]) -> int:
+    """How many leading columns hold no entry below their own row."""
+    done = 0
+    while done < len(rows) and all(done not in row for row in rows[done + 1:]):
+        done += 1
+    return done
 
 
 class TestExactFactorStore:
@@ -518,36 +554,69 @@ class TestExactFactorStore:
     def test_factors_over_the_bound_are_recorded_once(self, monkeypatch):
         p = dense_boundary(3, 8)
         reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID))
-        marks = elimination._exact_factors.seen_bytes
+        store = solver._exact_store
+        marks = store_bytes(store)[1]
+        assert store.nbytes == marks
         solver.clear_stores()
         # Room for every mark, and so for no factors.
-        monkeypatch.setattr(elimination, "EXACT_FACTOR_STORE_BYTES", marks)
+        monkeypatch.setattr(store, "bound", marks)
         calls = counting_records(monkeypatch)
         counts = []
         for _ in range(4):
             assert exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID)) == reference
             counts.append(len(calls))
-        store = elimination._exact_factors
         assert counts == [0] + [len(store.entries)] * 3
         assert store.entries and all(factors is None for factors in store.entries.values())
         assert store.nbytes == store_bytes(store)[0] == marks
 
+    def test_a_recording_past_the_room_stops_early_and_is_solved_fused(self, monkeypatch):
+        # x1^8 x2^4 gives one active class of 21 unknowns, whose recording
+        # takes 550 steps; 400 bytes leave room for 200 once its mark is
+        # freed.
+        p = Poly.monomial(3, (8, 4, 0))
+        q2 = SHIFTED_ELLIPSOID.parts()[0]
+        reference = class_system_level(p, q2)
+        store = solver._exact_store
+        monkeypatch.setattr(store, "bound", 400)
+        record = solver._record_int
+        calls = []
+
+        def watched(rows, limit):
+            full = column_steps(record(list(map(dict.copy, rows)), math.inf))
+            steps = record(rows, limit)
+            done = eliminated_columns(rows)
+            calls.append((steps, done, len(full)))
+            # It stopped after the column whose steps passed the limit.
+            assert sum(full[:done - 1]) <= limit < sum(full[:done])
+            return steps
+
+        monkeypatch.setattr(solver, "_record_int", watched)
+        counts = []
+        for _ in range(4):
+            assert solve_homogeneous(p, q2) == reference
+            counts.append(len(calls))
+        assert counts == [0, 1, 1, 1]
+        steps, done, size = calls[0]
+        assert steps is None and 0 < done < size
+        assert list(store.entries.values()) == [None] and not store.seen
+        assert store.nbytes == store_bytes(store)[0] <= 400
+
     @pytest.mark.parametrize("bound", [0, 5000, 20000, 1 << 22])
     def test_kept_bytes_never_exceed_the_bound_and_nothing_is_evicted(self, monkeypatch, bound):
-        monkeypatch.setattr(elimination, "EXACT_FACTOR_STORE_BYTES", bound)
-        store = elimination._exact_factors
+        store = solver._exact_store
+        monkeypatch.setattr(store, "bound", bound)
         kept = {}
-        admit = elimination._ExactFactorStore.admit
+        admit = solver._ExactStore.admit
 
         def checked_admit(self, key, rows):
             factors = admit(self, key, rows)
-            assert (self.nbytes, self.seen_bytes) == store_bytes(self)
-            assert self.nbytes + self.seen_bytes <= bound
+            entries, marks = store_bytes(self)
+            assert self.nbytes == entries + marks <= bound
             assert all(self.entries[k] is f for k, f in kept.items())
             kept.update(self.entries)
             return factors
 
-        monkeypatch.setattr(elimination._ExactFactorStore, "admit", checked_admit)
+        monkeypatch.setattr(solver._ExactStore, "admit", checked_admit)
         for degree in (6, 8, 10, 12):
             p = dense_boundary(3, degree)
             reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID,
@@ -560,26 +629,6 @@ class TestExactFactorStore:
             # Only the largest bound holds every factorization it recorded.
             assert any(store.entries.values())
             assert (None in store.entries.values()) == (bound < 1 << 22)
-
-    @pytest.mark.parametrize("degree", [12, 16])
-    def test_counted_bytes_match_the_allocations(self, degree):
-        p = dense_boundary(3, degree)
-        # A float solve makes the level plans, which this store does not hold.
-        solve_dirichlet(p.to_float(), SHIFTED_ELLIPSOID)
-        solver._float_factors.clear()
-        store = elimination._exact_factors
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(2):
-                solve_dirichlet(p, SHIFTED_ELLIPSOID)
-            gc.collect()
-            traced = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert store.entries and not store.seen
-        assert 0.9 * traced <= store.nbytes <= 1.1 * traced
 
     def test_proportional_surfaces_share_factors(self):
         p = dense_boundary(3, 9)
@@ -630,13 +679,13 @@ class TestLevelPlan:
 
     @pytest.mark.parametrize("bound", [0, 2000, 20000])
     def test_retained_bytes_never_exceed_the_bound(self, monkeypatch, bound):
-        monkeypatch.setattr(solver, "LEVEL_PLAN_CACHE_BYTES", bound)
-        store = solver._level_plans
+        store = solver._level_store
+        monkeypatch.setattr(store, "bound", bound)
         kept, dropped = 0, 0
         for order in range(16):
             plan = solver.level_plan(3, order)
             stored = store.entries.get((3, order))
-            assert store.nbytes == sum(map(solver._plan_bytes, store.entries.values())) <= bound
+            assert store.nbytes == stored_bytes(store) <= bound
             if stored is None:
                 dropped += 1
                 # Used though not kept: a fresh copy equals it.
@@ -652,28 +701,16 @@ class TestLevelPlan:
             p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
         assert store.nbytes <= bound
 
-    @pytest.mark.parametrize("n, order", [(3, 30), (4, 12), (2, 200)])
-    def test_counted_bytes_match_the_allocations(self, monkeypatch, n, order):
-        monkeypatch.setattr(solver, "LEVEL_PLAN_CACHE_BYTES", 0)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            plan = solver.level_plan(n, order)
-            traced = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert 0.9 * traced <= solver._plan_bytes(plan) <= 1.1 * traced
-
     def test_plans_hold_no_surface_data(self):
         # Every level from 9 down to 2 runs on a surface with a linear part.
         p = dense_boundary(3, 9)
         solve_dirichlet(p, SHIFTED_ELLIPSOID)
-        plans = dict(solver._level_plans.entries)
-        assert list(plans) == [(3, order) for order in range(7, -1, -1)]
+        made = plans()
+        assert list(made) == [(3, order) for order in range(7, -1, -1)]
         solve_dirichlet(p, sphere())
         solve_dirichlet(p.to_float(), NON_INTEGER_AXES)
-        assert solver._level_plans.entries == plans
-        assert all(solver._level_plans.entries[key] is plan for key, plan in plans.items())
+        assert plans() == made
+        assert all(plans()[key] is plan for key, plan in made.items())
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_cold_and_warm_solves_match_the_class_system_route(self, rng, mode):
@@ -691,13 +728,73 @@ class TestLevelPlan:
                     assert dec.h == reference.h and dec.f == reference.f
                     for c in (*dec.h.terms.values(), *dec.f.terms.values()):
                         assert type(c) is Fraction
-                assert set(solver._level_plans.entries) == {(3, m) for m in range(p.degree() - 1)}
+                assert set(plans()) == {(3, m) for m in range(p.degree() - 1)}
 
     def test_rebuild_is_timed_per_level(self):
         stats = SolveStats()
         solve_dirichlet(dense_boundary(3, 8), SHIFTED_ELLIPSOID, stats=stats)
         assert len(stats.levels) == 7
         assert all(lv.rebuild_ms >= 0.0 for lv in stats.levels)
+
+
+class TestStores:
+    @pytest.mark.parametrize("kind, size", [
+        ("plans", (3, 30)), ("plans", (4, 12)), ("plans", (2, 200)),
+        ("float", 12), ("float", 16), ("exact", 12), ("exact", 16),
+    ], ids=["plans-3-30", "plans-4-12", "plans-2-200", "float-12", "float-16", "exact-12",
+            "exact-16"])
+    def test_counted_bytes_match_the_allocations(self, kind, size):
+        if kind == "plans":
+            store = solver._level_store
+
+            def fill():
+                solver.level_plan(*size)
+        else:
+            p = dense_boundary(3, size)
+            # A solve in the other mode first makes the level plans, which
+            # are not measured here.
+            if kind == "float":
+                solve_dirichlet(p, SHIFTED_ELLIPSOID)
+                store = solver._level_store
+
+                def fill():
+                    solve_dirichlet(p.to_float(), SHIFTED_ELLIPSOID)
+            else:
+                solve_dirichlet(p.to_float(), SHIFTED_ELLIPSOID)
+                store = solver._exact_store
+
+                def fill():
+                    for _ in range(2):
+                        solve_dirichlet(p, SHIFTED_ELLIPSOID)
+        counted = store.nbytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fill()
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        counted = store.nbytes - counted
+        assert store.entries and not getattr(store, "seen", ())
+        assert 0.9 * traced <= counted <= 1.1 * traced
+
+    def test_clear_stores_empties_every_store(self):
+        p = dense_boundary(3, 8)
+        for _ in range(2):
+            solve_dirichlet(p, SHIFTED_ELLIPSOID)
+            solve_dirichlet(p.to_float(), SHIFTED_ELLIPSOID)
+        assert solver._level_store.entries and solver._exact_store.entries
+        stores = [value for name, module in list(sys.modules.items())
+                  if name == "quadharm" or name.startswith("quadharm.")
+                  for value in vars(module).values() if isinstance(value, solver._Store)]
+        assert {id(solver._level_store), id(solver._exact_store)} <= set(map(id, stores))
+        solver.clear_stores()
+        # The tests rely on clear_stores for their isolation, so a store it
+        # misses would carry one test's entries into the next.
+        for store in stores:
+            assert vars(store) == vars(type(store)(store.bound))
 
 
 class TestDescentUnknowns:
