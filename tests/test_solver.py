@@ -585,7 +585,7 @@ class TestExactFactorStore:
             full = column_steps(record(list(map(dict.copy, rows)), math.inf))
             steps = record(rows, limit)
             done = eliminated_columns(rows)
-            calls.append((steps, done, len(full)))
+            calls.append((steps, done, len(full), limit))
             # It stopped after the column whose steps passed the limit.
             assert sum(full[:done - 1]) <= limit < sum(full[:done])
             return steps
@@ -596,8 +596,8 @@ class TestExactFactorStore:
             assert solve_homogeneous(p, q2) == reference
             counts.append(len(calls))
         assert counts == [0, 1, 1, 1]
-        steps, done, size = calls[0]
-        assert steps is None and 0 < done < size
+        steps, done, size, limit = calls[0]
+        assert steps is None and 0 < done < size and limit == 200
         assert list(store.entries.values()) == [None] and not store.seen
         assert store.nbytes == store_bytes(store)[0] <= 400
 
@@ -779,6 +779,10 @@ class TestStores:
         counted = store.nbytes - counted
         assert store.entries and not getattr(store, "seen", ())
         assert 0.9 * traced <= counted <= 1.1 * traced
+
+    def test_shared_none_and_small_ints_are_not_charged(self):
+        values = (None, -5, 256, -6, 257, 2**70, 1.5, (0, 1))
+        assert solver._nbytes(values) == sum(map(sys.getsizeof, (values, -6, 257, 2**70, 1.5, (0, 1))))
 
     def test_clear_stores_empties_every_store(self):
         p = dense_boundary(3, 8)
