@@ -1,4 +1,4 @@
-"""Operation-count predictions and timing comparisons.
+"""Operation-count predictions, the class census, and the timed comparison.
 
 Eliminating a dense s x s system costs about (2/3) s^3 flops.  The level
 system over all multi-indices of order m in n variables has
@@ -7,10 +7,10 @@ of roughly equal size divides the predicted work by 2^(2n-2), and monomial
 boundaries gain another factor 2^(n-1) because only one block per level
 carries a nonzero right-hand side.
 
-A ``BenchRecord`` holds only what a run measured: the two median timings
-and the ``SolveStats`` of ``run_comparison``'s first solve.  The census
-and the predictions follow from (n, m), so the CSV and text reports
-compute them as they print.
+``census_report`` prints the census and the predictions of one (n, m),
+which follow from closed forms.  ``run_comparison`` times the partitioned
+solver against the unpartitioned reference; its ``BenchRecord`` holds the
+two median timings.
 """
 
 from __future__ import annotations
@@ -19,36 +19,20 @@ import itertools
 import math
 import statistics
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .polynomial import Poly, Scalar, multi_indices, taylor_reconstruct
 from .quadric import NonhyperbolicQuadratic
 from .elimination import SingularSystemError
-from .solver import (
-    IllConditionedSystemError,
-    SolveStats,
-    level_rows,
-    solve_dirichlet,
-)
-
-CSV_HEADER = "n,m,kind,classes,full_ms,part_ms,ratio_pred,ratio_meas,nonzero_rhs_classes"
+from .solver import IllConditionedSystemError, level_rows, solve_dirichlet
 
 
-@dataclass
-class BenchRecord:
-    n: int
-    m: int
-    boundary_kind: str
-    measured_full_ms: float | None = None
-    measured_partitioned_ms: float | None = None
-    stats: SolveStats | None = None
+class BenchRecord(NamedTuple):
+    """Median milliseconds of the unpartitioned and the partitioned solve."""
 
-    @property
-    def nonzero_rhs_classes(self) -> int:
-        """Most classes with a nonzero right-hand side at one level, 0 if unsolved."""
-        return 0 if self.stats is None else self.stats.max_nonzero_rhs_classes()
+    measured_full_ms: float
+    measured_partitioned_ms: float
 
 
 def predicted_full_ops(m: int, n: int) -> Fraction:
@@ -72,9 +56,9 @@ def monomial_combined_factor(n: int) -> int:
     return 2 ** (3 * n - 3)
 
 
-# ``quadharm bench`` refuses, before it builds anything, an (n, m) with more
-# inhabited parity classes than this, as the text report lists each, or an
-# m whose predicted operation counts could overflow a float.
+# ``quadharm bench`` refuses an (n, m) with more inhabited parity classes
+# than this, as the report lists each, or an m whose predicted operation
+# counts could overflow a float.
 CENSUS_MAX_CLASSES = 4096
 CENSUS_MAX_DEGREE = 10**6
 
@@ -189,113 +173,47 @@ def _median_time_ms(fn: Callable[[], object], repetitions: int) -> float:
     return statistics.median(samples)
 
 
-def run_comparison(
-    p: Poly,
-    quadric: NonhyperbolicQuadratic,
-    repetitions: int = 5,
-    *,
-    compare_full: bool = True,
-) -> BenchRecord:
-    """Time the partitioned solver, optionally against the unpartitioned one.
+def run_comparison(p: Poly, quadric: NonhyperbolicQuadratic, repetitions: int = 5
+                   ) -> BenchRecord:
+    """Time the partitioned solver against the unpartitioned one.
 
     Both paths must produce identical results (exact mode; float mode is
     compared to 1e-9); a mismatch raises.  Timings are medians over the
-    given repetition count.  The first, untimed partitioned solve records
-    the ``SolveStats`` kept in the returned record, so the partitioned
-    solver runs 1 + repetitions times in all.
+    given repetition count.  Each path first solves once untimed, for the
+    comparison, so each runs 1 + repetitions times in all.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
-    deg = p.degree()
-    if deg is None:
+    if p.degree() is None:
         raise ValueError("boundary must be nonzero")
 
-    stats = SolveStats()
-    base = solve_dirichlet(p, quadric, stats=stats)
-
+    base = solve_dirichlet(p, quadric)
     part_ms = _median_time_ms(lambda: solve_dirichlet(p, quadric), repetitions)
 
-    full_ms = None
-    if compare_full:
-        def run_full():
-            return solve_dirichlet(p, quadric, homogeneous_solver=full_reference_solver)
+    def run_full():
+        return solve_dirichlet(p, quadric, homogeneous_solver=full_reference_solver)
 
-        other = run_full()
-        if p.is_float():
-            drift = max(
-                float((other.h - base.h).max_abs_coefficient()),
-                float((other.f - base.f).max_abs_coefficient()),
-            )
-            if drift > 1e-9:
-                raise RuntimeError(f"partitioned and full paths drift by {drift:.3e}")
-        elif other.h != base.h or other.f != base.f:
-            raise RuntimeError("partitioned and full paths disagree")
-        full_ms = _median_time_ms(run_full, repetitions)
-
-    return BenchRecord(
-        n=p.n,
-        m=max(deg - 2, 0),
-        boundary_kind="monomial" if len(p.terms) == 1 else "dense",
-        measured_full_ms=full_ms,
-        measured_partitioned_ms=part_ms,
-        stats=stats,
-    )
+    other = run_full()
+    if p.is_float():
+        drift = max(
+            float((other.h - base.h).max_abs_coefficient()),
+            float((other.f - base.f).max_abs_coefficient()),
+        )
+        if drift > 1e-9:
+            raise RuntimeError(f"partitioned and full paths drift by {drift:.3e}")
+    elif other.h != base.h or other.f != base.f:
+        raise RuntimeError("partitioned and full paths disagree")
+    return BenchRecord(_median_time_ms(run_full, repetitions), part_ms)
 
 
-def _fmt_ms(value: float | None) -> str:
-    return "" if value is None else f"{value:.3f}"
-
-
-def record_to_csv_row(record: BenchRecord) -> str:
-    ratio_meas = ""
-    if record.measured_full_ms is not None and record.measured_partitioned_ms:
-        ratio_meas = f"{record.measured_full_ms / record.measured_partitioned_ms:.2f}"
-    n, m = record.n, record.m
-    cells = [n, m, record.boundary_kind, class_count(n, m),
-             _fmt_ms(record.measured_full_ms), _fmt_ms(record.measured_partitioned_ms),
-             predicted_ratio(n), ratio_meas, record.nonzero_rhs_classes]
-    return ",".join(map(str, cells))
-
-
-def records_to_csv(records: list[BenchRecord]) -> str:
-    return "\n".join([CSV_HEADER] + [record_to_csv_row(r) for r in records])
-
-
-def record_to_text(record: BenchRecord) -> str:
-    """Census, predictions and timings, then one line per level of
-    ``record.stats`` (the first solve of ``run_comparison``).  A float line
-    counts the classes solved from factors stored by earlier solves in the
-    process; an exact line gives the carry's bit lengths."""
-    n, m = record.n, record.m
+def census_report(n: int, m: int) -> str:
+    """The parity-class census of order m in n variables and the predicted
+    operation counts, from closed forms: nothing is built or solved."""
     census = class_census(n, m)
-    lines = [
-        f"dimension n = {n}, top system order m = {m}, "
-        f"boundary = {record.boundary_kind}",
+    return "\n".join([
+        f"dimension n = {n}, top system order m = {m}",
         f"inhabited parity classes: {len(census)} with sizes {list(census.values())}",
         f"predicted ops: full = {float(predicted_full_ops(m, n)):.4g}, "
         f"partitioned = {float(predicted_partitioned_ops(m, n)):.4g}, "
         f"ratio = {predicted_ratio(n)}",
-    ]
-    if record.measured_partitioned_ms is not None:
-        lines.append(f"measured partitioned: {record.measured_partitioned_ms:.3f} ms")
-    if record.measured_full_ms is not None:
-        lines.append(f"measured full: {record.measured_full_ms:.3f} ms")
-        if record.measured_partitioned_ms:
-            lines.append(
-                "measured ratio: "
-                f"{record.measured_full_ms / record.measured_partitioned_ms:.2f}"
-            )
-    lines.append(f"nonzero-rhs classes per level (max): {record.nonzero_rhs_classes}")
-    if record.stats is not None:
-        for lv in record.stats.levels:
-            line = (
-                f"  level deg {lv.carry_degree}: order {lv.system_order}, "
-                f"{lv.class_count} classes {lv.class_sizes}, "
-                f"{lv.nonzero_rhs_classes} with nonzero rhs, "
-                f"assemble {lv.assemble_ms:.3f} ms, solve {lv.solve_ms:.3f} ms, "
-                f"rebuild {lv.rebuild_ms:.3f} ms"
-            )
-            if lv.carry_den_bits is not None:
-                line += f", carry bits {lv.carry_num_bits} over {lv.carry_den_bits}"
-            lines.append(f"{line}, {lv.factor_hits} from stored factors")
-    return "\n".join(lines)
+    ])

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: solve, decompose (solve and always print the multiplier f),
-verify (solve and check the result, failing loudly), bench.  Exit codes:
-0 success, 2 input error, 3 verification failure, 4 float-mode
-ill-conditioning.
+verify (solve and check the result, failing loudly), bench (the
+parity-class census and predicted operation counts of one (n, m), from
+closed forms).  Exit codes: 0 success, 2 input error, 3 verification
+failure, 4 float-mode ill-conditioning.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ SOLVE_MAX_UNKNOWNS = {"exact": 40_000, "float": 200_000}
 # 50,086.  The slowest accepted class measured took 1.5 s exact, 0.2 s float.
 SOLVE_MAX_CLASS_WORK = 4_000_000
 
-# ``bench --compare-full`` refuses a larger unpartitioned top level: one
-# dense exact solve of 120 unknowns took 4.5 s, a float one of 378 2.7 s.
-BENCH_FULL_MAX_UNKNOWNS = {"exact": 120, "float": 400}
-
-# ``bench`` refuses more repetitions: ``--time`` solves 1 + reps times, and
-# ``--compare-full`` twice that, each solve up to the limits above.
-BENCH_MAX_REPS = 100
-
 
 def _read_surface_argument(arg: str, n: int | None) -> NonhyperbolicQuadratic:
     if os.path.isfile(arg):
@@ -68,8 +61,7 @@ def _read_surface_argument(arg: str, n: int | None) -> NonhyperbolicQuadratic:
     return parse_surface(arg, n)
 
 
-def _refusal(p: Poly, surface: NonhyperbolicQuadratic, mode: str, oracle: bool = False
-             ) -> str | None:
+def _refusal(p: Poly, surface: NonhyperbolicQuadratic, mode: str, oracle: bool) -> str | None:
     """Why p on the surface is refused before any solve, or None: a size
     limit passed, from closed forms, or a coefficient float mode cannot hold."""
     n, degree = p.n, p.degree() or 0
@@ -179,17 +171,7 @@ def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=Fals
 
 def cmd_bench(args: argparse.Namespace) -> int:
     # Imported here so that solve, decompose and verify do not load it.
-    from .bench import (
-        CENSUS_MAX_CLASSES,
-        CENSUS_MAX_DEGREE,
-        BenchRecord,
-        class_count,
-        dense_boundary,
-        monomial_boundary,
-        record_to_text,
-        records_to_csv,
-        run_comparison,
-    )
+    from .bench import CENSUS_MAX_CLASSES, CENSUS_MAX_DEGREE, census_report, class_count
 
     n, m = args.dim, args.degree
     error = None
@@ -197,46 +179,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         error = "--dim must be at least 2"
     elif not 0 <= m <= CENSUS_MAX_DEGREE:
         error = f"--degree must be from 0 to {CENSUS_MAX_DEGREE}"
-    elif args.reps < 1:
-        error = "--reps must be at least 1"
-    elif args.reps > BENCH_MAX_REPS:
-        error = f"--reps {args.reps} is too many; the limit is {BENCH_MAX_REPS}"
     elif (classes := class_count(n, m)) > CENSUS_MAX_CLASSES:
         error = (f"--dim {n} --degree {m} has {classes} parity classes; "
                  f"bench reports at most {CENSUS_MAX_CLASSES}")
-    elif args.surface:
-        surface = _read_surface_argument(args.surface, n).extend(n)
-    else:
-        surface = NonhyperbolicQuadratic((1,) * n, (0,) * n, -1)
-    if error is None and (args.compare_full or args.time):
-        # Both kinds are homogeneous of degree m + 2, which is all the
-        # limits read, so the monomial stands in before the boundary is built.
-        error = _refusal(monomial_boundary(n, m + 2), surface, args.mode)
-        full = math.comb(m + n - 1, n - 1)
-        if error is None and args.compare_full and full > BENCH_FULL_MAX_UNKNOWNS[args.mode]:
-            error = (f"--compare-full on order {m} in {n} variables needs {full} unknowns "
-                     f"in one system; the limit is {BENCH_FULL_MAX_UNKNOWNS[args.mode]}")
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT
-
-    record = BenchRecord(n, m, args.boundary_kind)
-    if args.compare_full or args.time:
-        builder = monomial_boundary if args.boundary_kind == "monomial" else dense_boundary
-        p = builder(n, m + 2)
-        if args.mode == "float":
-            p = p.to_float()
-        try:
-            record = run_comparison(p, surface, repetitions=args.reps,
-                                    compare_full=args.compare_full)
-        except IllConditionedSystemError as exc:
-            print(f"error: ill-conditioned system in float mode: {exc}", file=sys.stderr)
-            return EXIT_ILL_CONDITIONED
-
-    if args.format == "csv":
-        print(records_to_csv([record]))
-    else:
-        print(record_to_text(record))
+    print(census_report(n, m))
     return EXIT_OK
 
 
@@ -266,18 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("decompose", parents=[common], help="print both h and f")
     sub.add_parser("verify", parents=[common], help="solve, check, and report")
 
-    bench = sub.add_parser("bench", help="class census, predicted ops, timings")
-    bench.add_argument("--dim", type=int, required=True)
+    bench = sub.add_parser("bench", help="parity-class census and predicted operation counts")
+    bench.add_argument("--dim", type=int, required=True, help="number of variables n")
     bench.add_argument("--degree", type=int, required=True,
                        help="order m of the top-level system (boundary degree is m + 2)")
-    bench.add_argument("--surface", default=None)
-    bench.add_argument("--boundary-kind", choices=("monomial", "dense"), default="monomial")
-    bench.add_argument("--mode", choices=("exact", "float"), default="exact")
-    bench.add_argument("--compare-full", action="store_true",
-                       help="also time the unpartitioned solver")
-    bench.add_argument("--time", action="store_true", help="time the partitioned solver")
-    bench.add_argument("--reps", type=int, default=5)
-    bench.add_argument("--format", choices=("text", "csv"), default="text")
     return parser
 
 

@@ -146,9 +146,6 @@ class SolveStats:
     def __repr__(self):
         return f"SolveStats(levels={self.levels!r})"
 
-    def max_nonzero_rhs_classes(self) -> int:
-        return max((lv.nonzero_rhs_classes for lv in self.levels), default=0)
-
 
 def _axis_squares(q2: Poly) -> tuple[list[Scalar], int, Scalar]:
     """The diagonal coefficients a_j of q2 = sum a_j x_j^2 as the level

@@ -1,7 +1,6 @@
-"""Operation-count predictions, the class census, and timing records."""
+"""Operation-count predictions, the class census, and the timed comparison."""
 
 import math
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,8 @@ import pytest
 from quadharm import NonhyperbolicQuadratic, Poly
 from quadharm.solver import level_plan
 from quadharm.bench import (
-    CSV_HEADER,
     BenchRecord,
+    census_report,
     class_census,
     class_count,
     dense_boundary,
@@ -20,9 +19,6 @@ from quadharm.bench import (
     predicted_full_ops,
     predicted_partitioned_ops,
     predicted_ratio,
-    record_to_csv_row,
-    record_to_text,
-    records_to_csv,
     run_comparison,
 )
 
@@ -82,25 +78,14 @@ class TestBoundaries:
 
 
 class TestComparison:
-    def test_census_only_record_has_no_timings(self):
-        rec = BenchRecord(3, 4, "monomial")
-        assert rec.measured_full_ms is None and rec.measured_partitioned_ms is None
-        assert rec.stats is None and rec.nonzero_rhs_classes == 0
-
     def test_record_stores_only_measurements(self):
-        # The census and the predictions follow from (n, m); the reports
-        # compute them, so the record holds none of them.
-        assert [f.name for f in fields(BenchRecord)] == [
-            "n", "m", "boundary_kind", "measured_full_ms",
-            "measured_partitioned_ms", "stats"]
+        assert BenchRecord._fields == ("measured_full_ms", "measured_partitioned_ms")
 
     def test_run_comparison_checks_agreement(self, monkeypatch):
         q = NonhyperbolicQuadratic((1, 1), (0, 0), -1)
         p = dense_boundary(2, 4)
         rec = run_comparison(p, q, repetitions=1)
-        assert rec.measured_full_ms is not None
-        assert rec.measured_partitioned_ms is not None
-        assert [lv.carry_degree for lv in rec.stats.levels] == [4, 2]
+        assert rec.measured_full_ms > 0 and rec.measured_partitioned_ms > 0
 
         def wrong_solver(ph, q2):
             return full_reference_solver(ph, q2) + Poly.constant(ph.n, 1)
@@ -109,18 +94,25 @@ class TestComparison:
         with pytest.raises(RuntimeError):
             run_comparison(p, q, repetitions=1)
 
-    def test_compare_full_false_skips_reference(self):
+    @pytest.mark.parametrize("reps", [1, 5])
+    def test_each_path_solves_once_per_rep_plus_one(self, monkeypatch, reps):
+        from quadharm.bench import solve_dirichlet
+
+        calls = {"partitioned": 0, "full": 0}
+
+        def counting(p, q, **kwargs):
+            calls["full" if kwargs.get("homogeneous_solver") else "partitioned"] += 1
+            return solve_dirichlet(p, q, **kwargs)
+
+        monkeypatch.setattr("quadharm.bench.solve_dirichlet", counting)
         q = NonhyperbolicQuadratic((1, 1), (0, 0), -1)
-        rec = run_comparison(monomial_boundary(2, 4), q,
-                             repetitions=1, compare_full=False)
-        assert rec.measured_full_ms is None
-        assert rec.measured_partitioned_ms is not None
-        assert rec.nonzero_rhs_classes == 1
+        run_comparison(monomial_boundary(2, 4), q, repetitions=reps)
+        assert calls == {"partitioned": 1 + reps, "full": 1 + reps}
 
     def test_float_paths_agree_within_tolerance(self):
         q = NonhyperbolicQuadratic((2, 3), (1, 0), -1)
         rec = run_comparison(dense_boundary(2, 5).to_float(), q, repetitions=1)
-        assert rec.measured_full_ms is not None
+        assert rec.measured_full_ms > 0
 
     @pytest.mark.parametrize("repetitions", [0, -1])
     def test_repetitions_below_one_raise_before_any_solve(self, monkeypatch, repetitions):
@@ -131,19 +123,8 @@ class TestComparison:
 
 
 class TestRecordFormats:
-    def test_csv_row_matches_header(self):
-        row = record_to_csv_row(BenchRecord(3, 4, "monomial"))
-        assert len(row.split(",")) == len(CSV_HEADER.split(","))
-        assert row == "3,4,monomial,4,,,16,,0"
-
-    def test_records_to_csv_starts_with_header(self):
-        out = records_to_csv([BenchRecord(2, 3, "monomial"), BenchRecord(3, 3, "monomial")])
-        lines = out.splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 3
-
     def test_census_text_report_has_no_level_lines(self):
-        text = record_to_text(BenchRecord(3, 4, "monomial"))
+        text = census_report(3, 4)
         assert "inhabited parity classes: 4 with sizes [3, 3, 3, 6]" in text
         assert "ratio = 16" in text
         assert "measured" not in text and "level deg" not in text

@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from quadharm.cli import (
     EXIT_VERIFY,
     SOLVE_MAX_CLASS_WORK,
     SOLVE_MAX_UNKNOWNS,
+    build_parser,
     main,
 )
 from quadharm.parsing import MAX_LITERAL_DIGITS, MAX_NESTING_DEPTH
@@ -24,6 +28,7 @@ from quadharm.solver import IllConditionedSystemError
 from quadharm.verify import ORACLE_MAX_UNKNOWNS
 
 ELLIPSOID = "2x1^2 + 3x2^2 + 4x3^2 - 1"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -356,87 +361,15 @@ class TestExitCodes:
 
 
 class TestBench:
-    def test_census_csv_header_and_row(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--dim", "3", "--degree", "4", "--format", "csv")
-        assert code == EXIT_OK
-        lines = out.strip().splitlines()
-        assert lines[0] == (
-            "n,m,kind,classes,full_ms,part_ms,ratio_pred,ratio_meas,"
-            "nonzero_rhs_classes")
-        first = lines[1].split(",")
-        assert first[0] == "3" and first[1] == "4" and first[3] == "4"
-
-    def test_timed_comparison_fills_measurements(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--dim", "2", "--degree", "3", "--time",
-            "--compare-full", "--reps", "2", "--format", "csv")
-        assert code == EXIT_OK
-        row = out.strip().splitlines()[1].split(",")
-        assert float(row[4]) > 0 and float(row[5]) > 0
-
-    def test_text_report_mentions_phases(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--dim", "2", "--degree", "4", "--time",
-            "--reps", "2")
-        assert code == EXIT_OK
-        assert "assemble" in out and "solve" in out
-
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_text_report_has_one_line_per_level(self, capsys, mode):
-        code, out, _ = run(
-            capsys, "bench", "--dim", "3", "--degree", "4", "--boundary-kind", "dense",
-            "--time", "--compare-full", "--reps", "1", "--mode", mode)
-        assert code == EXIT_OK
-        levels = [line for line in out.splitlines() if "level deg" in line]
-        assert [line.split(":")[0].strip() for line in levels] == [
-            "level deg 6", "level deg 4", "level deg 2"]
-        # Carry bit lengths exist in exact mode only.
-        assert all(("bits" in line) == (mode == "exact") for line in levels)
-        assert all(" ms, rebuild " in line for line in levels)
-        assert "measured full" in out
-
-    def test_float_report_counts_classes_solved_from_stored_factors(self, capsys):
-        argv = ("bench", "--dim", "3", "--degree", "6", "--boundary-kind", "dense",
-                "--time", "--reps", "1", "--mode", "float")
-        first, second = (run(capsys, *argv)[1] for _ in range(2))
-        for out, warm in ((first, False), (second, True)):
-            levels = [line for line in out.splitlines() if "level deg" in line]
-            assert len(levels) == 4
-            for line in levels:
-                active = int(line.split(" with nonzero rhs")[0].split()[-1])
-                hits = int(line.split(" from stored factors")[0].split()[-1])
-                assert hits == (active if warm else 0)
-
-    def test_exact_report_counts_classes_replayed_from_stored_factors(self, capsys):
-        # The untimed solve of the first call sees each class first, its one
-        # timed repetition records it, and the second call replays it.
-        argv = ("bench", "--dim", "3", "--degree", "6", "--boundary-kind", "dense",
-                "--time", "--reps", "1")
-        first, second = (run(capsys, *argv)[1] for _ in range(2))
-        for out, warm in ((first, False), (second, True)):
-            levels = [line for line in out.splitlines() if "level deg" in line]
-            assert len(levels) == 4
-            for line in levels:
-                active = int(line.split(" with nonzero rhs")[0].split()[-1])
-                hits = int(line.split(" from stored factors")[0].split()[-1])
-                assert hits == (active if warm else 0)
-
-    @pytest.mark.parametrize("reps", [1, 5])
-    def test_time_solves_once_per_rep_plus_one(self, capsys, monkeypatch, reps):
-        from quadharm.bench import solve_dirichlet
-
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_dirichlet(*args, **kwargs)
-
-        monkeypatch.setattr("quadharm.bench.solve_dirichlet", counting)
-        monkeypatch.setattr("quadharm.cli.solve_dirichlet", counting)
-        code, _, _ = run(
-            capsys, "bench", "--dim", "2", "--degree", "4", "--time", "--reps", str(reps))
-        assert code == EXIT_OK and len(calls) == 1 + reps
+    def test_census_report_text(self, capsys):
+        # The census builds no boundary and solves nothing, so it prints
+        # neither a boundary kind nor right-hand-side counts.
+        code, out, err = run(capsys, "bench", "--dim", "3", "--degree", "4")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "dimension n = 3, top system order m = 4\n"
+            "inhabited parity classes: 4 with sizes [3, 3, 3, 6]\n"
+            "predicted ops: full = 2250, partitioned = 140.6, ratio = 16\n")
 
     def test_census_builds_nothing_and_refuses_too_many_classes(self, capsys, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -450,48 +383,36 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--dim", "40", "--degree", "40")
         assert (code, out) == (EXIT_INPUT, "") and "parity classes" in err
 
-    @pytest.mark.parametrize("argv, message", [
-        # x1^502 on the unit sphere: more than 40,000 unknowns in exact mode.
-        (("--dim", "3", "--degree", "500", "--time"), "unknowns over its levels"),
-        (("--dim", "3", "--degree", "500", "--compare-full"), "unknowns over its levels"),
-        # x1^632 on a surface with no constant: one level, one huge class.
-        (("--dim", "3", "--degree", "630", "--time", "--mode", "float",
-          "--surface", "x1^2+x2^2+x3^2"), "parity class of work"),
-        # 153 unknowns in the unpartitioned top level, past 120.
-        (("--dim", "3", "--degree", "16", "--compare-full"), "needs 153 unknowns in one system"),
-    ])
-    def test_timed_bench_over_a_limit_exits_two_before_any_work(self, capsys, monkeypatch,
-                                                                argv, message):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("bench timed a problem over the limit")
+    @pytest.mark.parametrize("flag", [
+        ["--time"], ["--compare-full"], ["--reps", "2"], ["--mode", "float"],
+        ["--surface", "x1^2+x2^2+x3^2-1"], ["--boundary-kind", "dense"], ["--format", "csv"],
+    ], ids=lambda flag: flag[0])
+    def test_retired_timing_flags_exit_two(self, capsys, flag):
+        code, out, err = run(capsys, "bench", "--dim", "3", "--degree", "4", *flag)
+        assert (code, out) == (EXIT_INPUT, "") and "unrecognized arguments" in err
 
-        for name in ("run_comparison", "dense_boundary"):
-            monkeypatch.setattr(f"quadharm.bench.{name}", forbidden)
-        code, out, err = run(capsys, "bench", *argv)
-        assert (code, out) == (EXIT_INPUT, "") and message in err
 
-    def test_reps_over_the_limit_exit_two_before_any_solve(self, capsys, monkeypatch):
-        from quadharm.cli import BENCH_MAX_REPS
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `quadharm` command in a fenced block of the
+    README, continuation lines joined and any pipe cut off."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("quadharm "):
+                commands.append(shlex.split(line.split("|")[0])[1:])
+    return commands
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("bench timed a problem with too many repetitions")
 
-        monkeypatch.setattr("quadharm.bench.run_comparison", forbidden)
-        for reps in ("1000000", str(BENCH_MAX_REPS + 1)):
-            code, out, err = run(
-                capsys, "bench", "--dim", "2", "--degree", "2", "--time", "--reps", reps)
-            assert (code, out) == (EXIT_INPUT, "")
-            assert f"the limit is {BENCH_MAX_REPS}" in err
-        monkeypatch.undo()
-        code, _, _ = run(capsys, "bench", "--dim", "2", "--degree", "2", "--time",
-                         "--reps", str(BENCH_MAX_REPS))
-        assert code == EXIT_OK
-
-    @pytest.mark.parametrize("reps", ["0", "-1"])
-    def test_reps_below_one_exits_two(self, capsys, reps):
-        code, out, err = run(
-            capsys, "bench", "--dim", "3", "--degree", "2", "--time", "--reps", reps)
-        assert (code, out) == (EXIT_INPUT, "") and "--reps must be at least 1" in err
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 4
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: quadharm {shlex.join(argv)}")
 
 
 def test_module_entry_point_smoke():

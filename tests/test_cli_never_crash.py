@@ -6,7 +6,9 @@ JSON documents holding values of every JSON type; flags are combined at
 random.  The size limits are lowered so that every accepted draw solves in
 milliseconds and many draws are over one.  A draw over a limit must be
 refused before it is solved: the solver and the oracle are wrapped with
-checks that fail the test if they are handed such a problem.
+checks that fail the test if they are handed such a problem.  `bench`
+draws also carry its retired timing flags, which must exit 2, and no
+`bench` command may reach the timed comparison.
 """
 
 import contextlib
@@ -26,7 +28,6 @@ LIMITS = {
     "SOLVE_MAX_UNKNOWNS": {"exact": 40, "float": 40},
     "SOLVE_MAX_CLASS_WORK": 300,
     "ORACLE_MAX_UNKNOWNS": 40,
-    "BENCH_FULL_MAX_UNKNOWNS": {"exact": 15, "float": 15},
 }
 
 BIG = [10**11, int("9" * (MAX_LITERAL_DIGITS + 1))]
@@ -109,6 +110,10 @@ def solve_argv(draw):
     return argv
 
 
+RETIRED_BENCH_OPTIONS = ("--time", "--compare-full", "--mode", "--format", "--boundary-kind",
+                         "--reps", "--surface")
+
+
 @st.composite
 def bench_argv(draw):
     argv = ["bench", "--dim", draw(st.sampled_from(["1", "2", "3", "4", "12", "300"])),
@@ -135,7 +140,7 @@ def within_solve_limits(p, surface) -> bool:
 
 
 def run_checked(argv: list[str]) -> tuple[int, str, str]:
-    solve, verify, compare = cli.solve_dirichlet, cli.verify_solution, bench.run_comparison
+    solve, verify = cli.solve_dirichlet, cli.verify_solution
 
     def checked_solve(p, surface, **kwargs):
         assert within_solve_limits(p, surface), "solved a problem over a limit"
@@ -147,13 +152,8 @@ def run_checked(argv: list[str]) -> tuple[int, str, str]:
         assert not check_oracle or unknowns <= cli.ORACLE_MAX_UNKNOWNS
         return verify(p, surface, dec, check_oracle=check_oracle)
 
-    def checked_compare(p, surface, repetitions=5, *, compare_full=True):
-        assert within_solve_limits(p, surface), "bench timed a problem over a limit"
-        m = p.degree() - 2
-        full = math.comb(m + p.n - 1, p.n - 1)
-        assert not compare_full or full <= cli.BENCH_FULL_MAX_UNKNOWNS["float" if p.is_float()
-                                                                       else "exact"]
-        return compare(p, surface, repetitions, compare_full=compare_full)
+    def forbidden_compare(*args, **kwargs):
+        raise AssertionError("a command reached the timed comparison")
 
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
@@ -161,7 +161,7 @@ def run_checked(argv: list[str]) -> tuple[int, str, str]:
             mp.setattr(cli, name, value)
         mp.setattr(cli, "solve_dirichlet", checked_solve)
         mp.setattr(cli, "verify_solution", checked_verify)
-        mp.setattr(bench, "run_comparison", checked_compare)
+        mp.setattr(bench, "run_comparison", forbidden_compare)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
@@ -185,15 +185,16 @@ def test_solve_decompose_verify_never_crash(argv):
 @settings(max_examples=100)
 @given(bench_argv())
 def test_bench_never_crashes(argv):
-    check_exit(*run_checked(argv))
+    code, out, err = run_checked(argv)
+    check_exit(code, out, err)
+    if any(option in argv for option in RETIRED_BENCH_OPTIONS):
+        assert code == cli.EXIT_INPUT and "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--boundary", "x1^12", "--surface", "x1^2+x2^2+x3^2+x1-1"],
     ["solve", "--boundary", "x1^12", "--surface", "x1^2+x2^2+x3^2"],
     ["verify", "--oracle", "--boundary", "x1^12", "--surface", "x1^2+x2^2+x3^2-1"],
-    ["bench", "--dim", "3", "--degree", "8", "--time"],
-    ["bench", "--dim", "3", "--degree", "5", "--compare-full"],
 ])
 def test_draws_over_the_lowered_limits_are_refused(argv):
     # The lowered limits refuse each of these, so the wrapped solver never runs.
