@@ -391,6 +391,12 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--dim", "3", "--degree", "4", *flag)
         assert (code, out) == (EXIT_INPUT, "") and "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_two(self, capsys, reps):
+        # --reps is retired, so a count below one is refused as an unknown flag.
+        code, out, err = run(capsys, "bench", "--dim", "3", "--degree", "2", "--reps", reps)
+        assert (code, out) == (EXIT_INPUT, "") and "unrecognized arguments" in err
+
 
 def readme_commands() -> list[list[str]]:
     """The arguments of each `quadharm` command in a fenced block of the
