@@ -6,7 +6,8 @@ its right-hand side, dividing out each new row's content.
 ``_record_int`` eliminates a system alone and records the steps, which
 read no right-hand side, and ``_replay_int`` applies a recording to any
 right-hand side; ``_packed`` holds a recording in few bytes.  Both paths
-end in ``_back_substitute``.  Which classes are recorded, and which
+end in ``_back_substitute``.  Both eliminations scan each column only
+down to its ``_scan_ends`` bound.  Which classes are recorded, and which
 recordings are kept, is the level solve's store policy (``solver``).
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Mapping, Sequence
 
 from .polynomial import Scalar
@@ -50,24 +51,43 @@ def _integer_rows(
     return out_rows, out_rhs
 
 
+def _scan_ends(rows: Sequence[Mapping[int, object]]) -> list[int]:
+    """For each column, one past the last row that can store it while the
+    rows are eliminated: the running maximum, over columns, of one past the
+    last row whose first stored column is that column.
+
+    An update adds entries only right of its pivot column, so no row ever
+    stores a column left of its first one.  The ends never decrease, and
+    the steps before a column update and swap only rows before their own
+    column's end, so each row from that column's end on is still the given
+    row, which does not store it.  On a banded system the ends follow the
+    band; on a block upper-triangular one each column stays in its block.
+    """
+    ends = [0] * len(rows)
+    for r, row in enumerate(rows, 1):
+        if row:
+            ends[min(row)] = r
+    return list(accumulate(ends, max))
+
+
 def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
     """Gaussian elimination in place on sparse int rows ``{column: nonzero
     int}``, such as ``_level_matrix`` or ``_integer_rows`` makes.
 
     Each column pivots on the stored entry of fewest bits among the unused
-    rows, the first winning ties.  Each later row storing the pivot column
-    becomes (p/g)*row - (v/g)*pivot_row with g = gcd(p, v), its content and
-    right-hand side's is divided out, and cancelled entries are deleted, so
-    a banded system fills in only within its band.  Returns the pivot
+    rows before its ``_scan_ends`` bound, the first winning ties.  Each
+    later row storing the pivot column becomes (p/g)*row - (v/g)*pivot_row
+    with g = gcd(p, v), its content and right-hand side's is divided out,
+    and cancelled entries are deleted, so a banded system fills in only
+    within its band.  Returns the pivot
     columns: row i holds its pivot in column pivots[i] and nothing left of
     it.  A column with no stored entry left to pivot on stays free.
     """
-    size = len(rows)
     pivots: list[int] = []
-    for col in range(size):
+    for col, end in enumerate(_scan_ends(rows)):
         top = len(pivots)
         pivot_row, bits = -1, 0
-        for r in range(top, size):
+        for r in range(top, end):
             v = rows[r].get(col)
             if v is not None and (pivot_row < 0 or v.bit_length() < bits):
                 pivot_row, bits = r, v.bit_length()
@@ -80,7 +100,7 @@ def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
         pivot = prow[col]
         tail = [(c, v) for c, v in prow.items() if c != col]
         top_rhs = rhs[top]
-        for r in range(top + 1, size):
+        for r in range(top + 1, end):
             row = rows[r]
             v = row.pop(col, None)
             if v is None:
@@ -171,11 +191,10 @@ def _record_int(rows: list[dict[int, int]], limit: float) -> list[int] | None:
     steps of the columns done pass ``limit``.  A singular system raises with
     its first free column.
     """
-    size = len(rows)
     steps: list[int] = []
-    for col in range(size):
+    for col, end in enumerate(_scan_ends(rows)):
         pivot_row, bits = -1, 0
-        for r in range(col, size):
+        for r in range(col, end):
             v = rows[r].get(col)
             if v is not None and (pivot_row < 0 or v.bit_length() < bits):
                 pivot_row, bits = r, v.bit_length()
@@ -190,7 +209,7 @@ def _record_int(rows: list[dict[int, int]], limit: float) -> list[int] | None:
         pivot = prow[col]
         tail = [(c, v) for c, v in prow.items() if c != col]
         ops = []
-        for r in range(col + 1, size):
+        for r in range(col + 1, end):
             row = rows[r]
             v = row.pop(col, None)
             if v is None:
@@ -257,5 +276,6 @@ def _solve_exact(
     matrix: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
 ) -> list[Fraction]:
     """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
-    leaving them unchanged: ``solve_class`` and both oracles come here."""
+    leaving them unchanged: ``solve_class`` and the full-system oracle
+    come here."""
     return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))]

@@ -8,18 +8,28 @@
   solver is strong evidence against a shared derivation bug.
 
 Both oracles and the kernel probe ``operator_kernel`` eliminate with the
-solver's own exact routine; the exact answer does not depend on how it is
-eliminated, so an oracle's independence lies in its matrix.
+solver's own exact routines; the exact answer does not depend on how it is
+eliminated, so an oracle's independence lies in its matrix.  The
+operator-matrix oracle, like the level solve, gives ``_solve_int`` int rows
+and int right-hand sides, and forms ``Fraction``s only for its answer.
 ``verify_solution`` eliminates nothing: the split is unique, so
-laplacian(h) = 0 and p - h - q*f = 0 certify an exact answer.
+laplacian(h) = 0 and p - h - q*f = 0 certify an exact answer.  It checks
+them on int numerators over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 
-from .elimination import _back_substitute, _forward_eliminate, _integer_rows, _solve_exact
+from .elimination import (
+    _back_substitute,
+    _forward_eliminate,
+    _integer_rows,
+    _solve_exact,
+    _solve_int,
+)
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -29,7 +39,7 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import HarmonicDecomposition, _numerators, level_rows
+from .solver import HarmonicDecomposition, _fractions, _numerators, _times, level_rows
 
 # Float checks allow this many units of rounding per coefficient, times
 # (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a
@@ -41,10 +51,11 @@ FLOAT_TOL_ULPS = 64
 
 # ``quadharm verify --oracle`` refuses a boundary whose operator matrix has
 # more unknowns than this, comb(deg(p) - 2 + n, n), before it solves.  The
-# largest accepted inputs took 3 to 8 s for the whole command on 2 cores
+# largest accepted inputs took 1.1 to 3.2 s for the whole command on 2 cores
 # (CPython 3.11): dense and all-degree boundaries on a surface with linear
-# terms, n = 2 to 6; the slowest was dense degree 26 in n = 3, 2,925
-# unknowns.
+# terms, n = 2 to 6; the slowest was all degrees up to 26 in n = 3, 2,925
+# unknowns.  At that size bignum arithmetic, not the row scans, takes most
+# of the oracle's time.
 ORACLE_MAX_UNKNOWNS = 3000
 
 
@@ -148,8 +159,10 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
 
     Exact mode only.  The multiplier f is the unique solution of
     laplacian(q*f) = laplacian(p) in the space of polynomials of degree
-    <= deg(p) - 2, and h = p - q*f.  With q = q_num / den, f also solves
-    laplacian(q_num*f) = den * laplacian(p), an int matrix.
+    <= deg(p) - 2, and h = p - q*f.  With q = q_num / q_den and p = p_num /
+    p_den, p_den * f solves laplacian(q_num * g) = q_den * laplacian(p_num),
+    int rows and an int right-hand side.  f and h are formed as int
+    numerators, and their ``Fraction``s once.
     """
     if p.n != quadric.n:
         raise DimensionMismatchError(f"operands have dimensions {p.n} and {quadric.n}")
@@ -159,15 +172,19 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
     deg = p.degree()
     if deg is None or deg < 2:
         return HarmonicDecomposition(h=p, f=Poly.zero(n), p=p, q=quadric)
-    order = deg - 2
-    q_poly = quadric.to_polynomial()
-    q_num, den = _numerators(q_poly)
-    rows, basis = _operator_matrix(q_num, order)
-    lap = p.laplacian()
-    rhs = [den * lap.coefficient(alpha) for alpha in basis]
-    values = _solve_exact(rows, rhs)
-    f = Poly(n, {alpha: v for alpha, v in zip(basis, values) if v != 0})
-    return HarmonicDecomposition(h=p - q_poly * f, f=f, p=p, q=quadric)
+    q_num, q_den = _numerators(quadric.to_polynomial())
+    p_num, p_den = _numerators(p)
+    rows, basis = _operator_matrix(q_num, deg - 2)
+    lap = p_num.laplacian()
+    values = _solve_int(rows, [q_den * lap.coefficient(alpha) for alpha in basis])
+    pairs = [(alpha, num, d) for alpha, (num, d) in zip(basis, values) if num]
+    lcm = math.lcm(*[d for _, _, d in pairs])
+    f_num = Poly._raw(n, {alpha: num * (lcm // d) for alpha, num, d in pairs})
+    f_den = lcm * p_den
+    h_den = math.lcm(p_den, q_den * f_den)
+    h_num = _times(p_num, h_den // p_den) - _times(q_num, h_den // (q_den * f_den)) * f_num
+    return HarmonicDecomposition(h=Poly._raw(n, _fractions(h_num.terms, h_den)),
+                                 f=Poly._raw(n, _fractions(f_num.terms, f_den)), p=p, q=quadric)
 
 
 def operator_kernel(q: NonhyperbolicQuadratic | Poly, order: int) -> list[Poly]:
@@ -208,29 +225,27 @@ def verify_solution(
 ) -> VerificationReport:
     """Check a decomposition against its defining equations.
 
-    Exact mode demands exact zeros.  Float mode compares the largest
-    absolute coefficient of laplacian(h) and of the residual p - h - q*f
-    with ``float_tolerance`` at the size of p, and records the measured
-    values and the tolerance in the notes.  A float h or q*f far larger
-    than p carries rounding of its own size, which that tolerance does not
-    allow; when a failed check is within rounding at that size, the report
-    is marked ill-conditioned: float mode cannot tell such an answer from
-    a wrong one.
+    Exact mode demands exact zeros.  It checks int numerators over one
+    denominator and forms the residual's ``Fraction``s once.  Float mode
+    compares the largest absolute coefficient of laplacian(h) and of the
+    residual p - h - q*f with ``float_tolerance`` at the size of p, and
+    records the measured values and the tolerance in the notes.  A float h
+    or q*f far larger than p carries rounding of its own size, which that
+    tolerance does not allow; when a failed check is within rounding at
+    that size, the report is marked ill-conditioned: float mode cannot tell
+    such an answer from a wrong one.
     """
     q_poly = quadric.to_polynomial()
     float_mode = p.is_float() or dec.h.is_float() or dec.f.is_float()
-    if float_mode:
-        q_poly = q_poly.to_float()
-    qf = q_poly * dec.f
-    residual = p - dec.h - qf
-    lap_h = dec.h.laplacian()
     notes: list[str] = []
     ill_conditioned = False
     if float_mode:
+        qf = q_poly.to_float() * dec.f
+        residual = p - dec.h - qf
         degree = p.degree() or 0
         p_max = float(p.max_abs_coefficient())
         tol = float_tolerance(degree, p_max)
-        lap_max = float(lap_h.max_abs_coefficient())
+        lap_max = float(dec.h.laplacian().max_abs_coefficient())
         res_max = float(residual.max_abs_coefficient())
         harmonic_ok = lap_max <= tol
         residual_ok = res_max <= tol
@@ -246,8 +261,16 @@ def verify_solution(
                 f"{p_max:.3e} in p, so float rounding alone can exceed the "
                 "tolerance; solve in exact mode")
     else:
-        harmonic_ok = lap_h.is_zero()
-        residual_ok = residual.is_zero()
+        p_num, p_den = _numerators(p)
+        h_num, h_den = _numerators(dec.h)
+        f_num, f_den = _numerators(dec.f)
+        q_num, q_den = _numerators(q_poly)
+        den = math.lcm(p_den, h_den, q_den * f_den)
+        res_num = (_times(p_num, den // p_den) - _times(h_num, den // h_den)
+                   - _times(q_num, den // (q_den * f_den)) * f_num)
+        residual = Poly._raw(p.n, _fractions(res_num.terms, den))
+        harmonic_ok = h_num.laplacian().is_zero()
+        residual_ok = res_num.is_zero()
     nondeg = quadric.is_nondegenerate_zero_set()
     if not nondeg:
         notes.append(

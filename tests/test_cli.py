@@ -30,6 +30,21 @@ from quadharm.verify import ORACLE_MAX_UNKNOWNS
 ELLIPSOID = "2x1^2 + 3x2^2 + 4x3^2 - 1"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# h and f of ``test_oracle_json_document_is_pinned``, in the order printed.
+GOLDEN_H = [
+    ((3, 1, 0), "15/26"), ((1, 3, 0), "-3/13"), ((1, 1, 2), "-27/26"),
+    ((2, 1, 0), "-9/143"), ((2, 0, 1), "2/61"), ((1, 1, 1), "27/104"),
+    ((0, 3, 0), "6/715"), ((0, 2, 1), "-38/61"), ((0, 1, 2), "27/715"),
+    ((0, 0, 3), "12/61"), ((2, 0, 0), "-33/610"), ((1, 1, 0), "17361/14300"),
+    ((1, 0, 1), "4/305"), ((0, 2, 0), "-22/305"), ((0, 1, 1), "-27/2860"),
+    ((0, 0, 2), "77/610"), ((1, 0, 0), "-33/1525"), ((0, 1, 0), "-63/1430"),
+    ((0, 0, 1), "-181/1220"), ((0, 0, 0), "-2819/610"),
+]
+GOLDEN_F = [
+    ((1, 1, 0), "9/26"), ((0, 1, 0), "-9/715"), ((0, 0, 1), "-4/61"),
+    ((0, 0, 0), "33/305"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -113,6 +128,25 @@ class TestDecomposeAndVerify:
             "--oracle")
         assert code == EXIT_OK
         assert "harmonic" in out.lower()
+
+    def test_oracle_json_document_is_pinned(self, capsys):
+        # Fractional p and q, on a surface with linear terms: every printed
+        # coefficient and check is pinned.
+        code, out, _ = run(
+            capsys, "verify", "--boundary", "3/4*x1^3*x2 - 2/3*x2^2*x3 + 1/2*x3^2 - 5",
+            "--surface", "1/2*x1^2 + 2/3*x2^2 + 3*x3^2 + 1/5*x1 - 3/4*x3 - 7/2",
+            "--oracle", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert set(doc) == {"n", "mode", "h", "f", "verify", "timing_ms"}
+        del doc["timing_ms"]
+        assert doc == {
+            "n": 3, "mode": "exact",
+            "h": [{"e": list(e), "c": c} for e, c in GOLDEN_H],
+            "f": [{"e": list(e), "c": c} for e, c in GOLDEN_F],
+            "verify": {"harmonic": True, "residual_zero": True, "surface_nondegenerate": True,
+                       "oracle_match": True, "notes": []},
+        }
 
     @pytest.mark.parametrize("command", ["solve", "decompose"])
     def test_oracle_flag_runs_the_verification(self, capsys, command):

@@ -21,6 +21,7 @@ from quadharm.elimination import (
     _packed,
     _record_int,
     _replay_int,
+    _scan_ends,
     _solve_exact,
     _solve_int,
 )
@@ -105,6 +106,94 @@ def fraction_forward_eliminate(rows, rhs):
                 rhs[r] -= factor * top_rhs
         pivots.append(col)
     return pivots
+
+
+def unbounded_forward_eliminate(rows, rhs):
+    """``_forward_eliminate`` before its scans stopped at ``_scan_ends``:
+    every unused row, for every column.  Kept here as the reference."""
+    size = len(rows)
+    pivots = []
+    for col in range(size):
+        top = len(pivots)
+        pivot_row, bits = -1, 0
+        for r in range(top, size):
+            v = rows[r].get(col)
+            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
+                pivot_row, bits = r, v.bit_length()
+        if pivot_row < 0:
+            continue
+        if pivot_row != top:
+            rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+            rhs[top], rhs[pivot_row] = rhs[pivot_row], rhs[top]
+        prow = rows[top]
+        pivot = prow[col]
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        top_rhs = rhs[top]
+        for r in range(top + 1, size):
+            row = rows[r]
+            v = row.pop(col, None)
+            if v is None:
+                continue
+            g = math.gcd(pivot, v)
+            a, b = pivot // g, v // g
+            if a != 1:
+                row = {c: a * x for c, x in row.items()}
+            for c, pv in tail:
+                new = row.get(c, 0) - b * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            b_r = a * rhs[r] - b * top_rhs
+            g = math.gcd(*row.values(), b_r)
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+                b_r //= g
+            rows[r] = row
+            rhs[r] = b_r
+        pivots.append(col)
+    return pivots
+
+
+def unbounded_record_int(rows):
+    """``_record_int`` before its scans stopped at ``_scan_ends``, with no
+    limit.  Kept here as the reference."""
+    size = len(rows)
+    steps = []
+    for col in range(size):
+        pivot_row, bits = -1, 0
+        for r in range(col, size):
+            v = rows[r].get(col)
+            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
+                pivot_row, bits = r, v.bit_length()
+        if pivot_row < 0:
+            raise SingularSystemError(f"singular system at column {col}", column=col)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        prow = rows[col]
+        pivot = prow[col]
+        tail = [(c, v) for c, v in prow.items() if c != col]
+        ops = []
+        for r in range(col + 1, size):
+            row = rows[r]
+            v = row.pop(col, None)
+            if v is None:
+                continue
+            g = math.gcd(pivot, v)
+            a, b = pivot // g, v // g
+            if a != 1:
+                row = rows[r] = {c: a * x for c, x in row.items()}
+            for c, pv in tail:
+                new = row.get(c, 0) - b * pv
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+            ops += (r, a, b)
+        steps += (pivot_row, len(ops) // 3, *ops, len(prow))
+        for item in prow.items():
+            steps += item
+    return steps
 
 
 def fraction_back_substitute(rows, rhs, pivots, out):
@@ -306,6 +395,40 @@ def test_oracle_elimination_keeps_primitive_int_rows(kind, data):
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
     for r, col in enumerate(pivots):
         assert min(rows[r]) == col
+
+
+def test_scan_ends_are_a_running_maximum_over_first_columns():
+    # First columns 2, 0, 2, none and 1: column 0 can reach row 1 at most,
+    # and column 1, through row 4's first column, every row.
+    rows = [{2: 1, 3: 1}, {0: 1}, {4: 1, 2: 5}, {}, {3: 2, 1: 1}]
+    assert _scan_ends(rows) == [2, 5, 5, 5, 5]
+    assert _scan_ends([{0: 1, 1: 1}, {0: 1, 2: 1}, {2: 1}]) == [2, 2, 3]
+
+
+@pytest.mark.parametrize("kind", sorted(EXACT_ENTRIES))
+@given(data=st.data())
+def test_bounded_scans_match_the_unbounded_eliminations(kind, data):
+    # Rows in random order, so that first columns are not monotone and the
+    # scan ends jump; rows storing a column past its end would be missed.
+    strategy = data.draw(st.sampled_from([systems, singular_systems]))
+    matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
+    order = data.draw(st.permutations(range(len(rhs))))
+    rows, int_rhs = _integer_rows(sparse_rows([matrix[i] for i in order]), [rhs[i] for i in order])
+    expected_rows, expected_rhs = list(map(dict.copy, rows)), list(int_rhs)
+    expected = unbounded_forward_eliminate(expected_rows, expected_rhs)
+    recorded_rows = list(map(dict.copy, rows))
+    assert _forward_eliminate(rows, int_rhs) == expected
+    assert (rows, int_rhs) == (expected_rows, expected_rhs)
+    expected_rows = list(map(dict.copy, recorded_rows))
+    try:
+        expected_steps = unbounded_record_int(expected_rows)
+    except SingularSystemError as reference_error:
+        with pytest.raises(SingularSystemError) as info:
+            _record_int(recorded_rows, math.inf)
+        assert info.value.column == reference_error.column
+        return
+    assert _record_int(recorded_rows, math.inf) == expected_steps
+    assert recorded_rows == expected_rows
 
 
 def test_int_solve_gives_reduced_pairs_with_positive_denominators():

@@ -68,6 +68,12 @@ class TestOperatorMatrixOracle:
         p = Poly.variable(3, 1)
         ref = oracle_operator_matrix(p, sphere())
         assert ref.h == p and ref.f.is_zero()
+        # A harmonic input of degree 2 goes through the elimination, whose
+        # unknowns all come out zero.
+        p = Poly(3, {(2, 0, 0): 1, (0, 2, 0): -1})
+        paraboloid = NonhyperbolicQuadratic((1, 2, 0), (Fraction(1, 2), -1, 1), 0)
+        ref = oracle_operator_matrix(p, paraboloid)
+        assert ref.h == p and ref.f.is_zero()
 
 
 class TestKernelProbe:
@@ -109,16 +115,19 @@ class TestVerifySolution:
     def test_harmonic_perturbation_breaks_residual_only(self):
         # adding a harmonic term keeps laplacian(h) = 0 but spoils p = h + q*f,
         # which is how uniqueness shows up in the report
-        q = sphere()
-        p = Poly.monomial(3, (2, 1, 0))
-        dec = solve_dirichlet(p, q)
-        tampered = HarmonicDecomposition(
-            h=dec.h + Poly(3, {(1, 1, 0): Fraction(1, 7)}),
-            f=dec.f, p=p, q=q)
-        report = verify_solution(p, q, tampered)
-        assert report.harmonic_ok
-        assert not report.residual_ok
-        assert not report.ok()
+        added = Poly(3, {(1, 1, 0): Fraction(1, 7)})
+        fractional = NonhyperbolicQuadratic(
+            (Fraction(1, 2), Fraction(2, 3), 3), (Fraction(1, 5), 0, Fraction(-3, 4)),
+            Fraction(-7, 2))
+        for q in (sphere(), fractional):
+            p = Poly.monomial(3, (2, 1, 0))
+            dec = solve_dirichlet(p, q)
+            tampered = HarmonicDecomposition(h=dec.h + added, f=dec.f, p=p, q=q)
+            report = verify_solution(p, q, tampered)
+            assert report.harmonic_ok
+            assert not report.residual_ok
+            assert not report.ok()
+            assert report.residual == -added
 
     def test_nonharmonic_perturbation_breaks_harmonicity(self):
         q = sphere()
