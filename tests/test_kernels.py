@@ -414,21 +414,20 @@ def test_bounded_scans_match_the_unbounded_eliminations(kind, data):
     matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
     order = data.draw(st.permutations(range(len(rhs))))
     rows, int_rhs = _integer_rows(sparse_rows([matrix[i] for i in order]), [rhs[i] for i in order])
+    recorded_rows, reference_rows = list(map(dict.copy, rows)), list(map(dict.copy, rows))
     expected_rows, expected_rhs = list(map(dict.copy, rows)), list(int_rhs)
     expected = unbounded_forward_eliminate(expected_rows, expected_rhs)
-    recorded_rows = list(map(dict.copy, rows))
     assert _forward_eliminate(rows, int_rhs) == expected
     assert (rows, int_rhs) == (expected_rows, expected_rhs)
-    expected_rows = list(map(dict.copy, recorded_rows))
     try:
-        expected_steps = unbounded_record_int(expected_rows)
+        expected_steps = unbounded_record_int(reference_rows)
     except SingularSystemError as reference_error:
         with pytest.raises(SingularSystemError) as info:
             _record_int(recorded_rows, math.inf)
         assert info.value.column == reference_error.column
         return
     assert _record_int(recorded_rows, math.inf) == expected_steps
-    assert recorded_rows == expected_rows
+    assert recorded_rows == reference_rows
 
 
 def test_int_solve_gives_reduced_pairs_with_positive_denominators():
