@@ -1,14 +1,14 @@
 """Exact elimination of sparse int rows.
 
 Every exact system is eliminated here: the level solve, both oracles and
-the kernel probe.  ``_forward_eliminate`` eliminates a system together with
-its right-hand side, dividing out each new row's content.
-``_record_int`` eliminates a system alone and records the steps, which
-read no right-hand side, and ``_replay_int`` applies a recording to any
-right-hand side; ``_packed`` holds a recording in few bytes.  Both paths
-end in ``_back_substitute``.  Both eliminations scan each column only
-down to its ``_scan_ends`` bound.  Which classes are recorded, and which
-recordings are kept, is the level solve's store policy (``solver``).
+the kernel probe.  ``_forward_eliminate`` is the one elimination loop: it
+eliminates a system together with its right-hand side, scanning each column
+only down to its ``_scan_ends`` bound, and either divides out each new
+row's content or, given a step limit, divides none and records the steps.
+``_replay_int`` applies a recording to any right-hand side, and ``_packed``
+holds one in few bytes.  Both paths end in ``_back_substitute``.  Which
+classes are recorded, and which recordings are kept, is the level solve's
+store policy (``solver``).
 """
 
 from __future__ import annotations
@@ -70,20 +70,33 @@ def _scan_ends(rows: Sequence[Mapping[int, object]]) -> list[int]:
     return list(accumulate(ends, max))
 
 
-def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
+def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int], limit: float = -1
+                       ) -> tuple[list[int], list[int] | None]:
     """Gaussian elimination in place on sparse int rows ``{column: nonzero
-    int}``, such as ``_level_matrix`` or ``_integer_rows`` makes.
+    int}``, such as ``_level_matrix``, ``verify._operator_matrix`` or
+    ``_integer_rows`` makes, and on their right-hand side.
 
     Each column pivots on the stored entry of fewest bits among the unused
     rows before its ``_scan_ends`` bound, the first winning ties.  Each
     later row storing the pivot column becomes (p/g)*row - (v/g)*pivot_row
-    with g = gcd(p, v), its content and right-hand side's is divided out,
-    and cancelled entries are deleted, so a banded system fills in only
-    within its band.  Returns the pivot
-    columns: row i holds its pivot in column pivots[i] and nothing left of
-    it.  A column with no stored entry left to pivot on stays free.
+    with g = gcd(p, v), and so does its right-hand side, and cancelled
+    entries are deleted, so a banded system fills in only within its band.
+    A column with no stored entry left to pivot on stays free.
+
+    Returns the pivot columns, where row i holds its pivot in column
+    pivots[i] and nothing left of it, and the steps.  Below a ``limit`` of
+    0, each updated row's content and its right-hand side's is divided out
+    and the steps are None.  From 0 on, no content is divided and the steps
+    are recorded for ``_replay_int``: for each column top in turn they hold
+    p, k and k triples (r, a, b): rows top and p were swapped, then rhs[r] =
+    a*rhs[r] - b*rhs[top] for each triple; then row top of the result, which
+    pivots in column top, as its entry count and (column, entry) pairs.  As
+    soon as the steps of the columns done pass ``limit``, or a column stays
+    free, the steps are dropped, content is divided from the next column
+    on, and None is returned in their place.
     """
     pivots: list[int] = []
+    steps: list[int] | None = [] if limit >= 0 else None
     for col, end in enumerate(_scan_ends(rows)):
         top = len(pivots)
         pivot_row, bits = -1, 0
@@ -92,6 +105,7 @@ def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
             if v is not None and (pivot_row < 0 or v.bit_length() < bits):
                 pivot_row, bits = r, v.bit_length()
         if pivot_row < 0:
+            steps = None
             continue
         if pivot_row != top:
             rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
@@ -100,6 +114,7 @@ def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
         pivot = prow[col]
         tail = [(c, v) for c, v in prow.items() if c != col]
         top_rhs = rhs[top]
+        ops = []
         for r in range(top + 1, end):
             row = rows[r]
             v = row.pop(col, None)
@@ -116,14 +131,23 @@ def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int]) -> list[int]:
                 else:
                     del row[c]
             b_r = a * rhs[r] - b * top_rhs
-            g = math.gcd(*row.values(), b_r)
-            if g > 1:
-                row = {c: x // g for c, x in row.items()}
-                b_r //= g
+            if steps is None:
+                g = math.gcd(*row.values(), b_r)
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+                    b_r //= g
+            else:
+                ops += (r, a, b)
             rows[r] = row
             rhs[r] = b_r
+        if steps is not None:
+            steps += (pivot_row, len(ops) // 3, *ops, len(prow))
+            for item in prow.items():
+                steps += item
+            if len(steps) > limit:
+                steps = None
         pivots.append(col)
-    return pivots
+    return pivots, steps
 
 
 def _back_substitute(
@@ -156,9 +180,9 @@ def _back_substitute(
     return out
 
 
-# A stored elimination: the steps of ``_record_int`` in one array, and the
-# position and value of each int set apart because it is too large for the
-# array's items; the array holds 0 there (``_packed``).
+# A stored elimination: the steps ``_forward_eliminate`` recorded, in one
+# array, and the position and value of each int set apart because it is too
+# large for the array's items; the array holds 0 there (``_packed``).
 IntFactors = "tuple[array | list[int], tuple[int, ...]]"
 
 # About what an int set apart costs: two tuple slots and two int objects.
@@ -177,68 +201,12 @@ def _packed(values: list[int]) -> IntFactors:
     return array(code, values), spill
 
 
-def _record_int(rows: list[dict[int, int]], limit: float) -> list[int] | None:
-    """Eliminate sparse int rows in place by the rule of
-    ``_forward_eliminate``, but without dividing out any row's content, so
-    that no step reads a right-hand side, and record the steps for
-    ``_replay_int``.
-
-    Returns the steps.  For each column top in turn they hold p, k and k
-    triples (r, a, b): rows top and p were swapped, then rhs[r] =
-    a*rhs[r] - b*rhs[top] for each triple; then row top of the result, which
-    pivots in column top, as its entry count and (column, entry) pairs.
-    Returns None instead, with the rows part eliminated, as soon as the
-    steps of the columns done pass ``limit``.  A singular system raises with
-    its first free column.
-    """
-    steps: list[int] = []
-    for col, end in enumerate(_scan_ends(rows)):
-        pivot_row, bits = -1, 0
-        for r in range(col, end):
-            v = rows[r].get(col)
-            if v is not None and (pivot_row < 0 or v.bit_length() < bits):
-                pivot_row, bits = r, v.bit_length()
-        if pivot_row < 0:
-            raise SingularSystemError(
-                f"singular system at column {col}; the operator should be bijective",
-                column=col,
-            )
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        prow = rows[col]
-        pivot = prow[col]
-        tail = [(c, v) for c, v in prow.items() if c != col]
-        ops = []
-        for r in range(col + 1, end):
-            row = rows[r]
-            v = row.pop(col, None)
-            if v is None:
-                continue
-            g = math.gcd(pivot, v)
-            a, b = pivot // g, v // g
-            if a != 1:
-                row = rows[r] = {c: a * x for c, x in row.items()}
-            for c, pv in tail:
-                new = row.get(c, 0) - b * pv
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
-            ops += (r, a, b)
-        steps += (pivot_row, len(ops) // 3, *ops, len(prow))
-        for item in prow.items():
-            steps += item
-        if len(steps) > limit:
-            return None
-    return steps
-
-
 def _replay_int(steps: Sequence[int], spill: tuple[int, ...], rhs: list[int]
                 ) -> list[tuple[int, int]]:
     """Solve for one int right-hand side, changed in place, with the steps
-    of ``_record_int``, or the ``_packed`` steps and their ints set apart,
-    then ``_back_substitute``: the reduced (numerator, denominator) of each
-    unknown."""
+    ``_forward_eliminate`` recorded, or the ``_packed`` steps and their ints
+    set apart, then ``_back_substitute``: the reduced (numerator,
+    denominator) of each unknown."""
     if spill:
         steps = list(steps)
         for i in range(0, len(spill), 2):
@@ -259,17 +227,20 @@ def _replay_int(steps: Sequence[int], spill: tuple[int, ...], rhs: list[int]
     return _back_substitute(rows, rhs, range(size), [(0, 1)] * size)
 
 
-def _solve_int(rows: list[dict[int, int]], rhs: list[int]) -> list[tuple[int, int]]:
+def _solve_int(rows: list[dict[int, int]], rhs: list[int], limit: float = -1
+               ) -> tuple[list[tuple[int, int]], list[int] | None]:
     """Solve sparse int rows in place: the reduced (numerator, denominator)
-    of each unknown.  A singular system raises with its first free column."""
-    pivots = _forward_eliminate(rows, rhs)
+    of each unknown, and the steps ``_forward_eliminate`` records within
+    ``limit``, or None.  A singular system raises with its first free
+    column."""
+    pivots, steps = _forward_eliminate(rows, rhs, limit)
     if len(pivots) < len(rhs):
         col = min(set(range(len(rhs))).difference(pivots))
         raise SingularSystemError(
             f"singular system at column {col}; the operator should be bijective",
             column=col,
         )
-    return _back_substitute(rows, rhs, pivots, [(0, 1)] * len(rhs))
+    return _back_substitute(rows, rhs, pivots, [(0, 1)] * len(rhs)), steps
 
 
 def _solve_exact(
@@ -278,4 +249,4 @@ def _solve_exact(
     """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
     leaving them unchanged: ``solve_class`` and the full-system oracle
     come here."""
-    return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))]
+    return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))[0]]

@@ -40,7 +40,7 @@ from array import array
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .elimination import IntFactors, _packed, _record_int, _replay_int, _solve_exact, _solve_int
+from .elimination import _packed, _replay_int, _solve_exact, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -369,10 +369,10 @@ _SLOT_BYTES = 64
 # squares) share one store of this many bytes.
 LEVEL_STORE_BYTES = 1 << 22
 
-# Exact mode keeps the recordings of ``_record_int`` by (order, parity
-# class, primitive int axis squares), flattened into one tuple, within this
-# many bytes, first-sighting marks included.  The 151 classes of the exact
-# benchmark's five fixed surfaces take 281 KB, and 146 of them fit.
+# Exact mode keeps the steps ``_forward_eliminate`` recorded by (order,
+# parity class, primitive int axis squares), flattened into one tuple, within
+# this many bytes, first-sighting marks included.  The 151 classes of the
+# exact benchmark's five fixed surfaces take 281 KB, and 146 of them fit.
 EXACT_STORE_BYTES = 1 << 18
 
 
@@ -412,21 +412,22 @@ class _Store:
 
 
 class _ExactStore(_Store):
-    """``_record_int`` recordings, made on a key's second sighting.
+    """Recorded eliminations, made on a key's second sighting.
 
-    A first sighting only marks the key, so a one-off solve runs the fused
-    ``_solve_int``; the second records and the later ones replay.  A
-    recording that does not fit is stopped or dropped, and its key kept
-    with None, so it never records again.  Marks count toward ``nbytes``;
-    when a mark does not fit, the marks (never the recordings) are dropped.
+    A first sighting only marks the key, so a one-off solve divides content
+    as it eliminates; the second records as it solves and the later ones
+    replay.  A recording that does not fit is stopped or dropped, and its
+    key kept with None, so it never records again.  Marks count toward
+    ``nbytes``; when a mark does not fit, the marks (never the recordings)
+    are dropped.
     """
 
-    def admit(self, key: tuple[int, ...], rows: list[dict[int, int]]) -> IntFactors | None:
-        """The recording of ``rows`` if this sighting of the key makes one,
-        kept or not, else None; ``rows`` are left unchanged for
-        ``_solve_int``."""
+    def admit(self, key: tuple[int, ...]) -> int:
+        """The step limit of ``_solve_int`` for this sighting of the key: on
+        its second, which records, the room left in packed ints, and -1 on
+        any other."""
         if key in self.entries:
-            return None
+            return -1
         size = _nbytes(key) + _SLOT_BYTES
         if key not in self.seen:
             if self.nbytes + size > self.bound:
@@ -435,17 +436,12 @@ class _ExactStore(_Store):
             if self.nbytes + size <= self.bound:
                 self.seen.add(key)
                 self.nbytes += size
-            return None
+            return -1
         self.seen.remove(key)
         self.nbytes -= size
         # A packed int takes 2 bytes or more, so the count alone can rule
         # the steps out before they are all made.
-        steps = _record_int(list(map(dict.copy, rows)), (self.bound - self.nbytes) // 2)
-        factors = None if steps is None else _packed(steps)
-        if factors is None or not self.keep(key, factors):
-            # The key's own mark fits: it was just freed.
-            self.keep(key, None)
-        return factors
+        return (self.bound - self.nbytes) // 2
 
     def clear(self) -> None:
         super().clear()
@@ -529,9 +525,10 @@ def _solve_level(
     Only classes with a nonzero right-hand side are assembled and solved.
     Float mode (a float q2, den 1) uses the factors stored for the class or
     stores new ones, and rebuilds f as the sum of D^alpha f * x^alpha /
-    alpha!.  Exact mode takes int numerators and replays stored factors, or
-    lets ``_exact_store`` admit the class; each D^alpha f comes out as a
-    reduced int pair, alpha! and den join its denominator, and f comes back
+    alpha!.  Exact mode takes int numerators and replays stored factors;
+    otherwise it solves within the step limit ``_exact_store.admit`` gives,
+    which records on a class's second sighting, and offers the store what
+    was recorded.  Each D^alpha f comes out as a reduced int pair, alpha! and den join its denominator, and f comes back
     as int numerators over their lcm, divided by one gcd.
     """
     order = carry.degree() - 2
@@ -571,8 +568,12 @@ def _solve_level(
             _level_store.keep(key, factors)
             values = _substitute_float(factors, rhs)
         else:
-            factors = _exact_store.admit(key, rows)
-            values = _solve_int(rows, rhs) if factors is None else _replay_int(*factors, rhs)
+            limit = _exact_store.admit(key)
+            values, steps = _solve_int(rows, rhs, limit)
+            # A recording that stopped or does not fit leaves its key with
+            # None, which fits: admitting the recording freed the key's mark.
+            if limit >= 0 and (steps is None or not _exact_store.keep(key, _packed(steps))):
+                _exact_store.keep(key, None)
         solved.append((members, factorials, values))
     t2 = time.perf_counter()
     if float_mode:

@@ -23,17 +23,10 @@ import math
 import sys
 from fractions import Fraction
 
-from .elimination import (
-    _back_substitute,
-    _forward_eliminate,
-    _integer_rows,
-    _solve_exact,
-    _solve_int,
-)
+from .elimination import _back_substitute, _forward_eliminate, _solve_exact, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
-    Scalar,
     multi_indices,
     multi_indices_upto,
     taylor_reconstruct,
@@ -96,13 +89,13 @@ class VerificationReport:
         return self.harmonic_ok and self.residual_ok and self.oracle_match is not False
 
 
-def _kernel_basis(rows: list[dict[int, Scalar | int]]) -> list[list[Fraction]]:
-    """Null space basis of sparse exact rows: per free column, in order,
-    that unknown set to 1, the other free unknowns to 0, and the pivot
-    unknowns back-substituted."""
+def _kernel_basis(rows: list[dict[int, int]]) -> list[list[Fraction]]:
+    """Null space basis of sparse int rows, eliminated in place: per free
+    column, in order, that unknown set to 1, the other free unknowns to 0,
+    and the pivot unknowns back-substituted."""
     size = len(rows)
-    rows, zeros = _integer_rows(rows, [0] * size)
-    pivots = _forward_eliminate(rows, zeros)
+    zeros = [0] * size
+    pivots, _ = _forward_eliminate(rows, zeros)
     basis = []
     for col in sorted(set(range(size)).difference(pivots)):
         unit = [(int(c == col), 1) for c in range(size)]
@@ -176,7 +169,7 @@ def oracle_operator_matrix(p: Poly, quadric: NonhyperbolicQuadratic) -> Harmonic
     p_num, p_den = _numerators(p)
     rows, basis = _operator_matrix(q_num, deg - 2)
     lap = p_num.laplacian()
-    values = _solve_int(rows, [q_den * lap.coefficient(alpha) for alpha in basis])
+    values, _ = _solve_int(rows, [q_den * lap.coefficient(alpha) for alpha in basis])
     pairs = [(alpha, num, d) for alpha, (num, d) in zip(basis, values) if num]
     lcm = math.lcm(*[d for _, _, d in pairs])
     f_num = Poly._raw(n, {alpha: num * (lcm // d) for alpha, num, d in pairs})

@@ -121,6 +121,16 @@ def dimensioned_polys_st(max_n: int = 3, max_degree: int = 4) -> st.SearchStrate
     return st.integers(2, max_n).flatmap(lambda n: polys_st(n, max_degree))
 
 
+def column_steps(steps: list[int]) -> list[int]:
+    """The number of steps the recording elimination wrote for each column."""
+    counts, i = [], 0
+    while i < len(steps):
+        k = steps[i + 1]
+        counts.append(3 + 3 * k + 2 * steps[i + 2 + 3 * k])
+        i += counts[-1]
+    return counts
+
+
 # ------------------------------------------------------- acceptance summary
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

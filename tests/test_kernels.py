@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given
@@ -18,8 +19,8 @@ from quadharm import (
 from quadharm.elimination import (
     _forward_eliminate,
     _integer_rows,
+    _back_substitute,
     _packed,
-    _record_int,
     _replay_int,
     _scan_ends,
     _solve_exact,
@@ -27,7 +28,7 @@ from quadharm.elimination import (
 )
 from quadharm.solver import FLOAT_PIVOT_RTOL, _factor_float, _solve_float, _substitute_float
 from quadharm.verify import _kernel_basis, _operator_matrix
-from conftest import fractions_st
+from conftest import column_steps, fractions_st
 
 
 def dense_partial_pivoting(matrix, rhs):
@@ -155,12 +156,14 @@ def unbounded_forward_eliminate(rows, rhs):
     return pivots
 
 
-def unbounded_record_int(rows):
-    """``_record_int`` before its scans stopped at ``_scan_ends``, with no
-    limit.  Kept here as the reference."""
+def unbounded_record_int(rows, rhs, columns=None):
+    """The recording elimination before its scans stopped at ``_scan_ends``,
+    with no limit, stopped after ``columns`` columns if given; the
+    right-hand side takes each row swap and update.  Kept here as the
+    reference."""
     size = len(rows)
     steps = []
-    for col in range(size):
+    for col in range(size if columns is None else columns):
         pivot_row, bits = -1, 0
         for r in range(col, size):
             v = rows[r].get(col)
@@ -170,6 +173,7 @@ def unbounded_record_int(rows):
             raise SingularSystemError(f"singular system at column {col}", column=col)
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            rhs[col], rhs[pivot_row] = rhs[pivot_row], rhs[col]
         prow = rows[col]
         pivot = prow[col]
         tail = [(c, v) for c, v in prow.items() if c != col]
@@ -189,6 +193,7 @@ def unbounded_record_int(rows):
                     row[c] = new
                 else:
                     del row[c]
+            rhs[r] = a * rhs[r] - b * rhs[col]
             ops += (r, a, b)
         steps += (pivot_row, len(ops) // 3, *ops, len(prow))
         for item in prow.items():
@@ -354,7 +359,7 @@ def test_oracle_kernel_basis_matches_rref(kind, data):
     matrix, rhs = as_fractions(*data.draw(singular_systems(EXACT_ENTRIES[kind])))
     expected = rref_kernel(matrix)
     assert expected
-    basis = _kernel_basis(sparse_rows(matrix))
+    basis = _kernel_basis(_integer_rows(sparse_rows(matrix), [0] * len(rhs))[0])
     assert basis == expected
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
@@ -390,8 +395,9 @@ def test_oracle_elimination_keeps_primitive_int_rows(kind, data):
     matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
     rows, int_rhs = _integer_rows(sparse_rows(matrix), rhs)
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
-    pivots = _forward_eliminate(rows, int_rhs)
+    pivots, steps = _forward_eliminate(rows, int_rhs)
     assert pivots == fraction_forward_eliminate(sparse_rows(matrix), list(rhs))
+    assert steps is None
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
     for r, col in enumerate(pivots):
         assert min(rows[r]) == col
@@ -414,41 +420,49 @@ def test_bounded_scans_match_the_unbounded_eliminations(kind, data):
     matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
     order = data.draw(st.permutations(range(len(rhs))))
     rows, int_rhs = _integer_rows(sparse_rows([matrix[i] for i in order]), [rhs[i] for i in order])
-    recorded_rows, reference_rows = list(map(dict.copy, rows)), list(map(dict.copy, rows))
+    recorded_rows, recorded_rhs = list(map(dict.copy, rows)), list(int_rhs)
+    reference_rows, reference_rhs = list(map(dict.copy, rows)), list(int_rhs)
     expected_rows, expected_rhs = list(map(dict.copy, rows)), list(int_rhs)
     expected = unbounded_forward_eliminate(expected_rows, expected_rhs)
-    assert _forward_eliminate(rows, int_rhs) == expected
+    assert _forward_eliminate(rows, int_rhs) == (expected, None)
     assert (rows, int_rhs) == (expected_rows, expected_rhs)
+    # The recording mode: the same pivot columns, and on a regular system
+    # the same steps, rows and right-hand side.
+    pivots, steps = _forward_eliminate(recorded_rows, recorded_rhs, math.inf)
+    assert pivots == expected
     try:
-        expected_steps = unbounded_record_int(reference_rows)
-    except SingularSystemError as reference_error:
-        with pytest.raises(SingularSystemError) as info:
-            _record_int(recorded_rows, math.inf)
-        assert info.value.column == reference_error.column
+        expected_steps = unbounded_record_int(reference_rows, reference_rhs)
+    except SingularSystemError:
+        assert steps is None
         return
-    assert _record_int(recorded_rows, math.inf) == expected_steps
-    assert recorded_rows == reference_rows
+    assert steps == expected_steps
+    assert (recorded_rows, recorded_rhs) == (reference_rows, reference_rhs)
 
 
 def test_int_solve_gives_reduced_pairs_with_positive_denominators():
     # x1 = -3/6 and x0 = (2 - 2 * x1) / -4, each reduced once.
-    assert _solve_int([{0: -4, 1: 2}, {1: 6}], [2, -3]) == [(-3, 4), (-1, 2)]
-    assert _solve_int([{0: 5}], [0]) == [(0, 1)]
+    assert _solve_int([{0: -4, 1: 2}, {1: 6}], [2, -3]) == ([(-3, 4), (-1, 2)], None)
+    assert _solve_int([{0: 5}], [0]) == ([(0, 1)], None)
 
 
 def test_pivot_is_the_entry_of_fewest_bits():
     rows, rhs = [{0: 12, 1: 1}, {0: 1, 1: 1}], [1, 2]
-    assert _forward_eliminate(rows, rhs) == [0, 1]
+    assert _forward_eliminate(rows, rhs) == ([0, 1], None)
     assert (rows, rhs) == ([{0: 1, 1: 1}, {1: -11}], [2, -23])
     # 3 and -2 both have two bits: the first row keeps the pivot.
     rows, rhs = [{0: 3, 1: 1}, {0: -2, 1: 1}], [1, 2]
-    assert _forward_eliminate(rows, rhs) == [0, 1]
+    assert _forward_eliminate(rows, rhs) == ([0, 1], None)
     assert (rows, rhs) == ([{0: 3, 1: 1}, {1: 5}], [1, 8])
 
 
 def replayed(steps, spill, rhs):
     """The replay's answer for a copy of rhs, as ``Fraction``s."""
     return [Fraction(*pair) for pair in _replay_int(steps, spill, list(rhs))]
+
+
+def recorded(matrix, rhs=None, limit=math.inf):
+    """The steps of the recording elimination of the int matrix."""
+    return _forward_eliminate(sparse_rows(matrix), list(rhs or [0] * len(matrix)), limit)[1]
 
 
 @given(data=st.data())
@@ -459,23 +473,61 @@ def test_one_recorded_elimination_serves_every_right_hand_side(data):
     size = len(first)
     others = data.draw(st.lists(st.lists(EXACT_ENTRIES["int"], min_size=size, max_size=size),
                                 min_size=1, max_size=3))
-    steps = _record_int(sparse_rows(matrix), math.inf)
-    recorded = list(steps)
-    values, spill = _packed(list(steps))
-    stored = values.tolist()
+    # The recording sighting solves its own right-hand side as it records.
+    rows, rhs = sparse_rows(matrix), list(first)
+    values, steps = _solve_int(rows, rhs, math.inf)
+    assert [Fraction(*pair) for pair in values] == fraction_solve(*as_fractions(matrix, first))
+    kept = list(steps)
+    packed, spill = _packed(list(steps))
+    stored = packed.tolist()
     for rhs in (first, [0] * size, *others):
         expected = fraction_solve(*as_fractions(matrix, rhs))
         assert replayed(steps, (), rhs) == expected
-        assert replayed(values, spill, rhs) == expected
-    assert steps == recorded and values.tolist() == stored
+        assert replayed(packed, spill, rhs) == expected
+    assert steps == kept and packed.tolist() == stored
     # A limit below the steps' count stops the recording; one at it does not.
-    assert _record_int(sparse_rows(matrix), len(steps)) == steps
-    assert _record_int(sparse_rows(matrix), len(steps) - 1) is None
+    assert recorded(matrix, first, len(steps)) == steps
+    assert recorded(matrix, first, len(steps) - 1) is None
+
+
+@given(data=st.data())
+def test_a_stop_past_the_limit_gives_the_fused_answer(data):
+    # Every limit from -1 past the steps' count: the steps come back only
+    # when nothing stopped, and the answer is the fused one.  The columns up
+    # to the one whose steps passed the limit are eliminated as recorded, and
+    # the columns after it as the fused elimination of what remains.
+    strategy = data.draw(st.sampled_from([systems, singular_systems]))
+    matrix, rhs = data.draw(strategy(EXACT_ENTRIES["int"]))
+    size = len(rhs)
+    try:
+        fused = _solve_int(sparse_rows(matrix), list(rhs))
+    except SingularSystemError as error:
+        fused = error.column
+    full = recorded(matrix, rhs)
+    passed = [] if full is None else list(accumulate(column_steps(full)))
+    for limit in range(-1, (passed or [0])[-1] + 2):
+        rows, got_rhs = sparse_rows(matrix), list(rhs)
+        pivots, steps = _forward_eliminate(rows, got_rhs, limit)
+        assert steps == (full if passed and limit >= passed[-1] else None)
+        if type(fused) is int:
+            assert len(pivots) < size and min(set(range(size)) - set(pivots)) == fused
+            continue
+        assert _back_substitute(rows, got_rhs, pivots, [(0, 1)] * size) == fused[0]
+        if limit < 0 or steps is not None:
+            continue
+        stop = next(col for col, count in enumerate(passed) if count > limit) + 1
+        expected_rows, expected_rhs = sparse_rows(matrix), list(rhs)
+        unbounded_record_int(expected_rows, expected_rhs, stop)
+        tail = [{c - stop: v for c, v in row.items()} for row in expected_rows[stop:]]
+        tail_rhs = expected_rhs[stop:]
+        unbounded_forward_eliminate(tail, tail_rhs)
+        tail = [{c + stop: v for c, v in row.items()} for row in tail]
+        assert rows == expected_rows[:stop] + tail and got_rhs == expected_rhs[:stop] + tail_rhs
 
 
 def test_recording_keeps_its_row_swaps():
     matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
-    steps = _record_int(sparse_rows(matrix), math.inf)
+    steps = recorded(matrix)
     # Column 0 pivots on row 1, the only one storing it, and updates no row.
     assert steps[:2] == [1, 0]
     for rhs in ((1, 1, -3), (0, 0, 0), (0, 7, 0)):
@@ -485,8 +537,8 @@ def test_recording_keeps_its_row_swaps():
 def test_recording_pivots_on_the_entry_of_fewest_bits():
     # The rule of _forward_eliminate: 1 has fewer bits than 12, and of 3
     # and -2, both of two bits, the first row keeps the pivot.
-    assert _record_int([{0: 12, 1: 1}, {0: 1, 1: 1}], math.inf)[:2] == [1, 1]
-    assert _record_int([{0: 3, 1: 1}, {0: -2, 1: 1}], math.inf)[:2] == [0, 1]
+    assert recorded([[12, 1], [1, 1]])[:2] == [1, 1]
+    assert recorded([[3, 1], [-2, 1]])[:2] == [0, 1]
 
 
 def test_packing_sets_apart_the_ints_too_large_for_its_items():
@@ -498,7 +550,7 @@ def test_packing_sets_apart_the_ints_too_large_for_its_items():
     assert (values.typecode, spill, values.tolist()) == ("q", (), [1, 2**40, -3])
     # A system with entries past 63 bits replays from its packed steps.
     matrix = ((2**70 + 1, 3, 0), (5, 2**66 - 1, 7), (0, 11, 2**64 + 13))
-    steps = _record_int(sparse_rows(matrix), math.inf)
+    steps = recorded(matrix)
     values, spill = _packed(list(steps))
     assert spill
     for rhs in ((1, 2, 3), (2**80, 0, -1)):
@@ -510,8 +562,9 @@ def test_recording_names_the_first_free_column_of_a_singular_system(data):
     matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES["int"]))
     with pytest.raises(SingularSystemError) as reference:
         fraction_solve(*as_fractions(matrix, rhs))
+    assert recorded(matrix, rhs) is None
     with pytest.raises(SingularSystemError) as info:
-        _record_int(sparse_rows(matrix), math.inf)
+        _solve_int(sparse_rows(matrix), list(rhs), math.inf)
     assert info.value.column == reference.value.column
     assert f"column {info.value.column}" in str(info.value)
 
@@ -599,8 +652,7 @@ CANCELLING = [[Fraction(1, 2), Fraction(1), Fraction(1, 3)],
 def test_oracle_elimination_deletes_exact_cancellations():
     rhs = [Fraction(1), Fraction(2), Fraction(3)]
     rows, int_rhs = _integer_rows(sparse_rows(CANCELLING), rhs)
-    pivots = _forward_eliminate(rows, int_rhs)
-    assert pivots == [0, 1, 2]
+    assert _forward_eliminate(rows, int_rhs) == ([0, 1, 2], None)
     # The primitive int row proportional to {1: -7/4, 2: -2/3}.
     assert rows[1] in ({1: -21, 2: -8}, {1: 21, 2: 8})
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
@@ -615,9 +667,9 @@ def test_oracle_kernel_after_exact_cancellation():
     # then against row 1 in column 2, leaving column 1 free.
     matrix = CANCELLING[:2] + [[a + b for a, b in zip(CANCELLING[0], CANCELLING[1])]]
     rows, zeros = _integer_rows(sparse_rows(matrix), [0] * 3)
-    assert _forward_eliminate(rows, zeros) == [0, 2]
+    assert _kernel_basis(list(map(dict.copy, rows))) == rref_kernel(matrix) == [[-2, 1, 0]]
+    assert _forward_eliminate(rows, zeros) == ([0, 2], None)
     assert rows[2] == {}
-    assert _kernel_basis(sparse_rows(matrix)) == rref_kernel(matrix) == [[-2, 1, 0]]
     with pytest.raises(SingularSystemError) as info:
         _solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
     assert info.value.column == 1

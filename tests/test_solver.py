@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ import quadharm.solver as solver
 from quadharm.bench import dense_boundary, full_reference_solver
 from quadharm.polynomial import multi_factorial, taylor_reconstruct
 from quadharm.solver import level_rows
-from conftest import all_degree, random_fraction, random_poly, random_quadric
+from conftest import all_degree, column_steps, random_fraction, random_poly, random_quadric
 
 
 def test_every_exported_name_resolves():
@@ -498,17 +499,24 @@ def store_bytes(store) -> tuple[int, int]:
     return stored_bytes(store), sum(charge(mark, None) for mark in store.seen)
 
 
-def counting_records(monkeypatch) -> list[int]:
-    """Patch the recording kernel to log the size of each system it records."""
-    calls = []
-    record = solver._record_int
+def counting_calls(monkeypatch) -> tuple[list[int], list[int]]:
+    """Patch the level solve's exact kernels to log the size of each system
+    solved with a step limit, which records, and of each one replayed."""
+    records, replays = [], []
+    solve, replay = solver._solve_int, solver._replay_int
 
-    def counting(rows, limit):
-        calls.append(len(rows))
-        return record(rows, limit)
+    def counting_solve(rows, rhs, limit=-1):
+        if limit >= 0:
+            records.append(len(rows))
+        return solve(rows, rhs, limit)
 
-    monkeypatch.setattr(solver, "_record_int", counting)
-    return calls
+    def counting_replay(steps, spill, rhs):
+        replays.append(len(rhs))
+        return replay(steps, spill, rhs)
+
+    monkeypatch.setattr(solver, "_solve_int", counting_solve)
+    monkeypatch.setattr(solver, "_replay_int", counting_replay)
+    return records, replays
 
 
 def exact_answer(dec) -> tuple[dict, dict]:
@@ -516,27 +524,9 @@ def exact_answer(dec) -> tuple[dict, dict]:
     return dec.h.terms, dec.f.terms
 
 
-def column_steps(steps: list[int]) -> list[int]:
-    """The number of steps ``_record_int`` wrote for each column."""
-    counts, i = [], 0
-    while i < len(steps):
-        k = steps[i + 1]
-        counts.append(3 + 3 * k + 2 * steps[i + 2 + 3 * k])
-        i += counts[-1]
-    return counts
-
-
-def eliminated_columns(rows: list[dict[int, int]]) -> int:
-    """How many leading columns hold no entry below their own row."""
-    done = 0
-    while done < len(rows) and all(done not in row for row in rows[done + 1:]):
-        done += 1
-    return done
-
-
 class TestExactFactorStore:
     def test_records_on_the_second_sighting_and_replays_after(self, monkeypatch):
-        calls = counting_records(monkeypatch)
+        records, replays = counting_calls(monkeypatch)
         p = dense_boundary(3, 10)
         reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID,
                                                  homogeneous_solver=class_system_level))
@@ -544,11 +534,13 @@ class TestExactFactorStore:
         for _ in range(4):
             stats = SolveStats()
             assert exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=stats)) == reference
-            seen.append((len(calls), sum(lv.factor_hits for lv in stats.levels)))
+            seen.append((len(records), len(replays), sum(lv.factor_hits for lv in stats.levels)))
         # Every level has its own order, so no key repeats within a solve.
         active = sum(lv.nonzero_rhs_classes for lv in stats.levels)
         assert active > 0
-        assert seen == [(0, 0), (active, 0), (active, active), (active, active)]
+        # The recording sighting solves from its own rows and replays nothing.
+        assert seen == [(0, 0, 0), (active, 0, 0), (active, active, active),
+                        (active, 2 * active, active)]
 
     def test_factors_over_the_bound_are_recorded_once(self, monkeypatch):
         p = dense_boundary(3, 8)
@@ -559,7 +551,7 @@ class TestExactFactorStore:
         solver.clear_stores()
         # Room for every mark, and so for no factors.
         monkeypatch.setattr(store, "bound", marks)
-        calls = counting_records(monkeypatch)
+        calls, _ = counting_calls(monkeypatch)
         counts = []
         for _ in range(4):
             assert exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID)) == reference
@@ -577,26 +569,31 @@ class TestExactFactorStore:
         reference = class_system_level(p, q2)
         store = solver._exact_store
         monkeypatch.setattr(store, "bound", 400)
-        record = solver._record_int
+        solve = solver._solve_int
         calls = []
 
-        def watched(rows, limit):
-            full = column_steps(record(list(map(dict.copy, rows)), math.inf))
-            steps = record(rows, limit)
-            done = eliminated_columns(rows)
-            calls.append((steps, done, len(full), limit))
-            # It stopped after the column whose steps passed the limit.
-            assert sum(full[:done - 1]) <= limit < sum(full[:done])
-            return steps
+        def watched(rows, rhs, limit=-1):
+            if limit < 0:
+                return solve(rows, rhs, limit)
+            full_rows = list(map(dict.copy, rows))
+            _, full = solve(full_rows, list(rhs), math.inf)
+            values, steps = solve(rows, rhs, limit)
+            stop = next(col for col, count in enumerate(accumulate(column_steps(full)))
+                        if count > limit) + 1
+            calls.append((steps, stop, len(rows), limit))
+            # Eliminated as recorded up to the column whose steps passed the
+            # limit, with content divided after it.
+            assert rows[:stop] == full_rows[:stop] and rows != full_rows
+            return values, steps
 
-        monkeypatch.setattr(solver, "_record_int", watched)
+        monkeypatch.setattr(solver, "_solve_int", watched)
         counts = []
         for _ in range(4):
             assert solve_homogeneous(p, q2) == reference
             counts.append(len(calls))
         assert counts == [0, 1, 1, 1]
-        steps, done, size, limit = calls[0]
-        assert steps is None and 0 < done < size and limit == 200
+        steps, stop, size, limit = calls[0]
+        assert steps is None and 0 < stop < size and limit == 200
         assert list(store.entries.values()) == [None] and not store.seen
         assert store.nbytes == store_bytes(store)[0] <= 400
 
@@ -605,17 +602,20 @@ class TestExactFactorStore:
         store = solver._exact_store
         monkeypatch.setattr(store, "bound", bound)
         kept = {}
-        admit = solver._ExactStore.admit
+        admit, keep = solver._ExactStore.admit, solver._ExactStore.keep
 
-        def checked_admit(self, key, rows):
-            factors = admit(self, key, rows)
-            entries, marks = store_bytes(self)
-            assert self.nbytes == entries + marks <= bound
-            assert all(self.entries[k] is f for k, f in kept.items())
-            kept.update(self.entries)
-            return factors
+        def checked(method):
+            def call(self, *args):
+                result = method(self, *args)
+                entries, marks = store_bytes(self)
+                assert self.nbytes == entries + marks <= bound
+                assert all(self.entries[k] is f for k, f in kept.items())
+                kept.update(self.entries)
+                return result
+            return call
 
-        monkeypatch.setattr(solver._ExactStore, "admit", checked_admit)
+        monkeypatch.setattr(solver._ExactStore, "admit", checked(admit))
+        monkeypatch.setattr(solver._ExactStore, "keep", checked(keep))
         for degree in (6, 8, 10, 12):
             p = dense_boundary(3, degree)
             reference = exact_answer(solve_dirichlet(p, SHIFTED_ELLIPSOID,
