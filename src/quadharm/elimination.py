@@ -193,8 +193,9 @@ def _packed(values: list[int]) -> IntFactors:
     """The ints in an array of 2-, 4- or 8-byte items, whichever takes the
     fewest bytes with the ints too large for its items set apart."""
     bits = [v.bit_length() for v in values]
-    _, code, limit = min((item * len(values) + _SPILL_BYTES * sum(b > limit for b in bits), code, limit)
-                         for code, item, limit in (("h", 2, 15), ("i", 4, 31), ("q", 8, 63)))
+    _, code, limit = min(
+        (item * len(values) + _SPILL_BYTES * sum(b > limit for b in bits), code, limit)
+        for code, item, limit in (("h", 2, 15), ("i", 4, 31), ("q", 8, 63)))
     spill = tuple(x for i, v in enumerate(values) if bits[i] > limit for x in (i, v))
     for i in spill[::2]:
         values[i] = 0

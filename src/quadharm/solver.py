@@ -38,6 +38,7 @@ import sys
 import time
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .elimination import _packed, _replay_int, _solve_exact, _solve_int
@@ -63,9 +64,11 @@ class IllConditionedSystemError(ArithmeticError):
     """Float mode met a pivot below the conditioning threshold, an unknown
     that overflowed, or an order whose alpha! overflows a float.
 
-    A small pivot gives its ``column``, the ``pivot``, ``row_max``, the
-    largest magnitude in the pivot row from that column on, and ``ratio`` =
-    |pivot| / row_max (0.0 for an all-zero row); an overflowed unknown its
+    A small pivot of ``_factor_float`` gives its ``column``, the ``pivot``,
+    ``row_max``, the largest magnitude in the pivot row from that column on,
+    and ``ratio`` = |pivot| / row_max (0.0 for an all-zero row); one of
+    ``_factor_symmetric`` its ``column``, ``pivot`` and ``ratio`` = pivot /
+    its diagonal, with no ``row_max``.  An overflowed unknown gives its
     ``column`` and ``pivot`` only.
     """
 
@@ -87,12 +90,15 @@ class ClassSystem(NamedTuple):
     """One parity block of the level-m linear system, as ``level_rows``
     makes its rows: ``matrix`` holds one sparse row ``{column: nonzero
     entry}`` per member of ``members`` (canonical order), which the kernels
-    never change, and ``rhs`` the right-hand sides."""
+    never change, and ``rhs`` the right-hand sides.  ``weights`` are the
+    float class's ``_fischer_weights``, which ``solve_class`` factors with,
+    or None (exact mode, a zero a_j, or a hand-built system)."""
 
     parity: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     matrix: list[dict[int, Scalar | int]]
     rhs: tuple[Scalar, ...]
+    weights: list[float] | None = None
 
     def has_nonzero_rhs(self) -> bool:
         return any(v != 0 for v in self.rhs)
@@ -110,12 +116,17 @@ class HarmonicDecomposition(NamedTuple):
 class LevelStats(NamedTuple):
     """Instrumentation for one cascade level (carry of one degree).
 
-    ``assemble_ms`` covers the right-hand sides and the matrices built,
-    ``solve_ms`` the eliminations and substitutions, ``rebuild_ms`` the
-    rebuild of f.  ``factor_hits`` counts the classes solved from factors
-    that an earlier solve stored, in either mode.  Exact mode fills
+    ``assemble_ms`` covers the right-hand sides, weights and matrices
+    built, ``solve_ms`` the eliminations and substitutions, ``rebuild_ms``
+    the rebuild of f.  ``factor_hits`` counts the classes solved from
+    factors that an earlier solve stored, in either mode.  Exact mode fills
     ``carry_den_bits`` and ``carry_num_bits``, the bit lengths of the
-    carry's denominator and of its largest numerator.
+    carry's denominator and of its largest numerator.  Float mode fills
+    ``min_pivot_ratio``, the smallest pivot ratio of the level's solved
+    classes as their factors recorded it, so a warm solve reports what the
+    cold one did: pivot over weighted diagonal where ``_factor_symmetric``
+    factored, |pivot| over row maximum where ``_factor_float`` did, and None
+    when no class was solved.
     """
 
     carry_degree: int
@@ -130,6 +141,7 @@ class LevelStats(NamedTuple):
     carry_den_bits: int | None = None
     carry_num_bits: int | None = None
     factor_hits: int = 0
+    min_pivot_ratio: float | None = None
 
 
 class SolveStats:
@@ -185,10 +197,15 @@ def level_rows(
 
 
 def _level_matrix(
-    a: Sequence[Scalar], zero: Scalar, members: Sequence[tuple[int, ...]]
+    a: Sequence[Scalar], zero: Scalar, members: Sequence[tuple[int, ...]], upper: bool = False
 ) -> list[dict[int, Scalar | int]]:
     """The rows of ``level_rows`` for the axis squares ``a`` and the zero of
-    the mode, as ``_axis_squares`` gives them."""
+    the mode, as ``_axis_squares`` gives them; with ``upper``, only their
+    entries on or right of the diagonal, which are all ``_factor_symmetric``
+    reads.
+
+    Members come in descending lexicographic order, so the column of alpha -
+    2e_j + 2e_k lies right of alpha's exactly when k > j."""
     n = len(a)
     two_s = 2 * sum(a, zero)
     col = {alpha: i for i, alpha in enumerate(members)}
@@ -205,7 +222,7 @@ def _level_matrix(
             # k == j reaches alpha itself; each k != j reaches a column
             # that no other (j, k) reaches.
             diag = diag + w
-            for k in range(n):
+            for k in range(j + 1 if upper else 0, n):
                 if k != j:
                     beta = list(alpha)
                     beta[j] -= 2
@@ -233,9 +250,45 @@ def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[Class
     if rhs_source.n != q2.n:
         raise DimensionMismatchError(f"operands have dimensions {rhs_source.n} and {q2.n}")
     a, scale, zero = _axis_squares(q2)
+    float_mode = q2.is_float()
     return [ClassSystem(parity=parity, members=members, matrix=_level_matrix(a, zero, members),
-                        rhs=tuple(_level_rhs(rhs_source, members, factorials, scale, zero)))
+                        rhs=tuple(_level_rhs(rhs_source, members, factorials, scale, zero)),
+                        weights=_fischer_weights(a, members, factorials) if float_mode else None)
             for parity, members, factorials in level_plan(q2.n, order)]
+
+
+def _fischer_weights(a: Sequence[float], members: Sequence[tuple[int, ...]],
+                     factorials: Iterable[int]) -> list[float] | None:
+    """Row weights that make a float level class symmetric: d_alpha = 1 /
+    (alpha! * prod_j a_j^(alpha_j // 2)) for each member, all times one
+    power of two, so that the largest lies in (1, 2] (see the README's
+    Fischer form).  None when an a_j is not positive, or when the weights
+    span more than 2**970, the range of the normal floats less 52 bits, so
+    that the ratio of any two is a normal float.
+
+    Each weight is alpha!, converted once, times the mantissas of the
+    a_j^(alpha_j // 2), with their exponents summed apart, so it overflows
+    nowhere and is off by a few ulps at most: weights off by 1e-14 make the
+    weighted rows visibly unsymmetric and cost digits in the answers.
+    """
+    if min(a) <= 0.0:
+        return None
+    axes = [math.frexp(aj) for aj in a]
+    scaled = []
+    for alpha, fact in zip(members, factorials):
+        mantissa, exponent = float(fact), 0
+        for (m, e), k in zip(axes, alpha):
+            if k > 1:
+                k >>= 1
+                mantissa *= m ** k
+                exponent += e * k
+        mantissa, e = math.frexp(mantissa)
+        scaled.append((mantissa, exponent + e))
+    top = min(e for _, e in scaled)
+    weights = [math.ldexp(1.0 / m, top - e) for m, e in scaled]
+    if min(weights) < sys.float_info.min / sys.float_info.epsilon:
+        return None
+    return weights
 
 
 def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]:
@@ -248,14 +301,17 @@ def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]
     return lower, [max(row, default=-1) for row in rows]
 
 
-def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
+def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple:
     """Partial-pivoting LU factors of sparse float rows; small pivots raise
     instead of smearing.
 
-    Expands each row into a dense working row and keeps to the band; the
-    entries it skips are exact zeros, so it performs every floating-point
-    operation of a dense partial-pivoting loop that can change a finite
-    value, in the same order.  Returns six arrays of exactly their length:
+    The kernel of the classes without ``_fischer_weights`` and of
+    hand-built systems.  Expands each row into a dense working row of all s
+    columns and keeps to the band; the entries it skips are exact zeros, so
+    it performs every floating-point operation of a dense partial-pivoting
+    loop that can change a finite value, in the same order.  Returns six
+    arrays of exactly their length, then the smallest |pivot| / row max, at
+    most 1:
 
     * ``pivot_rows``: column col swapped rows col and pivot_rows[col];
     * ``l_start``, ``l_rows``, ``l_factors``: then, for i from l_start[col]
@@ -275,6 +331,7 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
         rows.append(row)
     pivot_rows, l_start, l_rows, l_factors = [], [0], [], []
     keep_row, keep_factor = l_rows.append, l_factors.append
+    least = 1.0
     for col in range(size):
         end = min(col + lower + 1, size)
         best_row = col
@@ -287,12 +344,14 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
         row_max = max(map(abs, prow[col:max(last[best_row], col) + 1]))
         if pivot == 0.0 or abs(pivot) < FLOAT_PIVOT_RTOL * row_max:
             raise IllConditionedSystemError(
-                f"pivot {pivot!r} at column {col} is below {FLOAT_PIVOT_RTOL} of row max {row_max!r}",
+                f"pivot {pivot!r} at column {col} is below {FLOAT_PIVOT_RTOL} "
+                f"of row max {row_max!r}",
                 column=col,
                 pivot=pivot,
                 row_max=row_max,
                 ratio=abs(pivot) / row_max if row_max else 0.0,
             )
+        least = min(least, abs(pivot) / row_max)
         pivot_rows.append(best_row)
         if best_row != col:
             rows[col], rows[best_row] = prow, rows[col]
@@ -315,17 +374,85 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple[array, ...]:
         u_values += row[r:last[r] + 1]
         u_start.append(len(u_values))
     return (array("i", pivot_rows), array("i", l_start), array("i", l_rows),
-            array("d", l_factors), array("i", u_start), array("d", u_values))
+            array("d", l_factors), array("i", u_start), array("d", u_values), least)
 
 
-def _substitute_float(factors: tuple[array, ...], rhs: Sequence[float]) -> list[float]:
-    """Solve for one right-hand side with the factors of ``_factor_float``,
-    replaying the swaps and updates in order, so the answer has the bits of
-    a dense partial-pivoting loop.  An unknown that overflows (a subnormal
-    pivot passes the relative test) raises, since past it the dense loop's
-    0 * inf products would give NaN where the band skips them.
+def _factor_symmetric(matrix: Sequence[Mapping[int, float]], weights: Sequence[float]) -> tuple:
+    """Factors in ``_factor_float``'s format, with no row swaps, for a
+    level class A whose rows weighted by its ``_fischer_weights`` d are
+    symmetric: a band LDL^T of D*A that searches no pivot.
+
+    D*A = L*P*L^T gives A = (D^-1*L*D)*(D^-1*P*L^T), a unit lower factor
+    and U.  The elimination runs on A's rows (working row r is the LDL^T's
+    over d_r) and reads and updates only the entries on or right of each
+    diagonal, about half the updates of ``_factor_float``: by symmetry, the
+    multiplier of row r in column col is (v / pivot) * (d_col / d_r) for the
+    pivot row's entry v in column r.  Working row r spans its diagonal to
+    the last column of any row above it, which holds the fill, so the rows
+    hold about s times the bandwidth entries, not s^2.
+
+    A pivot must exceed FLOAT_PIVOT_RTOL times its diagonal, or the class
+    raises; the weights leave that ratio unchanged.  Positive pivots make
+    D*A positive definite, up to rounding, so the level operator is
+    bijective on this class.  Returns the six arrays, then the smallest
+    pivot over its diagonal, at most 1.
     """
-    pivot_rows, l_start, l_rows, l_factors, u_start, u_values = factors
+    size = len(matrix)
+    # The running maximum of each row's last column bounds its fill.
+    ends = accumulate(map(max, matrix), max)
+    rows = []
+    for i, (entries, end) in enumerate(zip(matrix, ends)):
+        row = [0.0] * (end - i + 1)
+        for c, v in entries.items():
+            if c >= i:
+                row[c - i] = v
+        rows.append(row)
+    l_start, l_rows, l_factors, u_start, u_values = [0], [], [], [0], []
+    keep_row, keep_factor = l_rows.append, l_factors.append
+    least = 1.0
+    for col, prow in enumerate(rows):
+        pivot = prow[0]
+        # The diagonal only loses (v / pivot) * (d_col / d_r) * v >= 0.
+        diagonal = matrix[col][col]
+        ratio = pivot / diagonal
+        if not ratio > FLOAT_PIVOT_RTOL:
+            raise IllConditionedSystemError(
+                f"pivot {pivot!r} at column {col} is below {FLOAT_PIVOT_RTOL} "
+                f"of its diagonal {diagonal!r}",
+                column=col,
+                pivot=pivot,
+                ratio=ratio,
+            )
+        least = min(least, ratio)
+        d = weights[col]
+        width = len(prow)
+        for off in range(1, width):
+            v = prow[off]
+            if v == 0.0:
+                continue
+            r = col + off
+            factor = v / pivot * (d / weights[r])
+            row = rows[r]
+            for c in range(width - off):
+                row[c] -= factor * prow[off + c]
+            keep_row(r)
+            keep_factor(factor)
+        l_start.append(len(l_rows))
+        u_values += prow
+        u_start.append(len(u_values))
+    return (array("i", range(size)), array("i", l_start), array("i", l_rows),
+            array("d", l_factors), array("i", u_start), array("d", u_values), least)
+
+
+def _substitute_float(factors: tuple, rhs: Sequence[float]) -> list[float]:
+    """Solve for one right-hand side with the factors of ``_factor_float``
+    or ``_factor_symmetric``, replaying the swaps and updates in order; with
+    ``_factor_float``'s, the answer has the bits of a dense partial-pivoting
+    loop.  An unknown that overflows (a subnormal pivot passes the relative
+    test) raises, since past it the dense loop's 0 * inf products would give
+    NaN where the band skips them.
+    """
+    pivot_rows, l_start, l_rows, l_factors, u_start, u_values, _ = factors
     rhs = list(rhs)
     size = len(rhs)
     i = 0
@@ -486,8 +613,12 @@ def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     if not system.has_nonzero_rhs():
         zero: Scalar = 0.0 if is_float else Fraction(0)
         return {alpha: zero for alpha in system.members}
-    solve = _solve_float if is_float else _solve_exact
-    values = solve(system.matrix, system.rhs)
+    if system.weights is not None:
+        values = _substitute_float(_factor_symmetric(system.matrix, system.weights), system.rhs)
+    elif is_float:
+        values = _solve_float(system.matrix, system.rhs)
+    else:
+        values = _solve_exact(system.matrix, system.rhs)
     return dict(zip(system.members, values))
 
 
@@ -524,12 +655,15 @@ def _solve_level(
 
     Only classes with a nonzero right-hand side are assembled and solved.
     Float mode (a float q2, den 1) uses the factors stored for the class or
-    stores new ones, and rebuilds f as the sum of D^alpha f * x^alpha /
-    alpha!.  Exact mode takes int numerators and replays stored factors;
-    otherwise it solves within the step limit ``_exact_store.admit`` gives,
-    which records on a class's second sighting, and offers the store what
-    was recorded.  Each D^alpha f comes out as a reduced int pair, alpha! and den join its denominator, and f comes back
-    as int numerators over their lcm, divided by one gcd.
+    stores new ones: ``_factor_symmetric`` on the upper rows where the
+    class has ``_fischer_weights``, ``_factor_float`` on the full rows where
+    it has none.  It rebuilds f as the sum of D^alpha f * x^alpha / alpha!.
+    Exact mode takes int numerators and replays stored factors; otherwise it
+    solves within the step limit ``_exact_store.admit`` gives, which records
+    on a class's second sighting, and offers the store what was recorded.
+    Each D^alpha f comes out as a reduced int pair, alpha! and den join its
+    denominator, and f comes back as int numerators over their lcm, divided
+    by one gcd.
     """
     order = carry.degree() - 2
     float_mode = q2.is_float()
@@ -554,17 +688,21 @@ def _solve_level(
             # One flat tuple is the smallest key, and longer than a plan's (n, order).
             key = (order, *parity, *a)
             factors = stored.get(key)
-            rows = _level_matrix(a, zero, members) if factors is None else None
-            active.append((members, factorials, rows, rhs, key, factors))
+            rows = weights = None
+            if factors is None:
+                weights = _fischer_weights(a, members, factorials) if float_mode else None
+                rows = _level_matrix(a, zero, members, upper=weights is not None)
+            active.append((members, factorials, rows, weights, rhs, key, factors))
     t1 = time.perf_counter()
     solved = []
     hits = 0
-    for members, factorials, rows, rhs, key, factors in active:
+    ratios = []
+    for members, factorials, rows, weights, rhs, key, factors in active:
         if factors is not None:
             hits += 1
             values = _substitute_float(factors, rhs) if float_mode else _replay_int(*factors, rhs)
         elif float_mode:
-            factors = _factor_float(rows)
+            factors = _factor_float(rows) if weights is None else _factor_symmetric(rows, weights)
             _level_store.keep(key, factors)
             values = _substitute_float(factors, rhs)
         else:
@@ -574,6 +712,8 @@ def _solve_level(
             # None, which fits: admitting the recording freed the key's mark.
             if limit >= 0 and (steps is None or not _exact_store.keep(key, _packed(steps))):
                 _exact_store.keep(key, None)
+        if float_mode:
+            ratios.append(factors[-1])
         solved.append((members, factorials, values))
     t2 = time.perf_counter()
     if float_mode:
@@ -600,7 +740,7 @@ def _solve_level(
             nonzero_rhs_classes=len(active), rhs_is_zero=rhs_source.is_zero(),
             assemble_ms=(t1 - t0) * 1000.0, solve_ms=(t2 - t1) * 1000.0,
             rebuild_ms=(t3 - t2) * 1000.0, carry_den_bits=den_bits, carry_num_bits=num_bits,
-            factor_hits=hits))
+            factor_hits=hits, min_pivot_ratio=min(ratios, default=None)))
     return terms, f_den
 
 
@@ -667,8 +807,10 @@ def largest_class_work(n: int, order: int) -> int:
     The class of parity e holds the e + 2*beta with |beta| = (order - |e|)/2,
     so the largest has b = order // 2, s = comb(b + n - 1, n - 1), and both
     bandwidths w = comb(b + n - 2, n - 2), or less where an a_j is 0.  Its
-    elimination takes about s * w^2 steps, float mode's working rows s^2
-    entries.  A descent's top level has its largest class.
+    elimination takes about s * w^2 steps, and the working rows of float
+    mode's LU path (``_factor_float``) s^2 entries; those of
+    ``_factor_symmetric`` hold about s * w.  A descent's top level has its
+    largest class.
     """
     if order < 0:
         return 0

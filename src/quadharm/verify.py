@@ -79,7 +79,8 @@ class VerificationReport:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
+        return ([getattr(self, k) for k in self.__slots__]
+                == [getattr(other, k) for k in self.__slots__])
 
     def __repr__(self):
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)

@@ -350,6 +350,20 @@ class TestExitCodes:
         assert (code, out) == (EXIT_ILL_CONDITIONED, "")
         assert "order 171 is past 170, where alpha! overflows a float" in err
 
+    @pytest.mark.parametrize("surface, code", [
+        ("1000*x1^2+x2^2-1", EXIT_OK),
+        ("1000000*x1^2+x2^2-1", EXIT_OK),
+        ("x1^2+1000000*x2^2-1", EXIT_ILL_CONDITIONED),
+    ], ids=["a1-1e3", "a1-1e6", "a2-1e6"])
+    def test_float_verify_of_x1_170_across_the_weight_range(self, capsys, surface, code):
+        # The Fischer weights of the top classes span about 10^252 on the
+        # first surface and are scaled to fit; on the other two they span
+        # about 10^504 and those classes are factored with row pivoting.
+        result = run(capsys, "verify", "--mode", "float", "--boundary", "x1^170",
+                     "--surface", surface)
+        assert result[0] == code
+        assert "Traceback" not in result[2]
+
     @pytest.mark.parametrize("argv", [
         ("--boundary", "%s*%s*x1^2" % ("9" * 200, "9" * 200), "--surface", "x1^2+x2^2-1"),
         ("--boundary", "x1^2", "--surface", "%s*%s*x1^2+x2^2-1" % ("9" * 200, "9" * 200)),

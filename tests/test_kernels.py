@@ -1,6 +1,7 @@
 """The exact and float elimination kernels against reference loops."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -26,7 +27,17 @@ from quadharm.elimination import (
     _solve_exact,
     _solve_int,
 )
-from quadharm.solver import FLOAT_PIVOT_RTOL, _factor_float, _solve_float, _substitute_float
+from quadharm.polynomial import multi_factorial
+from quadharm.solver import (
+    FLOAT_PIVOT_RTOL,
+    _factor_float,
+    _factor_symmetric,
+    _fischer_weights,
+    _level_matrix,
+    _solve_float,
+    _substitute_float,
+    level_plan,
+)
 from quadharm.verify import _kernel_basis, _operator_matrix
 from conftest import column_steps, fractions_st
 
@@ -595,6 +606,11 @@ def test_one_float_factorization_serves_three_right_hand_sides(system, right_han
             dense_partial_pivoting(matrix, [0.0] * size)
         assert str(error) == str(dense_error.value)
         return
+    # Row r of U is the pivot row of column r from the pivot on, as the
+    # pivot test read it.
+    u_start, u_values = factors[4], factors[5]
+    u_rows = [u_values[u_start[r]:u_start[r + 1]] for r in range(size)]
+    assert factors[-1] == min(abs(row[0]) / max(map(abs, row)) for row in u_rows)
     for rhs in right_hand_sides:
         rhs = rhs[:size]
         try:
@@ -629,6 +645,91 @@ def test_zero_leading_entry_forces_a_swap():
     float_rhs = tuple(float(v) for v in rhs)
     assert (_solve_float(sparse_rows(float_matrix), float_rhs)
             == dense_partial_pivoting(float_matrix, float_rhs))
+
+
+def fischer_weight(alpha, a):
+    """1 / (alpha! * prod_j a_j^(alpha_j // 2)) as a ``Fraction``."""
+    w = Fraction(multi_factorial(alpha))
+    for aj, e in zip(a, alpha):
+        w *= aj ** (e // 2)
+    return 1 / w
+
+
+def pivots_of(factors):
+    """The diagonal of U in the six-array factors."""
+    u_start, u_values = factors[4], factors[5]
+    return [u_values[u_start[r]] for r in range(len(u_start) - 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_weighted_level_classes_are_symmetric_and_positive_definite(n):
+    rng = random.Random(n)
+    for order in range(10):
+        a = [Fraction(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(n)]
+        floats = [float(aj) for aj in a]
+        for _, members, factorials in level_plan(n, order):
+            rows = _level_matrix(a, Fraction(0), members)
+            d = [fischer_weight(alpha, a) for alpha in members]
+            for r, row in enumerate(rows):
+                for c, v in row.items():
+                    assert d[r] * v == d[c] * rows[c][r]
+            # The float weights are the exact ones times one power of two,
+            # to a few ulps.
+            weights = _fischer_weights(floats, members, factorials)
+            scale = weights[0] / float(d[0])
+            assert all(abs(w / (float(x) * scale) - 1) <= 8 * 2.0 ** -52
+                       for w, x in zip(weights, d))
+            float_rows = _level_matrix(floats, 0.0, members)
+            factors = _factor_symmetric(float_rows, weights)
+            assert list(factors[0]) == list(range(len(members)))
+            pivots = pivots_of(factors)
+            assert all(p > 0.0 for p in pivots)
+            assert 0.0 < factors[-1] == min(p / row[r] for r, (p, row) in
+                                            enumerate(zip(pivots, float_rows))) <= 1.0
+
+
+def test_symmetric_kernel_agrees_with_the_pivoting_one():
+    rng = random.Random(7)
+    for n, orders in ((2, range(0, 31, 3)), (3, range(1, 31, 4)), (4, range(0, 13, 3))):
+        for order in orders:
+            a = [rng.uniform(0.05, 20.0) for _ in range(n)]
+            for _, members, factorials in level_plan(n, order):
+                rows = _level_matrix(a, 0.0, members)
+                weights = _fischer_weights(a, members, factorials)
+                factors = _factor_symmetric(rows, weights)
+                # It reads only the entries on or right of the diagonal.
+                upper = _level_matrix(a, 0.0, members, upper=True)
+                assert upper == [{c: v for c, v in row.items() if c >= r}
+                                 for r, row in enumerate(rows)]
+                assert _factor_symmetric(upper, weights) == factors
+                rhs = [rng.uniform(-1.0, 1.0) for _ in members]
+                want = _solve_float(rows, rhs)
+                got = _substitute_float(factors, rhs)
+                scale = max(map(abs, want))
+                assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale
+
+
+def test_symmetric_kernel_raises_on_a_small_pivot():
+    # Symmetric with unit weights; the second pivot is 1e-14 of its diagonal.
+    matrix = [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0 + 2.0 ** -46}]
+    with pytest.raises(IllConditionedSystemError) as info:
+        _factor_symmetric(matrix, [1.0, 1.0])
+    err = info.value
+    assert (err.column, err.pivot, err.row_max) == (1, 2.0 ** -46, None)
+    assert err.ratio == 2.0 ** -46 / (1.0 + 2.0 ** -46)
+    assert str(err) == (f"pivot {2.0 ** -46!r} at column 1 is below {FLOAT_PIVOT_RTOL} "
+                        f"of its diagonal {1.0 + 2.0 ** -46!r}")
+
+
+def test_weights_exist_only_for_positive_axes_within_the_float_range():
+    plan = level_plan(2, 168)
+    (_, members, factorials), = [c for c in plan if c[0] == (0, 0)]
+    # d_alpha spans about 10^252 here, and 10^504 for 10^6.
+    assert _fischer_weights([1000.0, 1.0], members, factorials) is not None
+    assert _fischer_weights([1e6, 1.0], members, factorials) is None
+    assert _fischer_weights([1.0, 1e6], members, factorials) is None
+    _, members, factorials = level_plan(3, 4)[0]
+    assert _fischer_weights([1.0, 0.0, 2.0], members, factorials) is None
 
 
 def test_oracle_singular_system_carries_column():

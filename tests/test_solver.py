@@ -371,6 +371,23 @@ class TestLevelStats:
         assert repr(SolveStats(untimed[:1])) == f"SolveStats(levels=[{untimed[0]!r}])"
         assert repr(untimed[0]).startswith("LevelStats(carry_degree=5, system_order=3, ")
 
+    def test_float_levels_report_their_smallest_pivot_ratio(self, rng):
+        p = all_degree(rng, 3, 9)
+        exact = SolveStats()
+        solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=exact)
+        assert all(lv.min_pivot_ratio is None for lv in exact.levels)
+        for q in (SHIFTED_ELLIPSOID, PARABOLOID):
+            solver.clear_stores()
+            stats = SolveStats()
+            solve_dirichlet(p.to_float(), q, stats=stats)
+            # Every level has its own order, and only solved classes are stored.
+            by_order: dict = {}
+            for key, factors in float_factors().items():
+                by_order.setdefault(key[0], []).append(factors[-1])
+            assert [lv.min_pivot_ratio for lv in stats.levels] == [
+                min(by_order[lv.system_order]) for lv in stats.levels]
+            assert all(0.0 < lv.min_pivot_ratio <= 1.0 for lv in stats.levels)
+
     def test_float_mode_leaves_bit_lengths_unset(self, rng):
         stats = SolveStats()
         solve_dirichlet(all_degree(rng, 3, 6).to_float(), SHIFTED_ELLIPSOID, stats=stats)
@@ -445,6 +462,53 @@ class TestFloatFactorCache:
         assert len(second_keys) == len(first_keys)
         reference = solve_dirichlet(p, second, homogeneous_solver=class_system_level)
         assert float_bits(dec) == float_bits(reference)
+
+    def test_positive_axis_squares_route_to_the_symmetric_kernel(self, monkeypatch, rng):
+        calls = {"symmetric": 0, "pivoting": 0}
+        symmetric, pivoting = solver._factor_symmetric, solver._factor_float
+
+        def counted_symmetric(rows, weights):
+            calls["symmetric"] += 1
+            return symmetric(rows, weights)
+
+        def counted_pivoting(rows):
+            calls["pivoting"] += 1
+            return pivoting(rows)
+
+        monkeypatch.setattr(solver, "_factor_symmetric", counted_symmetric)
+        monkeypatch.setattr(solver, "_factor_float", counted_pivoting)
+        p = all_degree(rng, 3, 8).to_float()
+        counts = []
+        for q in (SHIFTED_ELLIPSOID, PARABOLOID):
+            solver.clear_stores()
+            stats = SolveStats()
+            solve_dirichlet(p, q, stats=stats)
+            solved = sum(lv.nonzero_rhs_classes for lv in stats.levels)
+            counts.append((calls["symmetric"], calls["pivoting"], solved))
+            calls.update(symmetric=0, pivoting=0)
+        (sym, piv, solved), (sym_z, piv_z, solved_z) = counts
+        assert (sym, piv) == (solved, 0) and solved > 0
+        assert (sym_z, piv_z) == (0, solved_z) and solved_z > 0
+
+    def test_a_zero_axis_square_keeps_the_pivoting_bits(self):
+        # f as the pivoting kernel gave it before the symmetric one existed;
+        # h follows from f by the descent's own arithmetic.
+        p = Poly(3, {(3, 1, 2): 1.5, (0, 5, 0): -0.75})
+        golden = {
+            NonhyperbolicQuadratic((1, 2, 0), (0, 0, 1), 0): {
+                (0, 1, 0): "-0x1.5067fae726dd8p-6", (0, 1, 1): "0x1.265afb8a4201dp-3",
+                (0, 3, 0): "-0x1.76a2576a2576bp-2", (1, 1, 0): "0x1.3657a9bee0324p-6",
+                (1, 1, 1): "-0x1.5d229ef6bc389p-3", (1, 1, 2): "0x1.0000000000000p-1",
+                (1, 3, 0): "-0x1.01767dce434aap-4", (2, 1, 0): "0x1.76a2576a2576bp-4",
+                (3, 1, 0): "0x1.30463796ac9e0p-4"},
+            NonhyperbolicQuadratic((2, 0, 3), (0, 0, 0), -1): {
+                (0, 1, 0): "-0x1.5a62386cab5d0p-1", (0, 1, 2): "0x1.31a1f58d0fac7p-1",
+                (0, 3, 0): "-0x1.8000000000000p+0", (1, 1, 0): "0x1.2379c48de7124p-5",
+                (1, 1, 2): "0x1.592b2564ac959p-3", (2, 1, 0): "0x1.0a72f0539782ap-1",
+                (3, 1, 0): "0x1.9e33c678cf19dp-5"},
+        }
+        for q, f_hex in golden.items():
+            assert float_bits(solve_dirichlet(p, q))[1] == f_hex
 
     def test_ill_conditioned_class_raises_every_time_and_is_never_stored(self, monkeypatch):
         p = dense_boundary(3, 8).to_float()
@@ -596,6 +660,34 @@ class TestExactFactorStore:
         assert steps is None and 0 < stop < size and limit == 200
         assert list(store.entries.values()) == [None] and not store.seen
         assert store.nbytes == store_bytes(store)[0] <= 400
+
+    def test_a_store_exactly_full_at_the_second_sighting_keeps_a_tombstone(self, monkeypatch):
+        # One recording is kept, then the key of x1^8 x2^4's one active class
+        # is marked and the bound set to what the store holds.  Admitting the
+        # key frees its mark, which leaves room for half as many steps as the
+        # mark's bytes: the recording stops, and its None fills the freed
+        # bytes exactly.
+        store = solver._exact_store
+        q2 = SHIFTED_ELLIPSOID.parts()[0]
+        kept = Poly.monomial(3, (4, 2, 0))
+        p = Poly.monomial(3, (8, 4, 0))
+        for _ in range(2):
+            solve_homogeneous(kept, q2)
+        recorded = dict(store.entries)
+        assert len(recorded) == 1 and None not in recorded.values()
+        solve_homogeneous(p, q2)
+        (key,) = store.seen
+        monkeypatch.setattr(store, "bound", store.nbytes)
+        records, replays = counting_calls(monkeypatch)
+        reference = class_system_level(p, q2)
+        for _ in range(4):
+            assert solve_homogeneous(p, q2) == reference
+            assert store.entries == {**recorded, key: None} and not store.seen
+            assert store.nbytes == store_bytes(store)[0] == store.bound
+            # Only the second sighting recorded, and it stopped.
+            assert len(records) == 1 and not replays
+        solve_homogeneous(kept, q2)
+        assert len(replays) == 1
 
     @pytest.mark.parametrize("bound", [0, 5000, 20000, 1 << 22])
     def test_kept_bytes_never_exceed_the_bound_and_nothing_is_evicted(self, monkeypatch, bound):
