@@ -491,8 +491,8 @@ class TestFloatFactorCache:
         assert (sym_z, piv_z) == (0, solved_z) and solved_z > 0
 
     def test_a_zero_axis_square_keeps_the_pivoting_bits(self):
-        # f as the pivoting kernel gave it before the symmetric one existed;
-        # h follows from f by the descent's own arithmetic.
+        # f's bits from the pivoting LU, which these surfaces keep; h follows
+        # from f by the descent's own arithmetic.
         p = Poly(3, {(3, 1, 2): 1.5, (0, 5, 0): -0.75})
         golden = {
             NonhyperbolicQuadratic((1, 2, 0), (0, 0, 1), 0): {
