@@ -3,8 +3,9 @@
 Every exact system is eliminated here: the level solve, both oracles and
 the kernel probe.  ``_forward_eliminate`` is the one elimination loop: it
 eliminates a system together with its right-hand side, scanning each column
-only down to its ``_scan_ends`` bound, and either divides out each new
-row's content or, given a step limit, divides none and records the steps.
+only down to its ``_scan_ends`` bound (which the float LU,
+``solver._factor_float``, shares), and either divides out each new row's
+content or, given a step limit, divides none and records the steps.
 ``_replay_int`` applies a recording to any right-hand side, and ``_packed``
 holds one in few bytes.  Both paths end in ``_back_substitute``.  Which
 classes are recorded, and which recordings are kept, is the level solve's

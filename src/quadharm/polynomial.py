@@ -25,7 +25,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
-MultiIndex = "tuple[int, ...]"
 Scalar = Union[Fraction, float]
 
 
@@ -418,8 +417,7 @@ def product_diff_linear(g: Poly, f: Poly, alpha: Iterable[int]) -> Poly:
     Closed form: g*D^alpha(f) + sum_j alpha_j * (D_j g) * D^(alpha - e_j)(f),
     which is ``product_diff_quadratic`` with every D_j^2 g zero.
     """
-    if g.n != f.n:
-        raise DimensionMismatchError(f"operands have dimensions {g.n} and {f.n}")
+    g._check_dim(f)
     deg = g.degree()
     if deg is not None and deg > 1:
         raise ValueError(f"first factor must have degree <= 1, got degree {deg}")
@@ -435,8 +433,7 @@ def product_diff_quadratic(q: Poly, f: Poly, alpha: Iterable[int]) -> Poly:
         q*D^alpha(f) + sum_j alpha_j * (D_j q) * D^(alpha - e_j)(f)
                      + sum_j (alpha_j*(alpha_j - 1)/2) * (D_j^2 q) * D^(alpha - 2e_j)(f)
     """
-    if q.n != f.n:
-        raise DimensionMismatchError(f"operands have dimensions {q.n} and {f.n}")
+    q._check_dim(f)
     deg = q.degree()
     if deg is not None and deg > 2:
         raise ValueError(f"first factor must have degree <= 2, got degree {deg}")

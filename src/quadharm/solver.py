@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .elimination import _packed, _replay_int, _solve_exact, _solve_int
+from .elimination import _packed, _replay_int, _scan_ends, _solve_exact, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -177,6 +177,16 @@ def _axis_squares(q2: Poly) -> tuple[list[Scalar], int, Scalar]:
     return [aj.numerator * (scale // aj.denominator) for aj in a], scale, zero
 
 
+def _check_level(source: Poly, q2: Poly, order: int) -> None:
+    """The guards of every level route, run before it builds a plan or a
+    row: ``DimensionMismatchError`` for operands of two dimensions, and
+    ``IllConditionedSystemError`` for a float order past FLOAT_MAX_ORDER."""
+    source._check_dim(q2)
+    if order > FLOAT_MAX_ORDER and (q2.is_float() or source.is_float()):
+        raise IllConditionedSystemError(
+            f"order {order} is past {FLOAT_MAX_ORDER}, where alpha! overflows a float")
+
+
 def level_rows(
     rhs_source: Poly, q2: Poly, members: Sequence[tuple[int, ...]]
 ) -> tuple[list[dict[int, Scalar | int]], list[Scalar]]:
@@ -190,7 +200,9 @@ def level_rows(
     times the x^alpha coefficient.  In exact mode rows and right-hand sides
     are scaled by L, the lcm of the denominators of the a_j, which makes
     the entries ints, and the right-hand sides too for an int rhs_source.
+    It raises first as ``_check_level`` does.
     """
+    _check_level(rhs_source, q2, sum(members[0]) if members else 0)
     a, scale, zero = _axis_squares(q2)
     rhs = _level_rhs(rhs_source, members, map(multi_factorial, members), scale, zero)
     return _level_matrix(a, zero, members), rhs
@@ -245,16 +257,17 @@ def _level_rhs(rhs_source: Poly, members: Sequence[tuple[int, ...]], factorials:
 
 def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[ClassSystem]:
     """Every parity block of the order-m system, zero right-hand sides
-    included; the D^alpha of the homogeneous ``rhs_source`` are the
-    right-hand sides."""
-    if rhs_source.n != q2.n:
-        raise DimensionMismatchError(f"operands have dimensions {rhs_source.n} and {q2.n}")
-    a, scale, zero = _axis_squares(q2)
-    float_mode = q2.is_float()
-    return [ClassSystem(parity=parity, members=members, matrix=_level_matrix(a, zero, members),
-                        rhs=tuple(_level_rhs(rhs_source, members, factorials, scale, zero)),
-                        weights=_fischer_weights(a, members, factorials) if float_mode else None)
-            for parity, members, factorials in level_plan(q2.n, order)]
+    included, each with the rows and right-hand sides of ``level_rows``;
+    the D^alpha of the homogeneous ``rhs_source`` are the right-hand sides.
+    It raises as ``level_rows`` does, before it builds the plan."""
+    _check_level(rhs_source, q2, order)
+    a = _axis_squares(q2)[0]
+    systems = []
+    for parity, members, factorials in level_plan(q2.n, order):
+        rows, rhs = level_rows(rhs_source, q2, members)
+        weights = _fischer_weights(a, members, factorials) if q2.is_float() else None
+        systems.append(ClassSystem(parity, members, rows, tuple(rhs), weights))
+    return systems
 
 
 def _fischer_weights(a: Sequence[float], members: Sequence[tuple[int, ...]],
@@ -291,27 +304,17 @@ def _fischer_weights(a: Sequence[float], members: Sequence[tuple[int, ...]],
     return weights
 
 
-def _band_profile(rows: Sequence[Mapping[int, object]]) -> tuple[int, list[int]]:
-    """Lower bandwidth of the sparse ``rows`` and the column of each row's
-    last stored entry (-1 for none).  Elimination with row swaps keeps both
-    bounds: rows more than ``lower`` below the pivot row hold a zero in its
-    column, and an updated row ends no later than itself or the pivot row.
-    """
-    lower = max((i - min(row) for i, row in enumerate(rows) if row), default=0)
-    return lower, [max(row, default=-1) for row in rows]
-
-
 def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple:
     """Partial-pivoting LU factors of sparse float rows; small pivots raise
     instead of smearing.
 
     The kernel of the classes without ``_fischer_weights`` and of
     hand-built systems.  Expands each row into a dense working row of all s
-    columns and keeps to the band; the entries it skips are exact zeros, so
-    it performs every floating-point operation of a dense partial-pivoting
-    loop that can change a finite value, in the same order.  Returns six
-    arrays of exactly their length, then the smallest |pivot| / row max, at
-    most 1:
+    columns and scans each column to its ``_scan_ends`` bound, as the exact
+    loop does; the entries it skips are exact zeros, so it performs every
+    floating-point operation of a dense partial-pivoting loop that can
+    change a finite value, in the same order.  Returns six arrays of exactly
+    their length, then the smallest |pivot| / row max, at most 1:
 
     * ``pivot_rows``: column col swapped rows col and pivot_rows[col];
     * ``l_start``, ``l_rows``, ``l_factors``: then, for i from l_start[col]
@@ -322,7 +325,7 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple:
       included.
     """
     size = len(matrix)
-    lower, last = _band_profile(matrix)
+    last = [max(row, default=-1) for row in matrix]
     rows = []
     for entries in matrix:
         row = [0.0] * size
@@ -332,8 +335,7 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple:
     pivot_rows, l_start, l_rows, l_factors = [], [0], [], []
     keep_row, keep_factor = l_rows.append, l_factors.append
     least = 1.0
-    for col in range(size):
-        end = min(col + lower + 1, size)
+    for col, end in enumerate(_scan_ends(matrix)):
         best_row = col
         best = abs(rows[col][col])
         for r in range(col + 1, end):
@@ -444,6 +446,12 @@ def _factor_symmetric(matrix: Sequence[Mapping[int, float]], weights: Sequence[f
             array("d", l_factors), array("i", u_start), array("d", u_values), least)
 
 
+def _factor(rows: Sequence[Mapping[int, float]], weights: Sequence[float] | None) -> tuple:
+    """Factors of a float level class: ``_factor_symmetric`` where it has
+    ``_fischer_weights``, ``_factor_float`` where it has none."""
+    return _factor_float(rows) if weights is None else _factor_symmetric(rows, weights)
+
+
 def _substitute_float(factors: tuple, rhs: Sequence[float]) -> list[float]:
     """Solve for one right-hand side with the factors of ``_factor_float``
     or ``_factor_symmetric``, replaying the swaps and updates in order; with
@@ -481,11 +489,6 @@ def _substitute_float(factors: tuple, rhs: Sequence[float]) -> list[float]:
                 pivot=pivot,
             )
     return out
-
-
-def _solve_float(matrix: Sequence[Mapping[int, float]], rhs: Sequence[float]) -> list[float]:
-    """Partial-pivoting elimination of sparse float rows, in two halves."""
-    return _substitute_float(_factor_float(matrix), rhs)
 
 
 # Every store charges sys.getsizeof of what it holds (``_nbytes``) and about
@@ -608,15 +611,14 @@ def level_plan(n: int, order: int) -> LevelPlan:
 
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     """Solve one parity block, mapping each member to its D^alpha f
-    constant; an all-zero right-hand side gives zeros without elimination."""
+    constant; an all-zero right-hand side gives zeros without elimination.
+    A float block is factored by ``_factor``, as the level solve does."""
     is_float = isinstance(system.rhs[0], float)
     if not system.has_nonzero_rhs():
         zero: Scalar = 0.0 if is_float else Fraction(0)
         return {alpha: zero for alpha in system.members}
-    if system.weights is not None:
-        values = _substitute_float(_factor_symmetric(system.matrix, system.weights), system.rhs)
-    elif is_float:
-        values = _solve_float(system.matrix, system.rhs)
+    if is_float:
+        values = _substitute_float(_factor(system.matrix, system.weights), system.rhs)
     else:
         values = _solve_exact(system.matrix, system.rhs)
     return dict(zip(system.members, values))
@@ -634,8 +636,7 @@ def solve_homogeneous(
     mode (a float ph or q2) is ``_solve_level`` on ph; exact mode runs it on
     the int numerators of ph and turns its answer into ``Fraction``s.
     """
-    if ph.n != q2.n:
-        raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
+    ph._check_dim(q2)
     if not ph.is_homogeneous():
         raise ValueError("boundary component must be homogeneous")
     deg = ph.degree()
@@ -653,11 +654,11 @@ def _solve_level(
     """f with lap(q2*f) = lap(carry/den) for a homogeneous carry of degree
     k >= 2, as its terms and their denominator.
 
-    Only classes with a nonzero right-hand side are assembled and solved.
-    Float mode (a float q2, den 1) uses the factors stored for the class or
-    stores new ones: ``_factor_symmetric`` on the upper rows where the
-    class has ``_fischer_weights``, ``_factor_float`` on the full rows where
-    it has none.  It rebuilds f as the sum of D^alpha f * x^alpha / alpha!.
+    After ``_check_level``, only classes with a nonzero right-hand side are
+    assembled and solved.  Float mode (a float q2, den 1) uses the factors
+    stored for the class or stores those ``_factor`` makes, on the upper
+    rows where the class has ``_fischer_weights``, on the full rows where it
+    has none.  It rebuilds f as the sum of D^alpha f * x^alpha / alpha!.
     Exact mode takes int numerators and replays stored factors; otherwise it
     solves within the step limit ``_exact_store.admit`` gives, which records
     on a class's second sighting, and offers the store what was recorded.
@@ -666,10 +667,8 @@ def _solve_level(
     by one gcd.
     """
     order = carry.degree() - 2
+    _check_level(carry, q2, order)
     float_mode = q2.is_float()
-    if float_mode and order > FLOAT_MAX_ORDER:
-        raise IllConditionedSystemError(
-            f"order {order} is past {FLOAT_MAX_ORDER}, where alpha! overflows a float")
     t0 = time.perf_counter()
     plan = level_plan(carry.n, order)
     rhs_source = carry.laplacian()
@@ -702,7 +701,7 @@ def _solve_level(
             hits += 1
             values = _substitute_float(factors, rhs) if float_mode else _replay_int(*factors, rhs)
         elif float_mode:
-            factors = _factor_float(rows) if weights is None else _factor_symmetric(rows, weights)
+            factors = _factor(rows, weights)
             _level_store.keep(key, factors)
             values = _substitute_float(factors, rhs)
         else:

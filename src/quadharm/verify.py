@@ -108,11 +108,12 @@ def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
     """Level solve without the parity partition (same equations, one matrix).
 
     Solves for all constants D^alpha f, |alpha| = order, in a single
-    system and rebuilds f.  Drop-in replacement for the homogeneous solver,
-    used to check that partitioning changes nothing.
+    system and rebuilds f.  Drop-in replacement for the exact homogeneous
+    solver, used to check that partitioning changes nothing.
     """
-    if ph.n != q2.n:
-        raise DimensionMismatchError(f"operands have dimensions {ph.n} and {q2.n}")
+    ph._check_dim(q2)
+    if ph.is_float() or q2.is_float():
+        raise ValueError("the full-system oracle runs in exact mode only")
     n = ph.n
     deg = ph.degree()
     if deg is None or deg < 2:

@@ -34,7 +34,6 @@ from quadharm.solver import (
     _factor_symmetric,
     _fischer_weights,
     _level_matrix,
-    _solve_float,
     _substitute_float,
     level_plan,
 )
@@ -587,10 +586,10 @@ def test_float_kernel_is_bit_identical_to_dense_loop(system):
         expected = dense_partial_pivoting(matrix, rhs)
     except IllConditionedSystemError as dense_error:
         with pytest.raises(IllConditionedSystemError) as info:
-            _solve_float(sparse_rows(matrix), rhs)
+            _substitute_float(_factor_float(sparse_rows(matrix)), rhs)
         assert str(info.value) == str(dense_error)
         return
-    got = _solve_float(sparse_rows(matrix), rhs)
+    got = _substitute_float(_factor_float(sparse_rows(matrix)), rhs)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
@@ -630,7 +629,7 @@ def test_float_overflow_raises_instead_of_returning_inf():
     matrix = [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 2.2250738585e-313]]
     rhs = [0.0, 0.0, 0.25]
     with pytest.raises(IllConditionedSystemError) as info:
-        _solve_float(sparse_rows(matrix), rhs)
+        _substitute_float(_factor_float(sparse_rows(matrix)), rhs)
     assert (info.value.column, info.value.pivot) == (2, 2.2250738585e-313)
     with pytest.raises(IllConditionedSystemError) as dense_error:
         dense_partial_pivoting(matrix, rhs)
@@ -643,7 +642,7 @@ def test_zero_leading_entry_forces_a_swap():
     assert _solve_exact(sparse_rows(matrix), rhs) == reference_exact(matrix, rhs)
     float_matrix = tuple(tuple(float(v) for v in row) for row in matrix)
     float_rhs = tuple(float(v) for v in rhs)
-    assert (_solve_float(sparse_rows(float_matrix), float_rhs)
+    assert (_substitute_float(_factor_float(sparse_rows(float_matrix)), float_rhs)
             == dense_partial_pivoting(float_matrix, float_rhs))
 
 
@@ -703,7 +702,7 @@ def test_symmetric_kernel_agrees_with_the_pivoting_one():
                                  for r, row in enumerate(rows)]
                 assert _factor_symmetric(upper, weights) == factors
                 rhs = [rng.uniform(-1.0, 1.0) for _ in members]
-                want = _solve_float(rows, rhs)
+                want = _substitute_float(_factor_float(rows), rhs)
                 got = _substitute_float(factors, rhs)
                 scale = max(map(abs, want))
                 assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * scale

@@ -171,6 +171,38 @@ class TestNonIntegerAxisSquares:
         assert 0 in rhs
 
 
+class TestLevelRouteGuards:
+    """The public level routes refuse what the level solve refuses, with its
+    error, before they build a plan or a row."""
+
+    ROUTES = {
+        "assemble_class_systems": lambda ph, q2, order: assemble_class_systems(
+            ph.laplacian(), q2, order),
+        "level_rows": lambda ph, q2, order: level_rows(
+            ph.laplacian(), q2, list(multi_indices(q2.n, order))),
+        "full_reference_solver": lambda ph, q2, order: full_reference_solver(ph, q2),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_a_float_order_past_the_limit_raises_the_level_solve_error(self, route):
+        ph = Poly(2, {(175, 0): 1.0})
+        for q2 in (Poly(2, {(2, 0): 1, (0, 2): 1}), Poly(2, {(2, 0): 1.0, (0, 2): 1.0})):
+            with pytest.raises(IllConditionedSystemError) as level:
+                solve_homogeneous(ph, q2)
+            assert str(level.value) == "order 173 is past 170, where alpha! overflows a float"
+            with pytest.raises(IllConditionedSystemError) as info:
+                self.ROUTES[route](ph, q2, 173)
+            assert str(info.value) == str(level.value)
+            assert (2, 173) not in solver._level_store.entries
+
+    @pytest.mark.parametrize("route", ["level_rows", "full_reference_solver"])
+    def test_a_source_of_fewer_variables_than_q2_raises(self, route):
+        ph = Poly(2, {(3, 1): 1, (0, 4): 2})
+        q2 = Poly(3, {(2, 0, 0): 1, (0, 2, 0): 2, (0, 0, 2): 3})
+        with pytest.raises(DimensionMismatchError, match="dimensions 2 and 3"):
+            self.ROUTES[route](ph, q2, 2)
+
+
 class TestSolveClass:
     @pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
     def test_kernels_leave_the_stored_rows_unchanged(self, rng, float_mode):
@@ -398,7 +430,7 @@ class TestLevelStats:
 
 def class_system_level(ph: Poly, q2: Poly) -> Poly:
     """One level through ``assemble_class_systems``, ``solve_class`` and
-    ``taylor_reconstruct``: float mode runs ``_solve_float`` and stores no
+    ``taylor_reconstruct``: float mode runs ``solver._factor`` and stores no
     factors, and f is rebuilt by the polynomial module."""
     order = ph.degree() - 2
     values = {}
@@ -985,8 +1017,9 @@ class TestLargestClassWork:
     def test_closed_form_matches_the_assembled_rows(self, n):
         for order in range(10):
             members = max((m for _, m, _ in solver.level_plan(n, order)), key=len)
-            lower, last = solver._band_profile(solver._level_matrix([1] * n, 0, members))
-            upper = max(end - i for i, end in enumerate(last))
+            rows = solver._level_matrix([1] * n, 0, members)
+            lower = max(i - min(row) for i, row in enumerate(rows))
+            upper = max(max(row) - i for i, row in enumerate(rows))
             size = len(members)
             assert lower == upper
             assert solver.largest_class_work(n, order) == size * max(size, lower**2)
@@ -994,7 +1027,8 @@ class TestLargestClassWork:
     def test_a_zero_axis_square_only_narrows_the_band(self):
         for order in range(10):
             members = max((m for _, m, _ in solver.level_plan(3, order)), key=len)
-            lower, _ = solver._band_profile(solver._level_matrix([1, 0, 2], 0, members))
+            rows = solver._level_matrix([1, 0, 2], 0, members)
+            lower = max(i - min(row) for i, row in enumerate(rows))
             assert len(members) * max(len(members), lower**2) <= solver.largest_class_work(3, order)
 
     def test_below_order_zero_there_is_no_class(self):

@@ -49,6 +49,13 @@ class TestFullSystemOracle:
         with pytest.raises(ValueError):
             oracle_full_system(Poly.monomial(2, (4, 0)), q2, 1)
 
+    def test_float_input_is_refused(self):
+        ph = Poly.monomial(2, (4, 0))
+        q2 = Poly(2, {(2, 0): 1, (0, 2): 1})
+        for args in ((ph.to_float(), q2), (ph, q2.to_float())):
+            with pytest.raises(ValueError, match="runs in exact mode only"):
+                oracle_full_system(*args, 2)
+
 
 class TestOperatorMatrixOracle:
     def test_agrees_with_solver_on_random_cases(self, rng):
