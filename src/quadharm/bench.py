@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 from .polynomial import Poly, Scalar, multi_indices, taylor_reconstruct
 from .quadric import NonhyperbolicQuadratic
 from .elimination import SingularSystemError
-from .solver import IllConditionedSystemError, level_rows, solve_dirichlet
+from .solver import IllConditionedSystemError, _level_order, level_rows, solve_dirichlet
 
 
 class BenchRecord(NamedTuple):
@@ -154,7 +154,9 @@ def full_reference_solver(ph: Poly, q2: Poly) -> Poly:
     expands the sparse level rows into a dense matrix.  Plug into
     solve_dirichlet(..., homogeneous_solver=...) for timing comparisons.
     """
-    order = ph.degree() - 2
+    order = _level_order(ph, q2)
+    if order is None:
+        return Poly.zero(ph.n)
     members = list(multi_indices(ph.n, order))
     rows, rhs = level_rows(ph.laplacian(), q2, members)
     # Exact entries become ``Fraction``s: the elimination divides them.

@@ -54,11 +54,11 @@ SOLVE_MAX_UNKNOWNS = {"exact": 40_000, "float": 200_000}
 SOLVE_MAX_CLASS_WORK = 4_000_000
 
 
-def _read_surface_argument(arg: str, n: int | None) -> NonhyperbolicQuadratic:
+def _read_surface_argument(arg: str) -> NonhyperbolicQuadratic:
     if os.path.isfile(arg):
         with open(arg, "r", encoding="utf-8") as handle:
             arg = handle.read()
-    return parse_surface(arg, n)
+    return parse_surface(arg)
 
 
 def _refusal(p: Poly, surface: NonhyperbolicQuadratic, mode: str, oracle: bool) -> str | None:
@@ -111,7 +111,7 @@ def _solution_document(n, mode, dec, report, timing_ms):
 def cmd_solve(args: argparse.Namespace, *, force_show_f=False, force_verify=False) -> int:
     # Parse and surface errors reach ``main``, which exits 2.
     p = parse_polynomial(args.boundary)
-    surface = _read_surface_argument(args.surface, None)
+    surface = _read_surface_argument(args.surface)
     n = max(p.n, surface.n, args.dim or 0)
     surface, p = surface.extend(n), p.extend(n)
     error = _refusal(p, surface, args.mode, args.oracle)

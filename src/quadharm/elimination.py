@@ -1,11 +1,12 @@
 """Exact elimination of sparse int rows.
 
-Every exact system is eliminated here: the level solve, both oracles and
-the kernel probe.  ``_forward_eliminate`` is the one elimination loop: it
-eliminates a system together with its right-hand side, scanning each column
-only down to its ``_scan_ends`` bound (which the float LU,
-``solver._factor_float``, shares), and either divides out each new row's
-content or, given a step limit, divides none and records the steps.
+Every exact system is eliminated here, as int rows and int right-hand sides
+that its caller cleared of denominators: the level solve, ``solve_class``,
+both oracles and the kernel probe.  ``_forward_eliminate`` is the one
+elimination loop: it eliminates a system together with its right-hand side,
+scanning each column only down to its ``_scan_ends`` bound (which the float
+LU, ``solver._factor_float``, shares), and either divides out each new
+row's content or, given a step limit, divides none and records the steps.
 ``_replay_int`` applies a recording to any right-hand side, and ``_packed``
 holds one in few bytes.  Both paths end in ``_back_substitute``.  Which
 classes are recorded, and which recordings are kept, is the level solve's
@@ -16,11 +17,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Mapping, Sequence
-
-from .polynomial import Scalar
 
 
 class SingularSystemError(ArithmeticError):
@@ -30,26 +28,6 @@ class SingularSystemError(ArithmeticError):
     def __init__(self, message: str, *, column: int | None = None):
         super().__init__(message)
         self.column = column
-
-
-def _integer_rows(
-    rows: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Exact sparse rows as primitive int rows: each row and its right-hand
-    side times the lcm of their denominators, over the gcd of the results.
-    The system keeps its solutions, and the given rows are not changed."""
-    out_rows: list[dict[int, int]] = []
-    out_rhs: list[int] = []
-    for row, b in zip(rows, rhs):
-        values = [*row.values(), b]
-        den = math.lcm(*[v.denominator for v in values])
-        nums = [v.numerator * (den // v.denominator) for v in values]
-        g = math.gcd(*nums)
-        if g > 1:
-            nums = [v // g for v in nums]
-        out_rhs.append(nums.pop())
-        out_rows.append(dict(zip(row, nums)))
-    return out_rows, out_rhs
 
 
 def _scan_ends(rows: Sequence[Mapping[int, object]]) -> list[int]:
@@ -74,8 +52,8 @@ def _scan_ends(rows: Sequence[Mapping[int, object]]) -> list[int]:
 def _forward_eliminate(rows: list[dict[int, int]], rhs: list[int], limit: float = -1
                        ) -> tuple[list[int], list[int] | None]:
     """Gaussian elimination in place on sparse int rows ``{column: nonzero
-    int}``, such as ``_level_matrix``, ``verify._operator_matrix`` or
-    ``_integer_rows`` makes, and on their right-hand side.
+    int}``, such as ``level_rows`` or ``verify._operator_matrix`` makes,
+    and on their right-hand side.
 
     Each column pivots on the stored entry of fewest bits among the unused
     rows before its ``_scan_ends`` bound, the first winning ties.  Each
@@ -244,11 +222,3 @@ def _solve_int(rows: list[dict[int, int]], rhs: list[int], limit: float = -1
         )
     return _back_substitute(rows, rhs, pivots, [(0, 1)] * len(rhs)), steps
 
-
-def _solve_exact(
-    matrix: Sequence[Mapping[int, Scalar | int]], rhs: Sequence[Scalar | int]
-) -> list[Fraction]:
-    """Solve sparse exact rows ``{column: nonzero entry}`` of any rationals,
-    leaving them unchanged: ``solve_class`` and the full-system oracle
-    come here."""
-    return [Fraction(*pair) for pair in _solve_int(*_integer_rows(matrix, rhs))[0]]

@@ -383,19 +383,13 @@ class Poly:
         return f"Poly(n={self._n}, {{{body}}})"
 
 
-def taylor_reconstruct(
-    order: int, vals: Mapping[tuple[int, ...], Scalar], n: int | None = None
-) -> Poly:
+def taylor_reconstruct(order: int, vals: Mapping[tuple[int, ...], Scalar], n: int) -> Poly:
     """Rebuild the homogeneous polynomial whose order-m derivatives are given.
 
     ``vals`` maps each multi-index alpha of the stated order to the constant
     value of D^alpha of the target.  The result is
     sum_alpha vals[alpha] * x^alpha / alpha!.
     """
-    if n is None:
-        if not vals:
-            raise ValueError("cannot infer dimension from an empty value map")
-        n = len(next(iter(vals)))
     out = {}
     for alpha, v in vals.items():
         alpha = tuple(alpha)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .elimination import _packed, _replay_int, _scan_ends, _solve_exact, _solve_int
+from .elimination import _packed, _replay_int, _scan_ends, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -90,9 +90,10 @@ class ClassSystem(NamedTuple):
     """One parity block of the level-m linear system, as ``level_rows``
     makes its rows: ``matrix`` holds one sparse row ``{column: nonzero
     entry}`` per member of ``members`` (canonical order), which the kernels
-    never change, and ``rhs`` the right-hand sides.  ``weights`` are the
-    float class's ``_fischer_weights``, which ``solve_class`` factors with,
-    or None (exact mode, a zero a_j, or a hand-built system)."""
+    never change, and ``rhs`` the right-hand sides: floats, or exact ints
+    and ``Fraction``s in any mix.  ``weights`` are the float class's
+    ``_fischer_weights``, which ``solve_class`` factors with, or None
+    (exact mode, a zero a_j, or a hand-built system)."""
 
     parity: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
@@ -185,6 +186,17 @@ def _check_level(source: Poly, q2: Poly, order: int) -> None:
     if order > FLOAT_MAX_ORDER and (q2.is_float() or source.is_float()):
         raise IllConditionedSystemError(
             f"order {order} is past {FLOAT_MAX_ORDER}, where alpha! overflows a float")
+
+
+def _level_order(ph: Poly, q2: Poly) -> int | None:
+    """deg(ph) - 2, or None where the answer is zero (a degree below 2);
+    the guards every homogeneous level route runs first: operands of one
+    dimension, and a homogeneous ph."""
+    ph._check_dim(q2)
+    if not ph.is_homogeneous():
+        raise ValueError("boundary component must be homogeneous")
+    deg = ph.degree()
+    return None if deg is None or deg < 2 else deg - 2
 
 
 def level_rows(
@@ -612,7 +624,9 @@ def level_plan(n: int, order: int) -> LevelPlan:
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     """Solve one parity block, mapping each member to its D^alpha f
     constant; an all-zero right-hand side gives zeros without elimination.
-    A float block is factored by ``_factor``, as the level solve does."""
+    A float block is factored by ``_factor``, as the level solve does; an
+    exact block's rows and right-hand sides are cleared of denominators
+    into int copies for ``_solve_int``."""
     is_float = isinstance(system.rhs[0], float)
     if not system.has_nonzero_rhs():
         zero: Scalar = 0.0 if is_float else Fraction(0)
@@ -620,7 +634,12 @@ def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     if is_float:
         values = _substitute_float(_factor(system.matrix, system.weights), system.rhs)
     else:
-        values = _solve_exact(system.matrix, system.rhs)
+        lcm = math.lcm(*[v.denominator for row in system.matrix for v in row.values()])
+        rows = [{c: v.numerator * (lcm // v.denominator) for c, v in row.items()}
+                for row in system.matrix]
+        den = math.lcm(*[b.denominator for b in system.rhs])
+        rhs = [b.numerator * (den // b.denominator) * lcm for b in system.rhs]
+        values = [Fraction(num, d * den) for num, d in _solve_int(rows, rhs)[0]]
     return dict(zip(system.members, values))
 
 
@@ -636,11 +655,7 @@ def solve_homogeneous(
     mode (a float ph or q2) is ``_solve_level`` on ph; exact mode runs it on
     the int numerators of ph and turns its answer into ``Fraction``s.
     """
-    ph._check_dim(q2)
-    if not ph.is_homogeneous():
-        raise ValueError("boundary component must be homogeneous")
-    deg = ph.degree()
-    if deg is None or deg < 2:
+    if _level_order(ph, q2) is None:
         return Poly.zero(ph.n)
     if q2.is_float() or ph.is_float():
         return Poly._raw(ph.n, _solve_level(ph, 1, q2.to_float(), stats)[0])

@@ -9,9 +9,9 @@
 
 Both oracles and the kernel probe ``operator_kernel`` eliminate with the
 solver's own exact routines; the exact answer does not depend on how it is
-eliminated, so an oracle's independence lies in its matrix.  The
-operator-matrix oracle, like the level solve, gives ``_solve_int`` int rows
-and int right-hand sides, and forms ``Fraction``s only for its answer.
+eliminated, so an oracle's independence lies in its matrix.  Both oracles,
+like the level solve, give ``_solve_int`` int rows and int right-hand
+sides, and form ``Fraction``s only for their answers.
 ``verify_solution`` eliminates nothing: the split is unique, so
 laplacian(h) = 0 and p - h - q*f = 0 certify an exact answer.  It checks
 them on int numerators over one denominator.
@@ -23,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .elimination import _back_substitute, _forward_eliminate, _solve_exact, _solve_int
+from .elimination import _back_substitute, _forward_eliminate, _solve_int
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -32,7 +32,7 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import HarmonicDecomposition, _fractions, _numerators, _times, level_rows
+from .solver import HarmonicDecomposition, _fractions, _level_order, _numerators, _times, level_rows
 
 # Float checks allow this many units of rounding per coefficient, times
 # (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a
@@ -109,21 +109,21 @@ def oracle_full_system(ph: Poly, q2: Poly, order: int) -> Poly:
 
     Solves for all constants D^alpha f, |alpha| = order, in a single
     system and rebuilds f.  Drop-in replacement for the exact homogeneous
-    solver, used to check that partitioning changes nothing.
+    solver, used to check that partitioning changes nothing.  It raises
+    first as ``_level_order`` does, and solves on ph's int numerators.
     """
-    ph._check_dim(q2)
+    level = _level_order(ph, q2)
     if ph.is_float() or q2.is_float():
         raise ValueError("the full-system oracle runs in exact mode only")
-    n = ph.n
-    deg = ph.degree()
-    if deg is None or deg < 2:
-        return Poly.zero(n)
-    if order != deg - 2:
-        raise ValueError(f"order {order} does not match boundary degree {deg}")
-    members = list(multi_indices(n, order))
-    rows, rhs = level_rows(ph.laplacian(), q2, members)
-    values = _solve_exact(rows, rhs)
-    return taylor_reconstruct(order, dict(zip(members, values)), n)
+    if level is None:
+        return Poly.zero(ph.n)
+    if order != level:
+        raise ValueError(f"order {order} does not match boundary degree {level + 2}")
+    ph_num, den = _numerators(ph)
+    members = list(multi_indices(ph.n, order))
+    rows, rhs = level_rows(ph_num.laplacian(), q2, members)
+    values = [Fraction(num, d * den) for num, d in _solve_int(rows, rhs)[0]]
+    return taylor_reconstruct(order, dict(zip(members, values)), ph.n)
 
 
 def _operator_matrix(q_num: Poly, order: int) -> tuple[list[dict[int, int]], list[tuple[int, ...]]]:

@@ -87,8 +87,10 @@ class TestComparison:
         rec = run_comparison(p, q, repetitions=1)
         assert rec.measured_full_ms > 0 and rec.measured_partitioned_ms > 0
 
+        # Wrong by x1^(k - 2), so every carry stays homogeneous, as the
+        # reference solver demands of its input.
         def wrong_solver(ph, q2):
-            return full_reference_solver(ph, q2) + Poly.constant(ph.n, 1)
+            return full_reference_solver(ph, q2) + Poly.monomial(ph.n, (ph.degree() - 2, 0))
 
         monkeypatch.setattr("quadharm.bench.full_reference_solver", wrong_solver)
         with pytest.raises(RuntimeError):

@@ -10,21 +10,21 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from quadharm import (
+    ClassSystem,
     IllConditionedSystemError,
     NonhyperbolicQuadratic,
     Poly,
     SingularSystemError,
     operator_is_bijective,
     operator_kernel,
+    solve_class,
 )
 from quadharm.elimination import (
     _forward_eliminate,
-    _integer_rows,
     _back_substitute,
     _packed,
     _replay_int,
     _scan_ends,
-    _solve_exact,
     _solve_int,
 )
 from quadharm.polynomial import multi_factorial
@@ -314,6 +314,31 @@ def sparse_rows(matrix):
     return [{c: v for c, v in enumerate(row) if v} for row in matrix]
 
 
+def int_rows(matrix, rhs):
+    """Dense rational rows as sparse primitive int rows: each row and its
+    right-hand side times the lcm of their denominators, over the gcd of
+    the results.  The system keeps its solutions."""
+    rows, out = [], []
+    for row, b in zip(matrix, rhs):
+        den = math.lcm(*[Fraction(v).denominator for v in (*row, b)])
+        nums = [int(v * den) for v in (*row, b)]
+        g = math.gcd(*nums) or 1
+        out.append(nums.pop() // g)
+        rows.append({c: v // g for c, v in enumerate(nums) if v})
+    return rows, out
+
+
+def class_system(matrix, rhs):
+    """A hand-built exact ``ClassSystem`` of dense rows, member (i,) for row i."""
+    return ClassSystem((0,), tuple((i,) for i in range(len(rhs))), sparse_rows(matrix),
+                       tuple(rhs))
+
+
+def class_solve(matrix, rhs):
+    """``solve_class`` on ``class_system``, as a list."""
+    return list(solve_class(class_system(matrix, rhs)).values())
+
+
 def dense_rows(rows, size):
     return [[row.get(c, Fraction(0)) for c in range(size)] for row in rows]
 
@@ -349,7 +374,7 @@ def test_exact_kernel_matches_dense_oracle(kind, data):
     matrix, rhs = data.draw(systems(EXACT_ENTRIES[kind]))
     expected = reference_exact(matrix, rhs)
     assume(expected is not None)
-    got = _solve_exact(sparse_rows(matrix), rhs)
+    got = class_solve(matrix, rhs)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
 
@@ -359,7 +384,7 @@ def test_exact_kernel_matches_dense_oracle(kind, data):
 def test_exact_kernel_raises_on_singular_systems(kind, data):
     matrix, rhs = data.draw(singular_systems(EXACT_ENTRIES[kind]))
     with pytest.raises(SingularSystemError) as info:
-        _solve_exact(sparse_rows(matrix), rhs)
+        _solve_int(*int_rows(matrix, rhs))
     assert 0 <= info.value.column < len(rhs)
 
 
@@ -369,13 +394,13 @@ def test_oracle_kernel_basis_matches_rref(kind, data):
     matrix, rhs = as_fractions(*data.draw(singular_systems(EXACT_ENTRIES[kind])))
     expected = rref_kernel(matrix)
     assert expected
-    basis = _kernel_basis(_integer_rows(sparse_rows(matrix), [0] * len(rhs))[0])
+    basis = _kernel_basis(int_rows(matrix, [0] * len(rhs))[0])
     assert basis == expected
     for v in basis:
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in matrix)
     # The solve names the first free column, the last nonzero of basis[0].
     with pytest.raises(SingularSystemError) as info:
-        _solve_exact(sparse_rows(matrix), rhs)
+        _solve_int(*int_rows(matrix, rhs))
     assert info.value.column == max(c for c, x in enumerate(basis[0]) if x)
 
 
@@ -383,17 +408,19 @@ def test_oracle_kernel_basis_matches_rref(kind, data):
 @given(data=st.data())
 def test_oracle_solve_matches_fraction_reference(kind, data):
     # The one exact solve, used by the class systems and both oracles, on
-    # int or Fraction entries as drawn; the reference gets Fractions.
+    # int or Fraction entries as drawn; the reference gets Fractions.  A
+    # singular system goes to ``_solve_int``, as ``solve_class`` gives
+    # zeros for a zero right-hand side without eliminating.
     strategy = data.draw(st.sampled_from([systems, singular_systems]))
     matrix, rhs = data.draw(strategy(EXACT_ENTRIES[kind]))
     try:
         expected = fraction_solve(*as_fractions(matrix, rhs))
     except SingularSystemError as reference_error:
         with pytest.raises(SingularSystemError) as info:
-            _solve_exact(sparse_rows(matrix), rhs)
+            _solve_int(*int_rows(matrix, rhs))
         assert info.value.column == reference_error.column
         return
-    got = _solve_exact(sparse_rows(matrix), rhs)
+    got = class_solve(matrix, rhs)
     assert got == expected
     assert all(type(v) is Fraction for v in got)
 
@@ -403,14 +430,42 @@ def test_oracle_solve_matches_fraction_reference(kind, data):
 def test_oracle_elimination_keeps_primitive_int_rows(kind, data):
     strategy = data.draw(st.sampled_from([systems, singular_systems]))
     matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
-    rows, int_rhs = _integer_rows(sparse_rows(matrix), rhs)
-    assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
+    rows, int_rhs = int_rows(matrix, rhs)
     pivots, steps = _forward_eliminate(rows, int_rhs)
     assert pivots == fraction_forward_eliminate(sparse_rows(matrix), list(rhs))
     assert steps is None
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
     for r, col in enumerate(pivots):
         assert min(rows[r]) == col
+
+
+CLASS_ENTRIES = {**EXACT_ENTRIES, "mixed": st.one_of(*EXACT_ENTRIES.values())}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASS_ENTRIES))
+@given(data=st.data())
+def test_solve_class_clears_denominators_without_changing_the_rows(kind, data):
+    # Int, Fraction or mixed entries and rational right-hand sides: the
+    # answers and singular columns of the Fraction reference, and the
+    # stored rows as they were, entry types included.
+    strategy = data.draw(st.sampled_from([systems, singular_systems]))
+    matrix, _ = data.draw(strategy(CLASS_ENTRIES[kind]))
+    rhs = data.draw(st.lists(fractions_st(), min_size=len(matrix), max_size=len(matrix)))
+    system = class_system(matrix, rhs)
+    before = repr(system.matrix)
+    try:
+        expected = fraction_solve(*as_fractions(matrix, rhs))
+    except SingularSystemError as reference_error:
+        assume(any(rhs))
+        with pytest.raises(SingularSystemError) as info:
+            solve_class(system)
+        assert info.value.column == reference_error.column
+    else:
+        got = solve_class(system)
+        assert list(got) == list(system.members)
+        assert list(got.values()) == expected
+        assert all(type(v) is Fraction for v in got.values())
+    assert repr(system.matrix) == before
 
 
 def test_scan_ends_are_a_running_maximum_over_first_columns():
@@ -429,7 +484,7 @@ def test_bounded_scans_match_the_unbounded_eliminations(kind, data):
     strategy = data.draw(st.sampled_from([systems, singular_systems]))
     matrix, rhs = as_fractions(*data.draw(strategy(EXACT_ENTRIES[kind])))
     order = data.draw(st.permutations(range(len(rhs))))
-    rows, int_rhs = _integer_rows(sparse_rows([matrix[i] for i in order]), [rhs[i] for i in order])
+    rows, int_rhs = int_rows([matrix[i] for i in order], [rhs[i] for i in order])
     recorded_rows, recorded_rhs = list(map(dict.copy, rows)), list(int_rhs)
     reference_rows, reference_rhs = list(map(dict.copy, rows)), list(int_rhs)
     expected_rows, expected_rhs = list(map(dict.copy, rows)), list(int_rhs)
@@ -639,7 +694,7 @@ def test_float_overflow_raises_instead_of_returning_inf():
 def test_zero_leading_entry_forces_a_swap():
     matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
     rhs = (Fraction(1, 2), 1, Fraction(-3))
-    assert _solve_exact(sparse_rows(matrix), rhs) == reference_exact(matrix, rhs)
+    assert class_solve(matrix, rhs) == reference_exact(matrix, rhs)
     float_matrix = tuple(tuple(float(v) for v in row) for row in matrix)
     float_rhs = tuple(float(v) for v in rhs)
     assert (_substitute_float(_factor_float(sparse_rows(float_matrix)), float_rhs)
@@ -736,7 +791,7 @@ def test_oracle_singular_system_carries_column():
               [Fraction(1), Fraction(2), Fraction(-1, 3)],
               [Fraction(0), Fraction(0), Fraction(5, 7)]]
     with pytest.raises(SingularSystemError) as info:
-        _solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
+        _solve_int(*int_rows(matrix, [Fraction(1)] * 3))
     assert info.value.column == 1
     assert "column 1" in str(info.value)
 
@@ -751,12 +806,12 @@ CANCELLING = [[Fraction(1, 2), Fraction(1), Fraction(1, 3)],
 
 def test_oracle_elimination_deletes_exact_cancellations():
     rhs = [Fraction(1), Fraction(2), Fraction(3)]
-    rows, int_rhs = _integer_rows(sparse_rows(CANCELLING), rhs)
+    rows, int_rhs = int_rows(CANCELLING, rhs)
     assert _forward_eliminate(rows, int_rhs) == ([0, 1, 2], None)
     # The primitive int row proportional to {1: -7/4, 2: -2/3}.
     assert rows[1] in ({1: -21, 2: -8}, {1: 21, 2: 8})
     assert all(is_primitive_int_row(row, b) for row, b in zip(rows, int_rhs))
-    got = _solve_exact(sparse_rows(CANCELLING), rhs)
+    got = class_solve(CANCELLING, rhs)
     assert got == reference_exact(CANCELLING, rhs)
     assert all(type(v) is Fraction for v in got)
     assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(CANCELLING, rhs))
@@ -766,12 +821,12 @@ def test_oracle_kernel_after_exact_cancellation():
     # Row 2 is row 0 plus row 1: after column 0 it cancels in column 1 and
     # then against row 1 in column 2, leaving column 1 free.
     matrix = CANCELLING[:2] + [[a + b for a, b in zip(CANCELLING[0], CANCELLING[1])]]
-    rows, zeros = _integer_rows(sparse_rows(matrix), [0] * 3)
+    rows, zeros = int_rows(matrix, [0] * 3)
     assert _kernel_basis(list(map(dict.copy, rows))) == rref_kernel(matrix) == [[-2, 1, 0]]
     assert _forward_eliminate(rows, zeros) == ([0, 2], None)
     assert rows[2] == {}
     with pytest.raises(SingularSystemError) as info:
-        _solve_exact(sparse_rows(matrix), [Fraction(1)] * 3)
+        _solve_int(*int_rows(matrix, [Fraction(1)] * 3))
     assert info.value.column == 1
 
 

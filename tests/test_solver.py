@@ -203,6 +203,30 @@ class TestLevelRouteGuards:
             self.ROUTES[route](ph, q2, 2)
 
 
+class TestUnpartitionedRouteGuards:
+    """The unpartitioned level routes guard ph as ``solve_homogeneous``
+    does, before they build anything."""
+
+    ROUTES = {
+        "full_reference_solver": full_reference_solver,
+        "oracle_full_system": lambda ph, q2: oracle_full_system(ph, q2, 2),
+    }
+    Q2 = Poly(2, {(2, 0): 1, (0, 2): 1})
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_a_zero_source_gives_zero(self, route):
+        assert solve_homogeneous(Poly.zero(2), self.Q2) == Poly.zero(2)
+        assert self.ROUTES[route](Poly.zero(2), self.Q2) == Poly.zero(2)
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_a_source_of_two_degrees_raises(self, route):
+        # Dropping x1^3 would give an f with lap(q2*f) - lap(ph) = -6*x1.
+        ph = Poly(2, {(4, 0): 1, (3, 0): 1})
+        for solve in (solve_homogeneous, self.ROUTES[route]):
+            with pytest.raises(ValueError, match="boundary component must be homogeneous"):
+                solve(ph, self.Q2)
+
+
 class TestSolveClass:
     @pytest.mark.parametrize("float_mode", [False, True], ids=["exact", "float"])
     def test_kernels_leave_the_stored_rows_unchanged(self, rng, float_mode):
