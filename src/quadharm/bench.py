@@ -100,35 +100,25 @@ def dense_boundary(n: int, degree: int) -> Poly:
 
 
 def _plain_elimination(matrix: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar]:
-    """Dense elimination that never skips a zero entry.
+    """Dense elimination in natural order that never skips a zero entry.
 
     The unpartitioned reference must pay the full cubic cost that the
     operation-count model assigns it.  Cross-class entries of the level
     matrix are zero and stay zero under row operations, so an elimination
     with skip-zero guards would quietly do block-by-block work and measure
-    nothing but bookkeeping overhead.
+    nothing but bookkeeping overhead.  With every a_j >= 0 no pivot of a
+    level system is zero (see the README's Fischer form), so it swaps no
+    row, and a zero pivot raises.
     """
     size = len(rhs)
     is_float = size > 0 and isinstance(matrix[0][0], float)
     zero: Scalar = 0.0 if is_float else Fraction(0)
     for col in range(size):
-        if is_float:
-            best = max(range(col, size), key=lambda r: abs(matrix[r][col]))
-            if matrix[best][col] == 0.0:
-                raise IllConditionedSystemError(f"zero pivot column {col}")
-        else:
-            best = -1
-            for r in range(col, size):
-                if matrix[r][col] != 0:
-                    best = r
-                    break
-            if best < 0:
-                raise SingularSystemError(f"reference system singular at column {col}")
-        if best != col:
-            matrix[col], matrix[best] = matrix[best], matrix[col]
-            rhs[col], rhs[best] = rhs[best], rhs[col]
         prow = matrix[col]
         pivot = prow[col]
+        if pivot == 0:
+            error = IllConditionedSystemError if is_float else SingularSystemError
+            raise error(f"reference system has a zero pivot at column {col}")
         for r in range(col + 1, size):
             row = matrix[r]
             factor = row[col] / pivot

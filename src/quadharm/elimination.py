@@ -5,7 +5,7 @@ that its caller cleared of denominators: the level solve, ``solve_class``,
 both oracles and the kernel probe.  ``_forward_eliminate`` is the one
 elimination loop: it eliminates a system together with its right-hand side,
 scanning each column only down to its ``_scan_ends`` bound (which the float
-LU, ``solver._factor_float``, shares), and either divides out each new
+band LU, ``solver._factor_float``, shares), and either divides out each new
 row's content or, given a step limit, divides none and records the steps.
 ``_replay_int`` applies a recording to any right-hand side, and ``_packed``
 holds one in few bytes.  Both paths end in ``_back_substitute``.  Which

@@ -61,15 +61,15 @@ FLOAT_MAX_ORDER = 170
 
 
 class IllConditionedSystemError(ArithmeticError):
-    """Float mode met a pivot below the conditioning threshold, an unknown
-    that overflowed, or an order whose alpha! overflows a float.
+    """Float mode met a pivot below the conditioning threshold, a multiplier
+    or an unknown that overflowed, or an order whose alpha! overflows a float.
 
     A small pivot of ``_factor_float`` gives its ``column``, the ``pivot``,
-    ``row_max``, the largest magnitude in the pivot row from that column on,
-    and ``ratio`` = |pivot| / row_max (0.0 for an all-zero row); one of
-    ``_factor_symmetric`` its ``column``, ``pivot`` and ``ratio`` = pivot /
-    its diagonal, with no ``row_max``.  An overflowed unknown gives its
-    ``column`` and ``pivot`` only.
+    ``row_max``, the largest magnitude in its row of U, and ``ratio`` =
+    |pivot| / row_max (0.0 for an all-zero row); one of ``_factor_symmetric``
+    its ``column``, ``pivot`` and ``ratio`` = pivot / its diagonal, with no
+    ``row_max``.  An overflowed multiplier or unknown gives its ``column``
+    and ``pivot`` only.
     """
 
     def __init__(self, message: str, *, column: int | None = None, pivot: float | None = None,
@@ -125,9 +125,10 @@ class LevelStats(NamedTuple):
     carry's denominator and of its largest numerator.  Float mode fills
     ``min_pivot_ratio``, the smallest pivot ratio of the level's solved
     classes as their factors recorded it, so a warm solve reports what the
-    cold one did: pivot over weighted diagonal where ``_factor_symmetric``
-    factored, |pivot| over row maximum where ``_factor_float`` did, and None
-    when no class was solved.
+    cold one did: pivot over its diagonal where ``_factor_symmetric``
+    factored, |pivot| over the largest magnitude in its row of U where
+    ``_factor_float`` did (both eliminate in natural order), and None when
+    no class was solved.
     """
 
     carry_degree: int
@@ -317,45 +318,47 @@ def _fischer_weights(a: Sequence[float], members: Sequence[tuple[int, ...]],
 
 
 def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple:
-    """Partial-pivoting LU factors of sparse float rows; small pivots raise
-    instead of smearing.
+    """Band LU factors of sparse float rows in their given order: no pivot
+    search and no row swap, and small pivots raise instead of smearing.
 
-    The kernel of the classes without ``_fischer_weights`` and of
-    hand-built systems.  Expands each row into a dense working row of all s
-    columns and scans each column to its ``_scan_ends`` bound, as the exact
-    loop does; the entries it skips are exact zeros, so it performs every
-    floating-point operation of a dense partial-pivoting loop that can
-    change a finite value, in the same order.  Returns six arrays of exactly
+    The kernel of the classes without ``_fischer_weights`` and of hand-built
+    systems.  A class with a zero a_j needs no swap: row alpha stores only
+    columns with the same or a larger exponent on each zero axis, so each
+    pivot is a pivot of its exponent block, positive by the README's Fischer
+    form; a system that needs a swap raises at its zero or small pivot.
+    Working row r spans its first stored column (or r) to the last column
+    of any row up to it, which holds the fill.  Column col updates only the
+    rows before its ``_scan_ends`` bound that store it, up to the last
+    column row col reached; the entries it skips are exact zeros, so it
+    performs every floating-point operation of a dense loop that can change
+    a finite value, in the same order.  A pivot must exceed FLOAT_PIVOT_RTOL
+    times the largest magnitude in its row of U, and a multiplier must be
+    finite: past an infinite one the dense loop's 0 * inf products would
+    give NaN where the band skips them.  Returns five arrays of exactly
     their length, then the smallest |pivot| / row max, at most 1:
 
-    * ``pivot_rows``: column col swapped rows col and pivot_rows[col];
-    * ``l_start``, ``l_rows``, ``l_factors``: then, for i from l_start[col]
-      to l_start[col + 1], row l_rows[i] lost l_factors[i] times row col,
-      only for the rows that held a nonzero in column col;
+    * ``l_start``, ``l_rows``, ``l_factors``: for i from l_start[col] to
+      l_start[col + 1], row l_rows[i] lost l_factors[i] times row col, only
+      for the rows that held a nonzero in column col;
     * ``u_start``, ``u_values``: row r of U is u_values[u_start[r]:u_start[r + 1]],
-      from its diagonal to the last column its updates reached, zeros
-      included.
+      from its diagonal to the last column it reached, zeros included.
     """
-    size = len(matrix)
-    last = [max(row, default=-1) for row in matrix]
+    starts = [min((r, *entries)) for r, entries in enumerate(matrix)]
+    last = [max((r, *entries)) for r, entries in enumerate(matrix)]
     rows = []
-    for entries in matrix:
-        row = [0.0] * size
+    for entries, start, end in zip(matrix, starts, accumulate(last, max)):
+        row = [0.0] * (end - start + 1)
         for c, v in entries.items():
-            row[c] = v
+            row[c - start] = v
         rows.append(row)
-    pivot_rows, l_start, l_rows, l_factors = [], [0], [], []
+    l_start, l_rows, l_factors, u_start, u_values = [0], [], [], [0], []
     keep_row, keep_factor = l_rows.append, l_factors.append
     least = 1.0
-    for col, end in enumerate(_scan_ends(matrix)):
-        best_row = col
-        best = abs(rows[col][col])
-        for r in range(col + 1, end):
-            if abs(rows[r][col]) > best:
-                best_row, best = r, abs(rows[r][col])
-        prow = rows[best_row]
-        pivot = prow[col]
-        row_max = max(map(abs, prow[col:max(last[best_row], col) + 1]))
+    for col, bound in enumerate(_scan_ends(matrix)):
+        hi = last[col]
+        prow = rows[col][col - starts[col]:hi - starts[col] + 1]
+        pivot = prow[0]
+        row_max = max(map(abs, prow))
         if pivot == 0.0 or abs(pivot) < FLOAT_PIVOT_RTOL * row_max:
             raise IllConditionedSystemError(
                 f"pivot {pivot!r} at column {col} is below {FLOAT_PIVOT_RTOL} "
@@ -366,29 +369,31 @@ def _factor_float(matrix: Sequence[Mapping[int, float]]) -> tuple:
                 ratio=abs(pivot) / row_max if row_max else 0.0,
             )
         least = min(least, abs(pivot) / row_max)
-        pivot_rows.append(best_row)
-        if best_row != col:
-            rows[col], rows[best_row] = prow, rows[col]
-            last[col], last[best_row] = last[best_row], last[col]
-        for r in range(col + 1, end):
+        width = len(prow)
+        for r in range(col + 1, bound):
+            off = col - starts[r]
+            if off < 0:
+                continue
             row = rows[r]
-            v = row[col]
+            v = row[off]
             if v == 0.0:
                 continue
             factor = v / pivot
-            row[col] = 0.0
-            hi = last[r] = max(last[r], last[col])
-            for c in range(col + 1, hi + 1):
-                row[c] -= factor * prow[c]
+            if not -math.inf < factor < math.inf:
+                raise IllConditionedSystemError(
+                    f"multiplier of row {r} at column {col} is {factor!r} after dividing "
+                    f"by pivot {pivot!r}", column=col, pivot=pivot)
+            for c in range(1, width):
+                row[off + c] -= factor * prow[c]
+            if last[r] < hi:
+                last[r] = hi
             keep_row(r)
             keep_factor(factor)
         l_start.append(len(l_rows))
-    u_start, u_values = [0], []
-    for r, row in enumerate(rows):
-        u_values += row[r:last[r] + 1]
+        u_values += prow
         u_start.append(len(u_values))
-    return (array("i", pivot_rows), array("i", l_start), array("i", l_rows),
-            array("d", l_factors), array("i", u_start), array("d", u_values), least)
+    return (array("i", l_start), array("i", l_rows), array("d", l_factors),
+            array("i", u_start), array("d", u_values), least)
 
 
 def _factor_symmetric(matrix: Sequence[Mapping[int, float]], weights: Sequence[float]) -> tuple:
@@ -408,10 +413,9 @@ def _factor_symmetric(matrix: Sequence[Mapping[int, float]], weights: Sequence[f
     A pivot must exceed FLOAT_PIVOT_RTOL times its diagonal, or the class
     raises; the weights leave that ratio unchanged.  Positive pivots make
     D*A positive definite, up to rounding, so the level operator is
-    bijective on this class.  Returns the six arrays, then the smallest
+    bijective on this class.  Returns the five arrays, then the smallest
     pivot over its diagonal, at most 1.
     """
-    size = len(matrix)
     # The running maximum of each row's last column bounds its fill.
     ends = accumulate(map(max, matrix), max)
     rows = []
@@ -454,8 +458,8 @@ def _factor_symmetric(matrix: Sequence[Mapping[int, float]], weights: Sequence[f
         l_start.append(len(l_rows))
         u_values += prow
         u_start.append(len(u_values))
-    return (array("i", range(size)), array("i", l_start), array("i", l_rows),
-            array("d", l_factors), array("i", u_start), array("d", u_values), least)
+    return (array("i", l_start), array("i", l_rows), array("d", l_factors),
+            array("i", u_start), array("d", u_values), least)
 
 
 def _factor(rows: Sequence[Mapping[int, float]], weights: Sequence[float] | None) -> tuple:
@@ -466,19 +470,17 @@ def _factor(rows: Sequence[Mapping[int, float]], weights: Sequence[float] | None
 
 def _substitute_float(factors: tuple, rhs: Sequence[float]) -> list[float]:
     """Solve for one right-hand side with the factors of ``_factor_float``
-    or ``_factor_symmetric``, replaying the swaps and updates in order; with
-    ``_factor_float``'s, the answer has the bits of a dense partial-pivoting
-    loop.  An unknown that overflows (a subnormal pivot passes the relative
+    or ``_factor_symmetric``, replaying the updates in order; with
+    ``_factor_float``'s, the answer has the bits of a dense loop in natural
+    order.  An unknown that overflows (a subnormal pivot passes the relative
     test) raises, since past it the dense loop's 0 * inf products would give
     NaN where the band skips them.
     """
-    pivot_rows, l_start, l_rows, l_factors, u_start, u_values, _ = factors
+    l_start, l_rows, l_factors, u_start, u_values, _ = factors
     rhs = list(rhs)
     size = len(rhs)
     i = 0
-    for col, p in enumerate(pivot_rows):
-        if p != col:
-            rhs[col], rhs[p] = rhs[p], rhs[col]
+    for col in range(size):
         b = rhs[col]
         end = l_start[col + 1]
         while i < end:
@@ -626,8 +628,13 @@ def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     constant; an all-zero right-hand side gives zeros without elimination.
     A float block is factored by ``_factor``, as the level solve does; an
     exact block's rows and right-hand sides are cleared of denominators
-    into int copies for ``_solve_int``."""
-    is_float = isinstance(system.rhs[0], float)
+    into int copies for ``_solve_int``.  A block that mixes float and exact
+    entries or right-hand sides raises ``ValueError``."""
+    kinds = {isinstance(v, float) for part in (system.rhs, *map(dict.values, system.matrix))
+             for v in part}
+    if len(kinds) > 1:
+        raise ValueError("a class system mixes float and exact entries or right-hand sides")
+    is_float = True in kinds
     if not system.has_nonzero_rhs():
         zero: Scalar = 0.0 if is_float else Fraction(0)
         return {alpha: zero for alpha in system.members}
@@ -821,10 +828,11 @@ def largest_class_work(n: int, order: int) -> int:
     The class of parity e holds the e + 2*beta with |beta| = (order - |e|)/2,
     so the largest has b = order // 2, s = comb(b + n - 1, n - 1), and both
     bandwidths w = comb(b + n - 2, n - 2), or less where an a_j is 0.  Its
-    elimination takes about s * w^2 steps, and the working rows of float
-    mode's LU path (``_factor_float``) s^2 entries; those of
-    ``_factor_symmetric`` hold about s * w.  A descent's top level has its
-    largest class.
+    elimination takes about s * w^2 steps, and the working rows of either
+    float kernel hold about s * w entries.  No kernel stores s^2 entries any
+    more; the s^2 term stays until ``cli.SOLVE_MAX_CLASS_WORK`` is restated
+    in counted elimination work, so that the limit refuses what it refused.
+    A descent's top level has its largest class.
     """
     if order < 0:
         return 0

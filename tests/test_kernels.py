@@ -41,30 +41,30 @@ from quadharm.verify import _kernel_basis, _operator_matrix
 from conftest import column_steps, fractions_st
 
 
-def dense_partial_pivoting(matrix, rhs):
-    """The float kernel before it was confined to the band: every row below
-    the pivot, every column right of it.  Kept here as the reference, with
-    the kernel's overflow check."""
+def dense_natural_order(matrix, rhs):
+    """The float kernel as a dense loop in natural order: no row swap, every
+    row below the pivot, every column right of it.  Kept here as the
+    reference, with the kernel's pivot test and overflow checks."""
     matrix = [list(row) for row in matrix]
     rhs = list(rhs)
     size = len(rhs)
     for col in range(size):
-        best_row = max(range(col, size), key=lambda r: abs(matrix[r][col]))
-        pivot = matrix[best_row][col]
-        row_max = max(abs(v) for v in matrix[best_row][col:])
+        prow = matrix[col]
+        pivot = prow[col]
+        row_max = max(abs(v) for v in prow[col:])
         if pivot == 0.0 or abs(pivot) < FLOAT_PIVOT_RTOL * row_max:
             raise IllConditionedSystemError(
                 f"pivot {pivot!r} at column {col} is below {FLOAT_PIVOT_RTOL} of row max {row_max!r}"
             )
-        if best_row != col:
-            matrix[col], matrix[best_row] = matrix[best_row], matrix[col]
-            rhs[col], rhs[best_row] = rhs[best_row], rhs[col]
-        prow = matrix[col]
         for r in range(col + 1, size):
             v = matrix[r][col]
             if v == 0.0:
                 continue
             factor = v / pivot
+            if not math.isfinite(factor):
+                raise IllConditionedSystemError(
+                    f"multiplier of row {r} at column {col} is {factor!r} "
+                    f"after dividing by pivot {pivot!r}")
             row = matrix[r]
             row[col] = 0.0
             for cc in range(col + 1, size):
@@ -638,7 +638,7 @@ def test_recording_names_the_first_free_column_of_a_singular_system(data):
 def test_float_kernel_is_bit_identical_to_dense_loop(system):
     matrix, rhs = system
     try:
-        expected = dense_partial_pivoting(matrix, rhs)
+        expected = dense_natural_order(matrix, rhs)
     except IllConditionedSystemError as dense_error:
         with pytest.raises(IllConditionedSystemError) as info:
             _substitute_float(_factor_float(sparse_rows(matrix)), rhs)
@@ -657,18 +657,17 @@ def test_one_float_factorization_serves_three_right_hand_sides(system, right_han
         factors = _factor_float(sparse_rows(matrix))
     except IllConditionedSystemError as error:
         with pytest.raises(IllConditionedSystemError) as dense_error:
-            dense_partial_pivoting(matrix, [0.0] * size)
+            dense_natural_order(matrix, [0.0] * size)
         assert str(error) == str(dense_error.value)
         return
-    # Row r of U is the pivot row of column r from the pivot on, as the
-    # pivot test read it.
-    u_start, u_values = factors[4], factors[5]
+    # Row r of U is row r from its pivot on, as the pivot test read it.
+    u_start, u_values = factors[3], factors[4]
     u_rows = [u_values[u_start[r]:u_start[r + 1]] for r in range(size)]
     assert factors[-1] == min(abs(row[0]) / max(map(abs, row)) for row in u_rows)
     for rhs in right_hand_sides:
         rhs = rhs[:size]
         try:
-            expected = dense_partial_pivoting(matrix, rhs)
+            expected = dense_natural_order(matrix, rhs)
         except IllConditionedSystemError as dense_error:
             with pytest.raises(IllConditionedSystemError) as info:
                 _substitute_float(factors, rhs)
@@ -687,18 +686,22 @@ def test_float_overflow_raises_instead_of_returning_inf():
         _substitute_float(_factor_float(sparse_rows(matrix)), rhs)
     assert (info.value.column, info.value.pivot) == (2, 2.2250738585e-313)
     with pytest.raises(IllConditionedSystemError) as dense_error:
-        dense_partial_pivoting(matrix, rhs)
+        dense_natural_order(matrix, rhs)
     assert str(info.value) == str(dense_error.value)
 
 
 def test_zero_leading_entry_forces_a_swap():
+    # The exact loop swaps rows; the float kernel swaps none and raises at
+    # the zero pivot.
     matrix = ((0, 2, 1), (3, 1, 0), (0, 4, 5))
     rhs = (Fraction(1, 2), 1, Fraction(-3))
     assert class_solve(matrix, rhs) == reference_exact(matrix, rhs)
     float_matrix = tuple(tuple(float(v) for v in row) for row in matrix)
-    float_rhs = tuple(float(v) for v in rhs)
-    assert (_substitute_float(_factor_float(sparse_rows(float_matrix)), float_rhs)
-            == dense_partial_pivoting(float_matrix, float_rhs))
+    with pytest.raises(IllConditionedSystemError) as info:
+        _factor_float(sparse_rows(float_matrix))
+    err = info.value
+    assert (err.column, err.pivot, err.row_max, err.ratio) == (0, 0.0, 2.0, 0.0)
+    assert str(err) == "pivot 0.0 at column 0 is below 1e-12 of row max 2.0"
 
 
 def fischer_weight(alpha, a):
@@ -710,8 +713,8 @@ def fischer_weight(alpha, a):
 
 
 def pivots_of(factors):
-    """The diagonal of U in the six-array factors."""
-    u_start, u_values = factors[4], factors[5]
+    """The diagonal of U in the five-array factors."""
+    u_start, u_values = factors[3], factors[4]
     return [u_values[u_start[r]] for r in range(len(u_start) - 1)]
 
 
@@ -735,14 +738,62 @@ def test_weighted_level_classes_are_symmetric_and_positive_definite(n):
                        for w, x in zip(weights, d))
             float_rows = _level_matrix(floats, 0.0, members)
             factors = _factor_symmetric(float_rows, weights)
-            assert list(factors[0]) == list(range(len(members)))
             pivots = pivots_of(factors)
             assert all(p > 0.0 for p in pivots)
             assert 0.0 < factors[-1] == min(p / row[r] for r, (p, row) in
                                             enumerate(zip(pivots, float_rows))) <= 1.0
 
 
-def test_symmetric_kernel_agrees_with_the_pivoting_one():
+def natural_order_pivots(rows, size):
+    """The pivots of exact sparse rows eliminated in natural order, with no
+    row swap; None at the first zero pivot."""
+    rows = [dict(row) for row in rows]
+    pivots = []
+    for col in range(size):
+        prow = rows[col]
+        pivot = prow.get(col, 0)
+        if pivot == 0:
+            return None
+        pivots.append(pivot)
+        for row in rows[col + 1:]:
+            v = row.pop(col, 0)
+            if v:
+                for c, pv in prow.items():
+                    if c > col:
+                        row[c] = row.get(c, 0) - v / pivot * pv
+    return pivots
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_zero_axis_classes_need_no_row_swap(n):
+    # Row alpha stores only columns with the same or a larger exponent on
+    # each zero axis, so the natural order's pivots are those of each
+    # exponent block eliminated alone: positive, as the blocks are classes
+    # in the positive axes.
+    rng = random.Random(100 + n)
+    for order in range({2: 30, 3: 16, 4: 11, 5: 8}[n]):
+        zeros = rng.sample(range(n), rng.randint(1, n - 1))
+        a = [Fraction(0) if j in zeros else Fraction(rng.randint(1, 40), rng.randint(1, 12))
+             for j in range(n)]
+        floats = [float(aj) for aj in a]
+        for _, members, _ in level_plan(n, order):
+            rows = _level_matrix(a, Fraction(0), members)
+            block = [tuple(alpha[z] for z in zeros) for alpha in members]
+            for r, row in enumerate(rows):
+                assert all(x >= y for c in row for x, y in zip(block[c], block[r]))
+            pivots = natural_order_pivots(rows, len(members))
+            assert pivots is not None and all(p > 0 for p in pivots)
+            for key in set(block):
+                inside = [i for i, b in enumerate(block) if b == key]
+                at = {i: k for k, i in enumerate(inside)}
+                own = [{at[c]: v for c, v in rows[i].items() if c in at} for i in inside]
+                assert natural_order_pivots(own, len(inside)) == [pivots[i] for i in inside]
+            factors = _factor_float(_level_matrix(floats, 0.0, members))
+            assert all(p > 0.0 for p in pivots_of(factors))
+            assert 0.0 < factors[-1] <= 1.0
+
+
+def test_symmetric_kernel_agrees_with_the_band_lu():
     rng = random.Random(7)
     for n, orders in ((2, range(0, 31, 3)), (3, range(1, 31, 4)), (4, range(0, 13, 3))):
         for order in orders:

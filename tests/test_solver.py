@@ -2,6 +2,7 @@
 
 import gc
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -281,6 +282,16 @@ class TestSolveClass:
         assert (err.column, err.pivot, err.row_max, err.ratio) == (1, 1e-16, 1.0, 1e-16)
         assert str(err) == "pivot 1e-16 at column 1 is below 1e-12 of row max 1.0"
 
+    @pytest.mark.parametrize("system", [
+        ClassSystem((0,), ((0,), (1,)), [{0: 1.0}, {1: 1.0}], (1, 2.0)),
+        ClassSystem((0,), ((0,),), [{0: 1.0}], (Fraction(1),)),
+    ], ids=["exact-and-float-rhs", "float-rows-exact-rhs"])
+    def test_a_system_mixing_float_and_exact_values_raises(self, system):
+        with pytest.raises(ValueError) as info:
+            solve_class(system)
+        assert str(info.value) == (
+            "a class system mixes float and exact entries or right-hand sides")
+
 
 class TestCascade:
     """Single homogeneous components through the degree-descending pass."""
@@ -520,19 +531,19 @@ class TestFloatFactorCache:
         assert float_bits(dec) == float_bits(reference)
 
     def test_positive_axis_squares_route_to_the_symmetric_kernel(self, monkeypatch, rng):
-        calls = {"symmetric": 0, "pivoting": 0}
-        symmetric, pivoting = solver._factor_symmetric, solver._factor_float
+        calls = {"symmetric": 0, "band": 0}
+        symmetric, band = solver._factor_symmetric, solver._factor_float
 
         def counted_symmetric(rows, weights):
             calls["symmetric"] += 1
             return symmetric(rows, weights)
 
-        def counted_pivoting(rows):
-            calls["pivoting"] += 1
-            return pivoting(rows)
+        def counted_band(rows):
+            calls["band"] += 1
+            return band(rows)
 
         monkeypatch.setattr(solver, "_factor_symmetric", counted_symmetric)
-        monkeypatch.setattr(solver, "_factor_float", counted_pivoting)
+        monkeypatch.setattr(solver, "_factor_float", counted_band)
         p = all_degree(rng, 3, 8).to_float()
         counts = []
         for q in (SHIFTED_ELLIPSOID, PARABOLOID):
@@ -540,15 +551,16 @@ class TestFloatFactorCache:
             stats = SolveStats()
             solve_dirichlet(p, q, stats=stats)
             solved = sum(lv.nonzero_rhs_classes for lv in stats.levels)
-            counts.append((calls["symmetric"], calls["pivoting"], solved))
-            calls.update(symmetric=0, pivoting=0)
-        (sym, piv, solved), (sym_z, piv_z, solved_z) = counts
-        assert (sym, piv) == (solved, 0) and solved > 0
-        assert (sym_z, piv_z) == (0, solved_z) and solved_z > 0
+            counts.append((calls["symmetric"], calls["band"], solved))
+            calls.update(symmetric=0, band=0)
+        (sym, lu, solved), (sym_z, lu_z, solved_z) = counts
+        assert (sym, lu) == (solved, 0) and solved > 0
+        assert (sym_z, lu_z) == (0, solved_z) and solved_z > 0
 
-    def test_a_zero_axis_square_keeps_the_pivoting_bits(self):
-        # f's bits from the pivoting LU, which these surfaces keep; h follows
-        # from f by the descent's own arithmetic.
+    def test_a_zero_axis_square_keeps_the_band_lu_bits(self):
+        # f's bits from the band LU, the same as the partial-pivoting LU's
+        # it replaced, which swapped no row here; h follows from f by the
+        # descent's own arithmetic.
         p = Poly(3, {(3, 1, 2): 1.5, (0, 5, 0): -0.75})
         golden = {
             NonhyperbolicQuadratic((1, 2, 0), (0, 0, 1), 0): {
@@ -611,6 +623,61 @@ class TestFloatFactorCache:
         # and every factor offered only in the largest room.
         assert bool(float_factors()) == (min(offered) <= bound)
         assert (len(float_factors()) < len(offered)) == (bound < 1 << 20)
+
+
+def relative_error(exact: Poly, approx: Poly) -> float:
+    """The largest coefficient error of approx, computed exactly, over the
+    largest coefficient of exact."""
+    scale = max(map(abs, exact.terms.values()), default=0)
+    errors = (abs(Fraction(approx.coefficient(alpha)) - exact.coefficient(alpha))
+              for alpha in set(exact.terms) | set(approx.terms))
+    return float(max(errors, default=0) / scale) if scale else 0.0
+
+
+def zero_axis_problems(count: int, seed: int) -> list[tuple[Poly, NonhyperbolicQuadratic]]:
+    """Exact boundaries on surfaces with one or more zero a_j and linear and
+    constant parts, n = 2 to 4: one to three terms, the first of the drawn
+    degree, up to 16 (11 for n = 4).  Frozen here, so that the answers do
+    not move with the shared generators."""
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        zeros = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        a = [0 if j in zeros else Fraction(rng.randint(1, 40), rng.randint(1, 8)) for j in range(n)]
+        c = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
+        d = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        degree = rng.randint(2, 16 if n < 4 else 11)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            alpha = [0] * n
+            for _ in range(rng.randint(0, degree) if terms else degree):
+                alpha[rng.randrange(n)] += 1
+            terms[tuple(alpha)] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                                           rng.randint(1, 9))
+        problems.append((Poly(n, terms), NonhyperbolicQuadratic(a, c, d)))
+    return problems
+
+
+class TestZeroAxisFloatAccuracy:
+    """Float answers on surfaces with a zero a_j, whose classes the band LU
+    factors, against the exact answers of the same problems."""
+
+    def test_a_class_the_pivoting_lu_swapped_in_is_accurate(self):
+        # a = (0, 8/5): the partial-pivoting LU swapped rows in these classes
+        # and erred by 6.8e-14 of max|h|; natural order errs by 5.7e-16.
+        p = Poly(2, {(7, 10): Fraction(-3, 7)})
+        q = NonhyperbolicQuadratic((0, Fraction(8, 5)), (0, -3), -3)
+        exact, approx = solve_dirichlet(p, q), solve_dirichlet(p.to_float(), q)
+        assert relative_error(exact.h, approx.h) <= 1e-14
+        assert relative_error(exact.f, approx.f) <= 1e-14
+
+    def test_float_answers_stay_close_to_the_exact_ones(self):
+        # The largest error measured on these 200 problems was 3.4e-14.
+        for p, q in zero_axis_problems(200, 2026):
+            exact, approx = solve_dirichlet(p, q), solve_dirichlet(p.to_float(), q)
+            assert relative_error(exact.h, approx.h) <= 1e-13, (p, q)
+            assert relative_error(exact.f, approx.f) <= 1e-13, (p, q)
 
 
 def store_bytes(store) -> tuple[int, int]:
