@@ -690,6 +690,30 @@ def test_float_overflow_raises_instead_of_returning_inf():
     assert str(info.value) == str(dense_error.value)
 
 
+def test_an_all_zero_row_raises_with_ratio_zero():
+    for matrix in ([{}], [{0: 1.0, 1: 2.0}, {}]):
+        col = len(matrix) - 1
+        with pytest.raises(IllConditionedSystemError) as info:
+            _factor_float(matrix)
+        err = info.value
+        assert (err.column, err.pivot, err.row_max, err.ratio) == (col, 0.0, 0.0, 0.0)
+        assert str(err) == f"pivot 0.0 at column {col} is below 1e-12 of row max 0.0"
+
+
+def test_an_overflowing_multiplier_raises():
+    # The subnormal pivot passes the relative test, but 1.0 / pivot is inf;
+    # the dense loop would go on with inf * 0.0 = NaN where the band skips.
+    matrix = [[5e-324, 0.0], [1.0, 1.0]]
+    with pytest.raises(IllConditionedSystemError) as info:
+        _factor_float(sparse_rows(matrix))
+    err = info.value
+    assert (err.column, err.pivot, err.row_max, err.ratio) == (0, 5e-324, None, None)
+    assert str(err) == "multiplier of row 1 at column 0 is inf after dividing by pivot 5e-324"
+    with pytest.raises(IllConditionedSystemError) as dense_error:
+        dense_natural_order(matrix, [1.0, 1.0])
+    assert str(dense_error.value) == str(err)
+
+
 def test_zero_leading_entry_forces_a_swap():
     # The exact loop swaps rows; the float kernel swaps none and raises at
     # the zero pivot.
