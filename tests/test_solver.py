@@ -558,9 +558,8 @@ class TestFloatFactorCache:
         assert (sym_z, lu_z) == (0, solved_z) and solved_z > 0
 
     def test_a_zero_axis_square_keeps_the_band_lu_bits(self):
-        # f's bits from the band LU, the same as the partial-pivoting LU's
-        # it replaced, which swapped no row here; h follows from f by the
-        # descent's own arithmetic.
+        # f's bits from the band LU; h follows from f by the descent's own
+        # arithmetic.
         p = Poly(3, {(3, 1, 2): 1.5, (0, 5, 0): -0.75})
         golden = {
             NonhyperbolicQuadratic((1, 2, 0), (0, 0, 1), 0): {
@@ -663,9 +662,9 @@ class TestZeroAxisFloatAccuracy:
     """Float answers on surfaces with a zero a_j, whose classes the band LU
     factors, against the exact answers of the same problems."""
 
-    def test_a_class_the_pivoting_lu_swapped_in_is_accurate(self):
-        # a = (0, 8/5): the partial-pivoting LU swapped rows in these classes
-        # and erred by 6.8e-14 of max|h|; natural order errs by 5.7e-16.
+    def test_a_high_power_on_a_parabolic_cylinder_is_accurate(self):
+        # a = (0, 8/5): a partial-pivoting LU swaps rows in these classes
+        # and errs by 6.8e-14 of max|h|; natural order errs by 5.7e-16.
         p = Poly(2, {(7, 10): Fraction(-3, 7)})
         q = NonhyperbolicQuadratic((0, Fraction(8, 5)), (0, -3), -3)
         exact, approx = solve_dirichlet(p, q), solve_dirichlet(p.to_float(), q)
