@@ -16,6 +16,7 @@ import os
 import sys
 import time
 
+from .layout import descent_unknowns, largest_class_work
 from .parsing import (
     ParseError,
     exceeds_digit_limit,
@@ -26,12 +27,7 @@ from .parsing import (
 )
 from .polynomial import MAX_VARIABLES, DimensionMismatchError, Poly
 from .quadric import InvalidQuadricError, NonhyperbolicQuadratic
-from .solver import (
-    IllConditionedSystemError,
-    descent_unknowns,
-    largest_class_work,
-    solve_dirichlet,
-)
+from .solver import IllConditionedSystemError, solve_dirichlet
 from .verify import ORACLE_MAX_UNKNOWNS, verify_solution
 
 EXIT_OK = 0
@@ -40,7 +36,7 @@ EXIT_VERIFY = 3
 EXIT_ILL_CONDITIONED = 4
 
 # ``solve``, ``decompose`` and ``verify`` refuse a problem whose descent has
-# more unknowns over all its levels than this (``solver.descent_unknowns``),
+# more unknowns over all its levels than this (``layout.descent_unknowns``),
 # before they solve.  On 2 cores (CPython 3.11) x1^60 on a surface with a
 # linear part, 35,990 unknowns, took 8 to 19 s in exact mode, and x1^100,
 # 166,650 unknowns, 3.5 to 10 s in float mode; every benchmark problem has
@@ -48,7 +44,7 @@ EXIT_ILL_CONDITIONED = 4
 SOLVE_MAX_UNKNOWNS = {"exact": 40_000, "float": 200_000}
 
 # They also refuse a problem whose largest parity class needs more work
-# than this (``solver.largest_class_work``), which the unknown count does
+# than this (``layout.largest_class_work``), which the unknown count does
 # not bound: float x1^632 on x1^2+x2^2+x3^2 has one level, one class of
 # 50,086.  The slowest accepted class measured took 1.5 s exact, 0.2 s float.
 SOLVE_MAX_CLASS_WORK = 4_000_000

@@ -38,7 +38,9 @@ import sys
 import time
 from array import array
 from fractions import Fraction
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, chain
+from operator import mul, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .elimination import _packed, _replay_int, _scan_ends, _solve_int
@@ -50,6 +52,7 @@ from .polynomial import (
     multi_factorial,
     multi_indices,
 )
+from .layout import _attach, _carry, _laplacian, _minus_q2, _shift_program, _split
 from .quadric import NonhyperbolicQuadratic
 
 FLOAT_PIVOT_RTOL = 1e-12
@@ -129,6 +132,13 @@ class LevelStats(NamedTuple):
     factored, |pivot| over the largest magnitude in its row of U where
     ``_factor_float`` did (both eliminate in natural order), and None when
     no class was solved.
+
+    ``rhs_ms`` covers the carry's Laplacian and the right-hand sides, and
+    ``assemble_ms`` then only the weights and matrices.  ``carry_ms``
+    covers the products and subtractions that form this level's carry and
+    the rebuild of h from it; ``fraction_ms``, exact mode only, forming the
+    ``Fraction``s of this degree's h and of the level's f.  A
+    ``homogeneous_solver`` hook records no level.
     """
 
     carry_degree: int
@@ -144,6 +154,9 @@ class LevelStats(NamedTuple):
     carry_num_bits: int | None = None
     factor_hits: int = 0
     min_pivot_ratio: float | None = None
+    rhs_ms: float = 0.0
+    carry_ms: float = 0.0
+    fraction_ms: float = 0.0
 
 
 class SolveStats:
@@ -179,12 +192,14 @@ def _axis_squares(q2: Poly) -> tuple[list[Scalar], int, Scalar]:
     return [aj.numerator * (scale // aj.denominator) for aj in a], scale, zero
 
 
-def _check_level(source: Poly, q2: Poly, order: int) -> None:
+def _check_level(n: int, q2: Poly, order: int, float_mode: bool) -> None:
     """The guards of every level route, run before it builds a plan or a
-    row: ``DimensionMismatchError`` for operands of two dimensions, and
-    ``IllConditionedSystemError`` for a float order past FLOAT_MAX_ORDER."""
-    source._check_dim(q2)
-    if order > FLOAT_MAX_ORDER and (q2.is_float() or source.is_float()):
+    row: ``DimensionMismatchError`` for a source in n variables and a q2 in
+    another number, and ``IllConditionedSystemError`` for a float order
+    past FLOAT_MAX_ORDER."""
+    if n != q2.n:
+        raise DimensionMismatchError(f"operands have dimensions {n} and {q2.n}")
+    if order > FLOAT_MAX_ORDER and float_mode:
         raise IllConditionedSystemError(
             f"order {order} is past {FLOAT_MAX_ORDER}, where alpha! overflows a float")
 
@@ -215,7 +230,8 @@ def level_rows(
     the entries ints, and the right-hand sides too for an int rhs_source.
     It raises first as ``_check_level`` does.
     """
-    _check_level(rhs_source, q2, sum(members[0]) if members else 0)
+    _check_level(rhs_source.n, q2, sum(members[0]) if members else 0,
+                 q2.is_float() or rhs_source.is_float())
     a, scale, zero = _axis_squares(q2)
     rhs = _level_rhs(rhs_source, members, map(multi_factorial, members), scale, zero)
     return _level_matrix(a, zero, members), rhs
@@ -273,7 +289,7 @@ def assemble_class_systems(rhs_source: Poly, q2: Poly, order: int) -> list[Class
     included, each with the rows and right-hand sides of ``level_rows``;
     the D^alpha of the homogeneous ``rhs_source`` are the right-hand sides.
     It raises as ``level_rows`` does, before it builds the plan."""
-    _check_level(rhs_source, q2, order)
+    _check_level(rhs_source.n, q2, order, q2.is_float() or rhs_source.is_float())
     a = _axis_squares(q2)[0]
     systems = []
     for parity, members, factorials in level_plan(q2.n, order):
@@ -623,6 +639,17 @@ def level_plan(n: int, order: int) -> LevelPlan:
     return plan
 
 
+def _shifts(n: int, b: int) -> tuple:
+    """The shift program of layout (n, b), from the level store or made and
+    offered to it."""
+    key = ("shifts", n, b)
+    program = _level_store.entries.get(key)
+    if program is None:
+        program = _shift_program(n, b)
+        _level_store.keep(key, program)
+    return program
+
+
 def solve_class(system: ClassSystem) -> dict[tuple[int, ...], Scalar]:
     """Solve one parity block, mapping each member to its D^alpha f
     constant; an all-zero right-hand side gives zeros without elimination.
@@ -659,42 +686,59 @@ def solve_homogeneous(
     """Find homogeneous f of degree deg(ph) - 2 with lap(q2*f) = lap(ph).
 
     For ph of degree below 2 (already harmonic) the answer is zero.  Float
-    mode (a float ph or q2) is ``_solve_level`` on ph; exact mode runs it on
-    the int numerators of ph and turns its answer into ``Fraction``s.
+    mode (a float ph or q2) is ``_solve_level`` on ph's class lists as
+    floats; exact mode runs it on their int numerators and turns its answer
+    into ``Fraction``s.
     """
-    if _level_order(ph, q2) is None:
+    order = _level_order(ph, q2)
+    if order is None:
         return Poly.zero(ph.n)
-    if q2.is_float() or ph.is_float():
-        return Poly._raw(ph.n, _solve_level(ph, 1, q2.to_float(), stats)[0])
-    terms, den = _solve_level(*_numerators(ph), q2, stats)
-    return Poly._raw(ph.n, _fractions(terms, den))
+    exact = not (q2.is_float() or ph.is_float())
+    carry, den = _split(ph, exact)[order + 2]
+    f, f_den = _solve_level(carry, order + 2, den, q2 if exact else q2.to_float(), stats)
+    terms: dict = {}
+    _attach(terms, f, order, f_den, exact, _level_store.entries.get((ph.n, order), ()))
+    return Poly._raw(ph.n, terms)
 
 
 def _solve_level(
-    carry: Poly, den: int, q2: Poly, stats: SolveStats | None
-) -> tuple[dict[tuple[int, ...], Scalar | int], int]:
-    """f with lap(q2*f) = lap(carry/den) for a homogeneous carry of degree
-    k >= 2, as its terms and their denominator.
+    carry: Mapping[tuple[int, ...], list], k: int, den: int, q2: Poly, stats: SolveStats | None
+) -> tuple[dict[tuple[int, ...], list], int]:
+    """f with lap(q2*f) = lap(carry/den) for a nonzero carry of degree
+    k >= 2 given as class lists, as class lists over their denominator.
 
-    After ``_check_level``, only classes with a nonzero right-hand side are
-    assembled and solved.  Float mode (a float q2, den 1) uses the factors
-    stored for the class or stores those ``_factor`` makes, on the upper
-    rows where the class has ``_fischer_weights``, on the full rows where it
-    has none.  It rebuilds f as the sum of D^alpha f * x^alpha / alpha!.
-    Exact mode takes int numerators and replays stored factors; otherwise it
-    solves within the step limit ``_exact_store.admit`` gives, which records
-    on a class's second sighting, and offers the store what was recorded.
-    Each D^alpha f comes out as a reduced int pair, alpha! and den join its
-    denominator, and f comes back as int numerators over their lcm, divided
-    by one gcd.
+    After ``_check_level``, each class's right-hand side is its Laplacian,
+    run on the shift program, times alpha! from the level plan; only
+    classes where it is nonzero are assembled and solved.  Float mode (a
+    float q2, den 1) uses the factors stored for the class or stores those
+    ``_factor`` makes, on the upper rows where the class has
+    ``_fischer_weights``, on the full rows where it has none, and f is the
+    solved D^alpha f over alpha!.  Exact mode takes int numerators and
+    replays stored factors; otherwise it solves within the step limit
+    ``_exact_store.admit`` gives, which records on a class's second
+    sighting, and offers the store what was recorded.  Each D^alpha f comes
+    out as a reduced int pair, alpha! and den join its denominator, and f
+    comes back as int numerators over their lcm, divided by one gcd.
     """
-    order = carry.degree() - 2
-    _check_level(carry, q2, order)
+    n = q2.n
+    order = k - 2
     float_mode = q2.is_float()
-    t0 = time.perf_counter()
-    plan = level_plan(carry.n, order)
-    rhs_source = carry.laplacian()
+    _check_level(n, q2, order, float_mode)
+    # Without stats the clock reads 0.0.
+    clock = time.perf_counter if stats is not None else float
+    t0 = clock()
+    plan = level_plan(n, order)
     a, scale, zero = _axis_squares(q2)
+    sources = []
+    for parity, members, factorials in plan:
+        values = carry.get(parity)
+        if values is not None:
+            axes = _shifts(n, (order - sum(parity)) >> 1)[2]
+            scaled = factorials if scale == 1 else [fact * scale for fact in factorials]
+            rhs = list(map(mul, _laplacian(values, parity, axes), scaled))
+            if any(rhs):
+                sources.append((parity, members, factorials, rhs))
+    t1 = clock()
     # Exact rows are built on the axis squares over their gcd, so that
     # proportional surfaces share stored factors; the unknowns then come out
     # content times too large.
@@ -703,22 +747,20 @@ def _solve_level(
         a = [aj // content for aj in a]
     stored = (_level_store if float_mode else _exact_store).entries
     active = []
-    for parity, members, factorials in plan:
-        rhs = _level_rhs(rhs_source, members, factorials, scale, zero)
-        if any(rhs):
-            # One flat tuple is the smallest key, and longer than a plan's (n, order).
-            key = (order, *parity, *a)
-            factors = stored.get(key)
-            rows = weights = None
-            if factors is None:
-                weights = _fischer_weights(a, members, factorials) if float_mode else None
-                rows = _level_matrix(a, zero, members, upper=weights is not None)
-            active.append((members, factorials, rows, weights, rhs, key, factors))
-    t1 = time.perf_counter()
+    for parity, members, factorials, rhs in sources:
+        # One flat tuple is the smallest key, and longer than a plan's (n, order).
+        key = (order, *parity, *a)
+        factors = stored.get(key)
+        rows = weights = None
+        if factors is None:
+            weights = _fischer_weights(a, members, factorials) if float_mode else None
+            rows = _level_matrix(a, zero, members, upper=weights is not None)
+        active.append((parity, factorials, rows, weights, rhs, key, factors))
+    t2 = clock()
     solved = []
     hits = 0
     ratios = []
-    for members, factorials, rows, weights, rhs, key, factors in active:
+    for parity, factorials, rows, weights, rhs, key, factors in active:
         if factors is not None:
             hits += 1
             values = _substitute_float(factors, rhs) if float_mode else _replay_int(*factors, rhs)
@@ -735,111 +777,40 @@ def _solve_level(
                 _exact_store.keep(key, None)
         if float_mode:
             ratios.append(factors[-1])
-        solved.append((members, factorials, values))
-    t2 = time.perf_counter()
+        solved.append((parity, factorials, values))
+    t3 = clock()
     if float_mode:
-        terms = {alpha: v / fact for members, factorials, values in solved
-                 for alpha, fact, v in zip(members, factorials, values) if v}
+        f = {parity: list(map(truediv, values, factorials))
+             for parity, factorials, values in solved}
         f_den = 1
     else:
-        pairs = [(alpha, num, d * fact) for members, factorials, values in solved
-                 for alpha, fact, (num, d) in zip(members, factorials, values) if num]
-        lcm = math.lcm(*[d for _, _, d in pairs])
-        nums = [num * (lcm // d) for _, num, d in pairs]
+        dens = {parity: [d * fact if num else 1 for (num, d), fact in zip(values, factorials)]
+                for parity, factorials, values in solved}
+        lcm = math.lcm(*chain.from_iterable(dens.values()))
+        f = {parity: [num * (lcm // d) for (num, _), d in zip(values, dens[parity])]
+             for parity, _, values in solved}
         f_den = den * lcm * content
-        g = math.gcd(*nums, f_den)
-        terms = {alpha: v // g for (alpha, _, _), v in zip(pairs, nums)}
-        f_den //= g
-    t3 = time.perf_counter()
+        g = math.gcd(f_den, *chain.from_iterable(f.values()))
+        if g > 1:
+            f = {parity: [v // g for v in values] for parity, values in f.items()}
+            f_den //= g
+    t4 = clock()
 
     if stats is not None:
         den_bits, num_bits = (None, None) if float_mode else (
-            den.bit_length(), max(map(abs, carry.terms.values())).bit_length())
+            den.bit_length(), max(max(map(abs, v)) for v in carry.values()).bit_length())
         stats.levels.append(LevelStats(
-            carry_degree=order + 2, system_order=order, class_count=len(plan),
+            carry_degree=k, system_order=order, class_count=len(plan),
             class_sizes=[len(members) for _, members, _ in plan],
-            nonzero_rhs_classes=len(active), rhs_is_zero=rhs_source.is_zero(),
-            assemble_ms=(t1 - t0) * 1000.0, solve_ms=(t2 - t1) * 1000.0,
-            rebuild_ms=(t3 - t2) * 1000.0, carry_den_bits=den_bits, carry_num_bits=num_bits,
-            factor_hits=hits, min_pivot_ratio=min(ratios, default=None)))
-    return terms, f_den
+            nonzero_rhs_classes=len(active), rhs_is_zero=not active,
+            assemble_ms=(t2 - t1) * 1000.0, solve_ms=(t3 - t2) * 1000.0,
+            rebuild_ms=(t4 - t3) * 1000.0, carry_den_bits=den_bits, carry_num_bits=num_bits,
+            factor_hits=hits, min_pivot_ratio=min(ratios, default=None),
+            rhs_ms=(t1 - t0) * 1000.0))
+    return f, f_den
 
 
 HomogeneousSolver = Callable[[Poly, Poly], Poly]
-
-
-def _numerators(poly: Poly) -> tuple[Poly, int]:
-    """Integer numerators of the exact polynomial poly, over the lcm of the
-    denominators of its coefficients."""
-    coefficients = poly.terms.values()
-    den = math.lcm(*[c.denominator for c in coefficients])
-    nums = [c.numerator * (den // c.denominator) for c in coefficients]
-    return Poly._raw(poly.n, dict(zip(poly.terms, nums))), den
-
-
-def _times(poly: Poly, m: int) -> Poly:
-    """poly * m for an int m; int coefficients stay ints."""
-    if m == 1:
-        return poly
-    return Poly._raw(poly.n, {a: c * m for a, c in poly.terms.items()})
-
-
-def _fractions(terms: Mapping[tuple[int, ...], int], den: int) -> dict[tuple[int, ...], Fraction]:
-    """The int numerators ``terms`` over den, one ``Fraction`` each."""
-    return {a: Fraction(c, den) for a, c in terms.items()}
-
-
-def descent_unknowns(p: Poly, quadric: NonhyperbolicQuadratic, limit: int) -> int:
-    """Unknowns over every level that ``solve_dirichlet``'s descent may
-    solve for p on the quadric, from closed forms.
-
-    The level of degree k has comb(k - 2 + n - 1, n - 1) unknowns and runs
-    when p_k is nonzero, or q has a linear part and level k + 1 ran, or a
-    constant and level k + 2 ran; with a linear part that is every degree
-    from the top down to 2, comb(top - 2 + n, n) in all.  Otherwise the sum
-    stops at the first level past ``limit``, after at most limit + 1 levels.
-    """
-    n = p.n
-    degrees = {sum(alpha) for alpha in p.terms}
-    top = max(degrees, default=0)
-    if top < 2:
-        return 0
-    _, q1, q0 = quadric.parts()
-    if not q1.is_zero():
-        return math.comb(top - 2 + n, n)
-    if q0.is_zero():
-        levels = (k for k in degrees if k >= 2)
-    else:
-        # One chain of every other degree per parity, from p's highest degree of it.
-        heads = [max((k for k in degrees if k % 2 == r), default=0) for r in (0, 1)]
-        levels = (k for head in heads for k in range(head, 1, -2))
-    total = 0
-    for k in levels:
-        total += math.comb(k - 2 + n - 1, n - 1)
-        if total > limit:
-            break
-    return total
-
-
-def largest_class_work(n: int, order: int) -> int:
-    """Work of the largest parity class of the order, in closed form: its
-    size s times the larger of s and the square of its bandwidth w.
-
-    The class of parity e holds the e + 2*beta with |beta| = (order - |e|)/2,
-    so the largest has b = order // 2, s = comb(b + n - 1, n - 1), and both
-    bandwidths w = comb(b + n - 2, n - 2), or less where an a_j is 0.  Its
-    elimination takes about s * w^2 steps, and the working rows of either
-    float kernel hold about s * w entries.  No kernel stores s^2 entries any
-    more; the s^2 term stays until ``cli.SOLVE_MAX_CLASS_WORK`` is restated
-    in counted elimination work, so that the limit refuses what it refused.
-    A descent's top level has its largest class.
-    """
-    if order < 0:
-        return 0
-    b = order // 2
-    size = math.comb(b + n - 1, n - 1)
-    band = math.comb(b + n - 2, n - 2) if n > 1 else 0
-    return size * max(size, band * band)
 
 
 def solve_dirichlet(
@@ -858,62 +829,71 @@ def solve_dirichlet(
         carry_k = p_k - q1 * f_(k-1) - q0 * f_k = h_k + q2 * f_(k-2)
 
     so each carry of degree k >= 2 is split by one level solve for
-    f_(k-2), and below degree 2 h_k = carry_k.  Exact mode holds q, p_k,
-    f_k and carry_k as int numerators over one denominator each and forms
-    ``Fraction``s only for h and f; float mode runs the same loop with
-    every denominator 1.  A ``homogeneous_solver`` receives the carry as a
+    f_(k-2), and below degree 2 h_k = carry_k.  Every part is held as class
+    lists: exact mode holds q, p_k, f_k and carry_k as int numerators over
+    one denominator each and forms ``Fraction``s only for h and f; float
+    mode runs the same loop with every denominator 1.  No ``Poly``
+    arithmetic runs.  A ``homogeneous_solver`` receives the carry as a
     ``Fraction`` (or float) polynomial and returns f_(k-2).
     """
     if p.n != quadric.n:
         raise DimensionMismatchError(f"operands have dimensions {p.n} and {quadric.n}")
     n = p.n
-    zero = Poly.zero(n)
     exact = not p.is_float()
     q2 = quadric.parts()[0]
-    q_poly = quadric.to_polynomial()
+    parts_of_q = (quadric.a, quadric.c, (quadric.d,))
     if exact:
-        q_poly, qden = _numerators(q_poly)
+        qden = math.lcm(*[v.denominator for part in parts_of_q for v in part])
+        a, c, (d,) = ([v.numerator * (qden // v.denominator) for v in part] for part in parts_of_q)
     else:
-        q2, q_poly, qden = q2.to_float(), q_poly.to_float(), 1
-    q_parts = dict(q_poly.homogeneous_components())
-    q2n, q1n, q0n = (q_parts.get(d, zero) for d in (2, 1, 0))
+        q2, qden = q2.to_float(), 1
+        a, c, (d,) = ([float(v) for v in part] for part in parts_of_q)
+    shifts = partial(_shifts, n)
+    # Exponent tuples of h and f come from the stored level plans.
+    stored = _level_store.entries
+    # Without stats the clock reads 0.0.
+    clock = time.perf_counter if stats is not None else float
 
-    def split(poly: Poly) -> tuple[Poly, int]:
-        return _numerators(poly) if exact else (poly, 1)
-
-    def level(carry: Poly, den: int) -> tuple[Poly, int]:
-        """f_(k-2), as numerators and denominator, for the carry carry/den."""
+    def level(carry: dict, k: int, den: int) -> tuple[dict, int]:
+        """f_(k-2), as class lists and denominator, for the carry carry/den."""
         if homogeneous_solver is None:
-            terms, f_den = _solve_level(carry, den, q2, stats)
-            return Poly._raw(n, terms), f_den
-        if exact:
-            carry = Poly._raw(n, _fractions(carry.terms, den))
-        return split(homogeneous_solver(carry, q2))
+            return _solve_level(carry, k, den, q2, stats)
+        source: dict = {}
+        _attach(source, carry, k, den, exact)
+        return _split(homogeneous_solver(Poly._raw(n, source), q2), exact).get(k - 2, ({}, 1))
 
-    zero_part = (zero, 1)
-    parts = {k: split(part) for k, part in p.homogeneous_components()}
-    f_parts: dict[int, tuple[Poly, int]] = {}
+    none: tuple[dict, int] = ({}, 1)
+    parts = _split(p, exact)
+    f_parts: dict[int, tuple[dict, int]] = {}
     h_terms: dict = {}
     f_terms: dict = {}
     for k in range(max(parts, default=0), -1, -1):
-        p_k, p_den = parts.get(k, zero_part)
-        f1, d1 = f_parts.get(k - 1, zero_part)
-        f0, d0 = f_parts.get(k, zero_part)
+        t0 = clock()
+        p_k, p_den = parts.get(k, none)
+        f1, d1 = f_parts.get(k - 1, none)
+        f0, d0 = f_parts.get(k, none)
         den = math.lcm(p_den, qden * d1, qden * d0)
         # q's parts have at most n terms each, so they are scaled instead of
         # the products.
-        carry = (_times(p_k, den // p_den) - _times(q1n, den // (qden * d1)) * f1
-                 - _times(q0n, den // (qden * d0)) * f0)
-        # The carry is homogeneous of degree k or identically zero; zero
-        # carries occur whenever p skips a degree and q has no linear part,
-        # so skip the solver rather than make every solver handle them.
-        if k >= 2 and not carry.is_zero():
-            f_k2, f_den = f_parts[k - 2] = level(carry, den)
-            f_terms.update(_fractions(f_k2.terms, f_den) if exact else f_k2.terms)
+        carry = _carry(k, p_k, den // p_den, f1, [cj * (den // (qden * d1)) for cj in c],
+                       f0, d * (den // (qden * d0)), shifts)
+        t1 = clock()
+        # Zero carries occur whenever p skips a degree and q has no linear
+        # part; they need no level.
+        solved = k >= 2 and bool(carry)
+        if solved:
+            f_k2, f_den = f_parts[k - 2] = level(carry, k, den)
+            t2 = clock()
             h_den = math.lcm(den, qden * f_den)
-            carry = _times(carry, h_den // den) - _times(q2n, h_den // (qden * f_den)) * f_k2
+            carry = _minus_q2(carry, h_den // den, f_k2,
+                              [aj * (h_den // (qden * f_den)) for aj in a], k, shifts)
+            t3 = clock()
+            _attach(f_terms, f_k2, k - 2, f_den, exact, stored.get((n, k - 2), ()))
             den = h_den
         # Degrees are disjoint, so h and f are gathered without arithmetic.
-        h_terms.update(_fractions(carry.terms, den) if exact else carry.terms)
+        _attach(h_terms, carry, k, den, exact, stored.get((n, k), ()))
+        if solved and homogeneous_solver is None and stats is not None:
+            stats.levels[-1] = stats.levels[-1]._replace(
+                carry_ms=(t1 - t0 + t3 - t2) * 1000.0,
+                fraction_ms=(clock() - t3) * 1000.0 if exact else 0.0)
     return HarmonicDecomposition(h=Poly._raw(n, h_terms), f=Poly._raw(n, f_terms), p=p, q=quadric)
-

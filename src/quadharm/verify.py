@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from typing import Mapping
 
 from .elimination import _back_substitute, _forward_eliminate, _solve_int
 from .polynomial import (
@@ -32,7 +33,7 @@ from .polynomial import (
     taylor_reconstruct,
 )
 from .quadric import NonhyperbolicQuadratic
-from .solver import HarmonicDecomposition, _fractions, _level_order, _numerators, _times, level_rows
+from .solver import HarmonicDecomposition, _level_order, level_rows
 
 # Float checks allow this many units of rounding per coefficient, times
 # (deg(p) + 1)^2 and the largest coefficient of p: a Laplacian multiplies a
@@ -50,6 +51,27 @@ FLOAT_TOL_ULPS = 64
 # unknowns.  At that size bignum arithmetic, not the row scans, takes most
 # of the oracle's time.
 ORACLE_MAX_UNKNOWNS = 3000
+
+
+def _numerators(poly: Poly) -> tuple[Poly, int]:
+    """Integer numerators of the exact polynomial poly, over the lcm of the
+    denominators of its coefficients."""
+    coefficients = poly.terms.values()
+    den = math.lcm(*[c.denominator for c in coefficients])
+    nums = [c.numerator * (den // c.denominator) for c in coefficients]
+    return Poly._raw(poly.n, dict(zip(poly.terms, nums))), den
+
+
+def _times(poly: Poly, m: int) -> Poly:
+    """poly * m for an int m; int coefficients stay ints."""
+    if m == 1:
+        return poly
+    return Poly._raw(poly.n, {a: c * m for a, c in poly.terms.items()})
+
+
+def _fractions(terms: Mapping[tuple[int, ...], int], den: int) -> dict[tuple[int, ...], Fraction]:
+    """The int numerators ``terms`` over den, one ``Fraction`` each."""
+    return {a: Fraction(c, den) for a, c in terms.items()}
 
 
 class VerificationReport:

@@ -22,7 +22,7 @@ import hypothesis.strategies as st
 
 from quadharm import bench, cli
 from quadharm.parsing import MAX_LITERAL_DIGITS
-from quadharm.solver import descent_unknowns, largest_class_work
+from quadharm.layout import descent_unknowns, largest_class_work
 
 LIMITS = {
     "SOLVE_MAX_UNKNOWNS": {"exact": 40, "float": 40},

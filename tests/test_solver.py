@@ -29,11 +29,13 @@ from quadharm import (
     solve_class,
     solve_dirichlet,
     solve_homogeneous,
+    verify_solution,
 )
+import quadharm.layout as layout
 import quadharm.solver as solver
 from quadharm.bench import dense_boundary, full_reference_solver
 from quadharm.polynomial import multi_factorial, taylor_reconstruct
-from quadharm.solver import level_rows
+from quadharm.solver import LevelStats, level_rows
 from conftest import all_degree, column_steps, random_fraction, random_poly, random_quadric
 
 
@@ -431,9 +433,10 @@ class TestLevelStats:
         first, second = SolveStats(), SolveStats()
         solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=first)
         solve_dirichlet(p, SHIFTED_ELLIPSOID, stats=second)
-        untimed = [lv._replace(assemble_ms=0.0, solve_ms=0.0, rebuild_ms=0.0) for lv in first.levels]
-        assert SolveStats(untimed) == SolveStats(
-            [lv._replace(assemble_ms=0.0, solve_ms=0.0, rebuild_ms=0.0) for lv in second.levels])
+        times = dict.fromkeys(
+            ["assemble_ms", "solve_ms", "rebuild_ms", "rhs_ms", "carry_ms", "fraction_ms"], 0.0)
+        untimed = [lv._replace(**times) for lv in first.levels]
+        assert SolveStats(untimed) == SolveStats([lv._replace(**times) for lv in second.levels])
         assert SolveStats() == SolveStats([]) != SolveStats(untimed)
         assert repr(SolveStats(untimed[:1])) == f"SolveStats(levels=[{untimed[0]!r}])"
         assert repr(untimed[0]).startswith("LevelStats(carry_degree=5, system_order=3, ")
@@ -463,6 +466,26 @@ class TestLevelStats:
                    for lv in stats.levels)
 
 
+    def test_levels_time_the_right_hand_sides_the_carry_and_the_fractions(self, rng):
+        p = all_degree(rng, 3, 8)
+        for exact in (True, False):
+            stats = SolveStats()
+            solve_dirichlet(p if exact else p.to_float(), SHIFTED_ELLIPSOID, stats=stats)
+            assert len(stats.levels) == 7
+            assert all(lv.rhs_ms > 0.0 and lv.carry_ms > 0.0 for lv in stats.levels)
+            assert all((lv.fraction_ms > 0.0) == exact for lv in stats.levels)
+        hooked = SolveStats()
+        solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level, stats=hooked)
+        assert hooked == SolveStats()
+
+    def test_a_level_built_without_the_new_fields_reads_zero_there(self):
+        old = LevelStats(4, 2, 2, [2, 1], 1, False, 1.0, 2.0, 3.0, 12, 30, 1, None)
+        assert (old.rhs_ms, old.carry_ms, old.fraction_ms) == (0.0, 0.0, 0.0)
+        assert old == LevelStats(4, 2, 2, [2, 1], 1, False, 1.0, 2.0, 3.0, carry_den_bits=12,
+                                 carry_num_bits=30, factor_hits=1)
+        assert old != old._replace(carry_ms=0.5)
+
+
 def class_system_level(ph: Poly, q2: Poly) -> Poly:
     """One level through ``assemble_class_systems``, ``solve_class`` and
     ``taylor_reconstruct``: float mode runs ``solver._factor`` and stores no
@@ -490,8 +513,10 @@ def stored_bytes(store) -> int:
 
 def float_factors() -> dict:
     """The float factors of the level store, keyed by (order, *parity class,
-    *axis squares); the plans beside them are keyed by (n, order)."""
-    return {key: factors for key, factors in solver._level_store.entries.items() if len(key) > 2}
+    *axis squares); the plans beside them are keyed by (n, order) and the
+    shift programs by ("shifts", n, b)."""
+    return {key: factors for key, factors in solver._level_store.entries.items()
+            if len(key) > 2 and key[0] != "shifts"}
 
 
 def plans() -> dict:
@@ -510,7 +535,8 @@ class TestFloatFactorCache:
         assert [lv.factor_hits for lv in warm.levels] == [
             lv.nonzero_rhs_classes for lv in warm.levels]
         assert sum(lv.factor_hits for lv in warm.levels) > 0
-        untimed = {"assemble_ms": 0, "solve_ms": 0, "rebuild_ms": 0, "factor_hits": 0}
+        untimed = {"assemble_ms": 0, "solve_ms": 0, "rebuild_ms": 0, "rhs_ms": 0, "carry_ms": 0,
+                   "fraction_ms": 0, "factor_hits": 0}
         assert ([lv._replace(**untimed) for lv in cold.levels]
                 == [lv._replace(**untimed) for lv in warm.levels])
 
@@ -593,17 +619,19 @@ class TestFloatFactorCache:
 
     @pytest.mark.parametrize("bound", [0, 600, 3000, 1 << 20])
     def test_stored_bytes_never_exceed_the_bound(self, monkeypatch, bound):
-        # The plans of every level below are made first, so ``bound`` is
-        # the room the factors have.
+        # The plans and shift programs of every level below are made
+        # first, so ``bound`` is the room the factors have.
         store = solver._level_store
         for order in range(11):
             solver.level_plan(3, order)
+        for b in range(6):
+            solver._shifts(3, b)
         monkeypatch.setattr(store, "bound", store.nbytes + bound)
         offered, kept = [], {}
         keep = solver._Store.keep
 
         def checked_keep(self, key, value):
-            assert len(key) > 2
+            assert len(key) > 2 and key[0] != "shifts"
             fits = keep(self, key, value)
             assert self.nbytes == stored_bytes(self) <= self.bound
             # No kept entry is dropped or replaced.
@@ -1026,11 +1054,11 @@ class TestDescentUnknowns:
             stats = SolveStats()
             solve_dirichlet(p, q, stats=stats)
             solved = sum(sum(lv.class_sizes) for lv in stats.levels)
-            assert solver.descent_unknowns(p, q, 10**6) == solved
+            assert layout.descent_unknowns(p, q, 10**6) == solved
 
     def test_below_degree_two_there_is_nothing_to_solve(self):
-        assert solver.descent_unknowns(Poly.zero(3), sphere(), 0) == 0
-        assert solver.descent_unknowns(Poly.monomial(3, (0, 1, 0)), SHIFTED_ELLIPSOID, 0) == 0
+        assert layout.descent_unknowns(Poly.zero(3), sphere(), 0) == 0
+        assert layout.descent_unknowns(Poly.monomial(3, (0, 1, 0)), SHIFTED_ELLIPSOID, 0) == 0
 
     @pytest.mark.parametrize("q", [sphere(2), NonhyperbolicQuadratic((1, 2), (0, 0), 0),
                                    NonhyperbolicQuadratic((1, 2), (1, 0), 0)])
@@ -1038,7 +1066,7 @@ class TestDescentUnknowns:
         # Levels of degree k in 2 variables have k - 1 unknowns, so the
         # sum passes the limit within a few hundred levels.
         p = Poly.monomial(2, (10**11, 0)) + Poly.monomial(2, (0, 10**11 - 1))
-        assert solver.descent_unknowns(p, q, 200_000) > 200_000
+        assert layout.descent_unknowns(p, q, 200_000) > 200_000
 
 
 def _non_integer(num: int) -> st.SearchStrategy:
@@ -1102,6 +1130,87 @@ class TestIntegerDescent:
         assert dec == solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
 
 
+def shuffled(p: Poly, rng: random.Random) -> Poly:
+    return Poly(p.n, rng.sample(list(p.terms.items()), len(p.terms)))
+
+
+class TestClassListDescent:
+    """The descent on class lists: no ``Poly`` arithmetic, sums in axis
+    order, and memory that follows the classes present."""
+
+    def test_float_answers_do_not_depend_on_the_order_of_the_terms(self):
+        rng = random.Random("term order")
+        for _ in range(24):
+            n = rng.randint(2, 4)
+            a = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(n)]
+            c = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            q = NonhyperbolicQuadratic(a, c, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+            top = rng.randint(6, {2: 14, 3: 10, 4: 7}[n])
+            p = Poly(n, {alpha: float(random_fraction(rng)) for alpha in multi_indices_upto(n, top)
+                         if sum(alpha) == top or rng.random() < 0.6})
+            dec = solve_dirichlet(p, q)
+            ph = Poly(n, {alpha: v for alpha, v in p.terms.items() if sum(alpha) == top})
+            f_top = solve_homogeneous(ph, q.parts()[0])
+            for _ in range(2):
+                assert float_bits(solve_dirichlet(shuffled(p, rng), q)) == float_bits(dec)
+                f = solve_homogeneous(shuffled(ph, rng), q.parts()[0])
+                assert {alpha: v.hex() for alpha, v in f.terms.items()} == {
+                    alpha: v.hex() for alpha, v in f_top.terms.items()}
+
+    def test_the_default_route_runs_no_poly_arithmetic(self, monkeypatch, rng):
+        p = all_degree(rng, 3, 8) + Poly.monomial(3, (9, 2, 1))
+        answers = {(exact, q): solve_dirichlet(p if exact else p.to_float(), q)
+                   for exact in (True, False) for q in (SHIFTED_ELLIPSOID, PARABOLOID)}
+
+        def refuse(*args):
+            raise AssertionError("the descent ran Poly arithmetic")
+
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__", "laplacian"):
+            monkeypatch.setattr(Poly, name, refuse)
+        for (exact, q), dec in answers.items():
+            solver.clear_stores()
+            again = solve_dirichlet(p if exact else p.to_float(), q)
+            assert again.h.terms == dec.h.terms and again.f.terms == dec.f.terms
+        with pytest.raises(AssertionError, match="Poly arithmetic"):
+            solve_dirichlet(p, SHIFTED_ELLIPSOID, homogeneous_solver=class_system_level)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_a_sparse_boundary_in_64_variables_stays_small(self, exact):
+        # One list per degree would give the degree-4 part 766,480 slots.
+        n = 64
+        p = Poly(n, {(4,) + (0,) * 63: 1, (0, 3, 1) + (0,) * 61: 1})
+        if not exact:
+            p = p.to_float()
+        q = sphere(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dec = solve_dirichlet(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert dec.f.degree() == 2 and dec.h.degree() == 4
+        if exact:
+            assert verify_solution(p, q, dec).ok()
+        else:
+            exact_dec = solve_dirichlet(Poly(n, {a: Fraction(v) for a, v in p.terms.items()}), q)
+            assert relative_error(exact_dec.h, dec.h) < 1e-13
+            assert relative_error(exact_dec.f, dec.f) < 1e-13
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_one_variable_has_no_pair_of_tail_axes(self, exact):
+        # lap(a x^2 * (c/a) x^(k-2)) = lap(c x^k).
+        for k in range(2, 12):
+            ph, q2 = Poly(1, {(k,): Fraction(3, 7)}), Poly(1, {(2,): Fraction(5, 2)})
+            if exact:
+                assert solve_homogeneous(ph, q2) == Poly(1, {(k - 2,): Fraction(6, 35)})
+            else:
+                f = solve_homogeneous(ph.to_float(), q2.to_float())
+                assert list(f.terms) == [(k - 2,)]
+                assert abs(f.coefficient((k - 2,)) - 6 / 35) <= 1e-15
+
+
 class TestLargestClassWork:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_closed_form_matches_the_assembled_rows(self, n):
@@ -1112,15 +1221,15 @@ class TestLargestClassWork:
             upper = max(max(row) - i for i, row in enumerate(rows))
             size = len(members)
             assert lower == upper
-            assert solver.largest_class_work(n, order) == size * max(size, lower**2)
+            assert layout.largest_class_work(n, order) == size * max(size, lower**2)
 
     def test_a_zero_axis_square_only_narrows_the_band(self):
         for order in range(10):
             members = max((m for _, m, _ in solver.level_plan(3, order)), key=len)
             rows = solver._level_matrix([1, 0, 2], 0, members)
             lower = max(i - min(row) for i, row in enumerate(rows))
-            assert len(members) * max(len(members), lower**2) <= solver.largest_class_work(3, order)
+            assert len(members) * max(len(members), lower**2) <= layout.largest_class_work(3, order)
 
     def test_below_order_zero_there_is_no_class(self):
-        assert solver.largest_class_work(3, -1) == solver.largest_class_work(3, -2) == 0
-        assert solver.largest_class_work(1, 7) == 1
+        assert layout.largest_class_work(3, -1) == layout.largest_class_work(3, -2) == 0
+        assert layout.largest_class_work(1, 7) == 1
