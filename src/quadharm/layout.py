@@ -27,7 +27,6 @@ its one class, e = 0, takes comb(65, 2) = 2,080.
 from __future__ import annotations
 
 import math
-from array import array
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, and_, mul, neg, sub
@@ -194,11 +193,11 @@ def _shift_program(n: int, b: int) -> tuple:
     both sides (a block of the last two axes at least); an axis is (down,
     up, weights):
 
-    * ``down``, the (starts, stops) of the slices of a layout-(b + 1) list
-      that, joined, hold the entry at beta + e_j for each beta of layout b;
-    * ``up``, the (starts, stops) of the slices of a layout-b list followed
-      by N_(b+1) - N_b zeros that, joined, hold the entry at gamma - e_j
-      for each gamma of layout b + 1, and a zero where gamma_j = 0;
+    * ``down``, the slices of a layout-(b + 1) list that, joined, hold the
+      entry at beta + e_j for each beta of layout b;
+    * ``up``, the slices of a layout-b list followed by N_(b+1) - N_b
+      zeros that, joined, hold the entry at gamma - e_j for each gamma of
+      layout b + 1, and a zero where gamma_j = 0;
     * ``weights``, for e_j = 0 and for e_j = 1, the factor (e_j + 2beta_j +
       2)(e_j + 2beta_j + 1) of each beta of layout b: the Laplacian takes
       x_j^2 off the term at beta + e_j with it.
@@ -226,19 +225,18 @@ def _shift_program(n: int, b: int) -> tuple:
             up_stops.append(low + high - at)
         column = _column(n, b, j)
         axes.append((
-            (array("l", [t for _, t, _ in merged]), array("l", [t + size for _, t, size in merged])),
-            (array("l", up_starts), array("l", up_stops)),
+            tuple(slice(t, t + size) for _, t, size in merged),
+            tuple(map(slice, up_starts, up_stops)),
             tuple(tuple(map(factor.__getitem__, column)) for factor in factors),
         ))
     return low, high, tuple(axes)
 
 
-def _gather(values: list, slices: tuple[array, array]) -> Iterable:
+def _gather(values: list, slices: tuple[slice, ...]) -> Iterable:
     """The slices of values, joined."""
-    starts, stops = slices
-    if len(starts) == 1:
-        return values[starts[0]:stops[0]]
-    return chain.from_iterable(map(values.__getitem__, map(slice, starts, stops)))
+    if len(slices) == 1:
+        return values[slices[0]]
+    return chain.from_iterable(map(values.__getitem__, slices))
 
 
 def _laplacian(values: list, parity: tuple[int, ...], axes: tuple) -> Iterator:

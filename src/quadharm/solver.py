@@ -537,10 +537,13 @@ EXACT_STORE_BYTES = 1 << 18
 
 
 def _nbytes(value: object) -> int:
-    """``sys.getsizeof`` of the value and, through tuples, of everything
-    it holds, the interpreter's shared None and small ints excepted."""
+    """``sys.getsizeof`` of the value and, through tuples and slices, of
+    everything it holds, the interpreter's shared None and small ints
+    excepted."""
     if type(value) is tuple:
         return sys.getsizeof(value) + sum(map(_nbytes, value))
+    if type(value) is slice:
+        return sys.getsizeof(value) + _nbytes(value.start) + _nbytes(value.stop)
     if value is None or type(value) is int and -5 <= value <= 256:
         return 0
     return sys.getsizeof(value)

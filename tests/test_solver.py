@@ -1022,8 +1022,9 @@ class TestStores:
         assert 0.9 * traced <= counted <= 1.1 * traced
 
     def test_shared_none_and_small_ints_are_not_charged(self):
-        values = (None, -5, 256, -6, 257, 2**70, 1.5, (0, 1))
-        assert solver._nbytes(values) == sum(map(sys.getsizeof, (values, -6, 257, 2**70, 1.5, (0, 1))))
+        values = (None, -5, 256, -6, 257, 2**70, 1.5, (0, 1), slice(3, 300))
+        assert solver._nbytes(values) == sum(map(sys.getsizeof, (
+            values, -6, 257, 2**70, 1.5, (0, 1), slice(3, 300), 300)))
 
     def test_clear_stores_empties_every_store(self):
         p = dense_boundary(3, 8)
