@@ -12,16 +12,18 @@ exponent tuple is built or looked up between ``_split``, which reads a
 Every term of q is x_j^2, x_j or a constant, so the Laplacian and the
 products with q move each beta by one unit vector e_j, with a weight:
 x_j^2 keeps the class, and x_j changes its j-th parity.  A shift moves the
-runs of the last two axes of layout b, one per head beta_1..beta_(n-2),
-whole; ``_shift_program`` lists them as slices, merged where runs
-continue on both sides, and every shift is one chain of slices and one
-elementwise ``map`` per axis.  Sums run over the axes in order, so a float
-answer does not depend on the order of the input's terms.
+runs of the last two axes of layout b, one per value of beta_0 ..
+beta_(n-3), whole; ``_shift_program`` lists them as slices, joined where
+runs continue on both sides, and every shift is one chain of slices and
+one elementwise ``map`` per axis.  Sums run over the axes in order, so a
+float answer does not depend on the order of the input's terms.
 
 A list per degree would hold comb(k + n - 1, n - 1) slots whatever the
 input, up to (k + n - 1)(k + n - 2) / (k(k - 1)) times the level's size:
 the degree-4 part of x1^4 in 64 variables would take 766,480 slots, where
-its one class, e = 0, takes comb(65, 2) = 2,080.
+its one class, e = 0, takes comb(65, 2) = 2,080.  The closed-form sizes of
+a descent's levels and classes, which the command line checks before it
+solves, are here too.
 """
 
 from __future__ import annotations
