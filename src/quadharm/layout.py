@@ -119,28 +119,39 @@ def _members(parity: tuple[int, ...], b: int) -> list[tuple[int, ...]]:
             for head, r in _heads(parity[:-2], b) for x in range(r, -1, -1)]
 
 
-def _split(poly: Poly, exact: bool) -> dict[int, tuple[dict[tuple[int, ...], list], int]]:
+def _split(poly: Poly, exact: bool, plan_of: Callable[[int], Iterable]
+           ) -> dict[int, tuple[dict[tuple[int, ...], list], int]]:
     """The homogeneous parts of poly as class lists, by degree, each with
     its denominator: int numerators over the lcm of the part's
-    denominators in exact mode, floats over 1 in float mode."""
-    ones = (1,) * poly.n
-    found: dict[int, dict] = {}
+    denominators in exact mode, floats over 1 in float mode.  A degree k
+    whose level plan ``plan_of(k)`` gives reads its classes' members from
+    the plan, and keeps the classes that hold a term; any other makes the
+    members of the classes its terms fall in."""
+    by_degree: dict[int, dict] = {}
     for alpha, c in poly.terms.items():
-        found.setdefault(sum(alpha), {}).setdefault(tuple(map(and_, alpha, ones)), {})[alpha] = c
+        by_degree.setdefault(sum(alpha), {})[alpha] = c
+    ones = (1,) * poly.n
     parts = {}
-    for k, entries in found.items():
-        classes = {}
+    for k, terms in by_degree.items():
+        classes = [(parity, members) for parity, members, _ in plan_of(k)]
+        if not classes:
+            parities = dict.fromkeys(tuple(map(and_, alpha, ones)) for alpha in terms)
+            classes = [(parity, _members(parity, (k - sum(parity)) >> 1)) for parity in parities]
+        found = {}
         if exact:
-            den = math.lcm(*[c.denominator for terms in entries.values() for c in terms.values()])
-            for parity, terms in entries.items():
-                classes[parity] = [c.numerator * (den // c.denominator) if (c := terms.get(alpha))
-                                   else 0 for alpha in _members(parity, (k - sum(parity)) >> 1)]
+            den = math.lcm(*[c.denominator for c in terms.values()])
+            for parity, members in classes:
+                values = [c.numerator * (den // c.denominator) if (c := terms.get(alpha)) else 0
+                          for alpha in members]
+                if any(values):
+                    found[parity] = values
         else:
             den = 1
-            for parity, terms in entries.items():
-                classes[parity] = [float(terms.get(alpha, 0.0))
-                                   for alpha in _members(parity, (k - sum(parity)) >> 1)]
-        parts[k] = (classes, den)
+            for parity, members in classes:
+                values = [float(terms.get(alpha, 0.0)) for alpha in members]
+                if any(values):
+                    found[parity] = values
+        parts[k] = (found, den)
     return parts
 
 

@@ -659,6 +659,13 @@ def level_plan(n: int, order: int) -> LevelPlan:
     return plan
 
 
+def _stored_plan(n: int, order: int) -> LevelPlan | tuple:
+    """The plan of the order-``order`` level in n variables if the level
+    store holds it, else (): the class lists of that degree read their
+    exponent tuples from it."""
+    return _level_store.entries.get((n, order), ())
+
+
 def _shifts(n: int, b: int) -> tuple:
     """The shift program of layout (n, b), from the level store or made and
     offered to it."""
@@ -714,10 +721,10 @@ def solve_homogeneous(
     if order is None:
         return Poly.zero(ph.n)
     exact = not (q2.is_float() or ph.is_float())
-    carry, den = _split(ph, exact)[order + 2]
+    carry, den = _split(ph, exact, partial(_stored_plan, ph.n))[order + 2]
     f, f_den = _solve_level(carry, order + 2, den, q2 if exact else q2.to_float(), stats)
     terms: dict = {}
-    _attach(terms, f, order, f_den, exact, _level_store.entries.get((ph.n, order), ()))
+    _attach(terms, f, order, f_den, exact, _stored_plan(ph.n, order))
     return Poly._raw(ph.n, terms)
 
 
@@ -869,8 +876,7 @@ def solve_dirichlet(
         q2, qden = q2.to_float(), 1
         a, c, (d,) = ([float(v) for v in part] for part in parts_of_q)
     shifts = partial(_shifts, n)
-    # Exponent tuples of h and f come from the stored level plans.
-    stored = _level_store.entries
+    plan_of = partial(_stored_plan, n)
     # Without stats the clock reads 0.0.
     clock = time.perf_counter if stats is not None else float
 
@@ -880,10 +886,11 @@ def solve_dirichlet(
             return _solve_level(carry, k, den, q2, stats)
         source: dict = {}
         _attach(source, carry, k, den, exact)
-        return _split(homogeneous_solver(Poly._raw(n, source), q2), exact).get(k - 2, ({}, 1))
+        f = homogeneous_solver(Poly._raw(n, source), q2)
+        return _split(f, exact, plan_of).get(k - 2, ({}, 1))
 
     none: tuple[dict, int] = ({}, 1)
-    parts = _split(p, exact)
+    parts = _split(p, exact, plan_of)
     f_parts: dict[int, tuple[dict, int]] = {}
     h_terms: dict = {}
     f_terms: dict = {}
@@ -908,10 +915,10 @@ def solve_dirichlet(
             carry = _minus_q2(carry, h_den // den, f_k2,
                               [aj * (h_den // (qden * f_den)) for aj in a], k, shifts)
             t3 = clock()
-            _attach(f_terms, f_k2, k - 2, f_den, exact, stored.get((n, k - 2), ()))
+            _attach(f_terms, f_k2, k - 2, f_den, exact, plan_of(k - 2))
             den = h_den
         # Degrees are disjoint, so h and f are gathered without arithmetic.
-        _attach(h_terms, carry, k, den, exact, stored.get((n, k), ()))
+        _attach(h_terms, carry, k, den, exact, plan_of(k))
         if solved and homogeneous_solver is None and stats is not None:
             stats.levels[-1] = stats.levels[-1]._replace(
                 carry_ms=(t1 - t0 + t3 - t2) * 1000.0,

@@ -55,6 +55,7 @@ def test_runs_continue_only_where_both_sides_do():
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_split_and_attach_give_back_the_polynomial(exact, n):
+    # Member lists made for the terms' classes, or read from level plans.
     rng = random.Random(n)
     for _ in range(5):
         terms = {}
@@ -62,13 +63,18 @@ def test_split_and_attach_give_back_the_polynomial(exact, n):
             alpha = tuple(rng.randint(0, 5) for _ in range(n))
             terms[alpha] = random_fraction(rng)
         p = Poly(n, terms) if exact else Poly(n, terms).to_float()
-        out: dict = {}
-        for k, (classes, den) in layout._split(p, exact).items():
-            for parity, values in classes.items():
-                assert len(values) == layout._layout_size(n, (k - sum(parity)) // 2)
-                assert all(type(v) is (int if exact else float) for v in values)
-            layout._attach(out, classes, k, den, exact)
-        assert Poly._raw(n, out) == p
+        made = layout._split(p, exact, lambda k: ())
+        assert layout._split(p, exact, lambda k: solver.level_plan(n, k)) == made
+        for with_plans in (False, True):
+            out: dict = {}
+            for k, (classes, den) in made.items():
+                for parity, values in classes.items():
+                    assert len(values) == layout._layout_size(n, (k - sum(parity)) // 2)
+                    assert all(type(v) is (int if exact else float) for v in values)
+                    assert any(values)
+                plan = solver.level_plan(n, k) if with_plans else ()
+                layout._attach(out, classes, k, den, exact, plan)
+            assert Poly._raw(n, out) == p
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -77,7 +83,7 @@ def test_laplacian_of_a_class_list_is_the_polynomial_laplacian(n):
     for k in range(2, 9):
         p = Poly(n, {alpha: random_fraction(rng) for alpha in multi_indices(n, k)
                      if rng.random() < 0.6})
-        (classes, den), = layout._split(p, True).values()
+        (classes, den), = layout._split(p, True, lambda k: ()).values()
         lap = {}
         for parity, values in classes.items():
             b = (k - sum(parity)) // 2
