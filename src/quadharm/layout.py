@@ -190,15 +190,6 @@ def _runs(n: int, b: int, j: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _column(n: int, b: int, j: int) -> list[int]:
-    """beta_j of each beta of layout (n, b), in order."""
-    if n == 1 or not b:
-        return [b]
-    if not j:
-        return [x for x in range(b, -1, -1) for _ in range(_layout_size(n - 1, b - x))]
-    return [v for x in range(b, -1, -1) for v in _column(n - 1, b - x, j - 1)]
-
-
 def _shift_program(n: int, b: int) -> tuple:
     """(N_b, N_(b+1), axes), the sizes of layouts (n, b) and (n, b + 1)
     and, for each axis j, how beta -> beta + e_j carries the first into
@@ -216,9 +207,11 @@ def _shift_program(n: int, b: int) -> tuple:
       x_j^2 off the term at beta + e_j with it.
     """
     low, high = _layout_size(n, b), _layout_size(n, b + 1)
-    factors = [[(e + 2 * x + 2) * (e + 2 * x + 1) for x in range(b + 1)] for e in (0, 1)]
+    # By the exponent 2*beta_j of the members of class 0.
+    factors = [[(e + x + 2) * (e + x + 1) for x in range(2 * b + 1)] for e in (0, 1)]
+    columns = zip(*_members((0,) * n, b))
     axes = []
-    for j in range(n):
+    for j, column in enumerate(columns):
         merged: list[list[int]] = []
         for s, t, size in _runs(n, b, j):
             if merged and merged[-1][0] + merged[-1][2] == s and merged[-1][1] + merged[-1][2] == t:
@@ -236,7 +229,6 @@ def _shift_program(n: int, b: int) -> tuple:
         if at < high:
             up_starts.append(low)
             up_stops.append(low + high - at)
-        column = _column(n, b, j)
         axes.append((
             tuple(slice(t, t + size) for _, t, size in merged),
             tuple(map(slice, up_starts, up_stops)),

@@ -61,6 +61,7 @@ from operator import mul, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .elimination import _packed, _replay_int, _scan_ends, _solve_int
+from .layout import _attach, _carry, _laplacian, _minus_q2, _shift_program, _split
 from .polynomial import (
     DimensionMismatchError,
     Poly,
@@ -69,7 +70,6 @@ from .polynomial import (
     multi_factorial,
     multi_indices,
 )
-from .layout import _attach, _carry, _laplacian, _minus_q2, _shift_program, _split
 from .quadric import NonhyperbolicQuadratic
 
 FLOAT_PIVOT_RTOL = 1e-12
