@@ -218,20 +218,18 @@ def _shift_program(n: int, b: int) -> tuple:
                 merged[-1][2] += size
             else:
                 merged.append([s, t, size])
-        up_starts, up_stops, at = [], [], 0
+        # A gap of g zeros is one slice of the zeros, shared by every gap of g.
+        up, at, gaps = [], 0, {}
         for s, t, size in merged:
             if t > at:
-                up_starts.append(low)
-                up_stops.append(low + t - at)
-            up_starts.append(s)
-            up_stops.append(s + size)
+                up.append(gaps.setdefault(t - at, slice(low, low + t - at)))
+            up.append(slice(s, s + size))
             at = t + size
         if at < high:
-            up_starts.append(low)
-            up_stops.append(low + high - at)
+            up.append(slice(low, low + high - at))
         axes.append((
             tuple(slice(t, t + size) for _, t, size in merged),
-            tuple(map(slice, up_starts, up_stops)),
+            tuple(up),
             tuple(tuple(map(factor.__getitem__, column)) for factor in factors),
         ))
     return low, high, tuple(axes)
