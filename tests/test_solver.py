@@ -465,7 +465,6 @@ class TestLevelStats:
         assert all(lv.carry_den_bits is None and lv.carry_num_bits is None
                    for lv in stats.levels)
 
-
     def test_levels_time_the_right_hand_sides_the_carry_and_the_fractions(self, rng):
         p = all_degree(rng, 3, 8)
         for exact in (True, False):
