@@ -56,19 +56,17 @@ import time
 from array import array
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from operator import mul, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .elimination import _packed, _replay_int, _scan_ends, _solve_int
-from .layout import _attach, _carry, _laplacian, _minus_q2, _shift_program, _split
+from .layout import _attach, _carry, _laplacian, _members, _minus_q2, _shift_program, _split
 from .polynomial import (
     DimensionMismatchError,
     Poly,
     Scalar,
-    canonical_key,
     multi_factorial,
-    multi_indices,
 )
 from .quadric import NonhyperbolicQuadratic
 
@@ -650,11 +648,22 @@ def level_plan(n: int, order: int) -> LevelPlan:
     store or made and offered to it."""
     plan = _level_store.entries.get((n, order))
     if plan is None:
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for alpha in multi_indices(n, order):
-            groups.setdefault(parity_class(alpha), []).append(alpha)
-        plan = tuple((key, tuple(groups[key]), tuple(map(multi_factorial, groups[key])))
-                     for key in sorted(groups, key=canonical_key, reverse=True))
+        # Class e holds the e + 2*beta with |beta| = (order - |e|) / 2, so it
+        # is inhabited when |e| <= order has the parity of order; for one |e|,
+        # combinations give the classes in descending order.
+        factorials = list(map(math.factorial, range(order + 1)))
+        top = min(n, order)
+        classes = []
+        for weight in range(top - ((order - top) & 1), -1, -2):
+            for ones in combinations(range(n), weight):
+                bits = [0] * n
+                for j in ones:
+                    bits[j] = 1
+                parity = tuple(bits)
+                members = tuple(_members(parity, (order - weight) >> 1))
+                classes.append((parity, members, tuple(
+                    [math.prod(map(factorials.__getitem__, alpha)) for alpha in members])))
+        plan = tuple(classes)
         _level_store.keep((n, order), plan)
     return plan
 
